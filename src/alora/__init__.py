@@ -15,15 +15,12 @@ from .adapters import (ActivationPoint, AdapterPolicy, AdapterSpec,
 from .cache import BASE, CacheStore, Provenance, row_bytes
 from .checkpoint import (DEFAULT_CONFIG, load_checkpoint, random_weights,
                          save_checkpoint)
-from .costs import (CSV_HEADER, CostLedger, CostQuery, predict_first_token,
-                    record, speedup_report)
+from .costs import CSV_HEADER, CostLedger, CostQuery, predict_first_token
 from .engine import EOS_TOKEN, Engine, GenerationRequest, GenerationResult
 from .errors import (AloraError, ConfigurationError, ContractViolationError,
                      FormatError, NotInvokedError, TrainingDivergedError,
                      VerificationError)
-from .model import (HiddenRows, ModelConfig, ModelWeights, ProjectionTriple,
-                    attend, forward_segment, greedy_pick, project_segment,
-                    rope_rotate)
+from .model import ModelConfig, ModelWeights, forward_segment, greedy_pick
 from .trainer import (AdapterParams, SftExample, TrainConfig, TrainResult,
                       backward_adapter, evaluate_exact_match, example_loss,
                       sft_loss, train)

@@ -11,7 +11,7 @@ sequence, so the first invocation token itself is still base-projected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -102,6 +102,19 @@ class AdapterSpec:
     def provenance(self) -> Provenance:
         return Provenance(self.adapter_id)
 
+    def check_fits(self, config) -> None:
+        """Reject deltas for layers the model lacks or of another width."""
+        for (layer, proj), delta in self.deltas.items():
+            if layer >= config.n_layers:
+                raise ConfigurationError(
+                    f"adapter {self.adapter_id!r} has a delta for layer {layer}, "
+                    f"model has {config.n_layers} layers")
+            if delta.a.shape[0] != config.d_model or delta.b.shape[1] != config.d_model:
+                raise ConfigurationError(
+                    f"adapter {self.adapter_id!r} layer {layer} {proj} maps width "
+                    f"{delta.a.shape[0]} to {delta.b.shape[1]}, model d_model is "
+                    f"{config.d_model}")
+
 
 @dataclass(frozen=True)
 class ActivationPoint:
@@ -159,18 +172,13 @@ class AdapterPolicy:
     """Per-position verdicts for one adapter.
 
     For lora mode every position is adapted; for alora mode positions are
-    adapted from t_invoke onward. ``overrides`` is a test-only hook used by
-    the verification suite's mutation check and must stay empty in normal
-    operation.
+    adapted from t_invoke onward.
     """
 
     spec: AdapterSpec
     t_invoke: Optional[int] = None
-    overrides: Dict[int, str] = field(default_factory=dict)
 
     def verdict(self, position: int) -> str:
-        if position in self.overrides:
-            return self.overrides[position]
         if self.spec.mode == MODE_LORA:
             return VERDICT_ADAPTED
         return VERDICT_ADAPTED if position >= self.t_invoke else VERDICT_BASE

@@ -90,7 +90,7 @@ def run_bench(engine: Engine, plan: BenchPlan) -> List[BenchRow]:
             prompt = cell_rng.integers(8, config.vocab_size, size=length).tolist()
             base_res = engine.generate(GenerationRequest(
                 prompt_tokens=prompt, max_new_tokens=plan.answer_tokens,
-                min_new_tokens=plan.answer_tokens, seed=plan.seed))
+                min_new_tokens=plan.answer_tokens))
             t_cache = base_res.cache.length
             t_new = len(inv)
             alora_specs = [
@@ -112,14 +112,13 @@ def run_bench(engine: Engine, plan: BenchPlan) -> List[BenchRow]:
                     base_res.cache, alora_specs,
                     extra_tokens=[inv] * n,
                     max_new_tokens=plan.eval_tokens,
-                    min_new_tokens=plan.eval_tokens, seed=plan.seed)
+                    min_new_tokens=plan.eval_tokens)
                 rows.append(_make_row(MODE_ALORA, plan, t_cache, t_new, n,
                                       alora_results, config))
                 lora_results = [
                     engine.lora_invoke(full_tokens, spec,
                                        max_new_tokens=plan.eval_tokens,
-                                       min_new_tokens=plan.eval_tokens,
-                                       seed=plan.seed)
+                                       min_new_tokens=plan.eval_tokens)
                     for spec in lora_specs]
                 rows.append(_make_row(MODE_LORA, plan, t_cache, t_new, n,
                                       lora_results, config))

@@ -130,23 +130,33 @@ class CacheStore:
 
     def k_matrix(self, layer: int, upto: int) -> np.ndarray:
         """Contiguous K rows for positions [0, upto). Aliased prefix included."""
-        return self._matrix(self._k, layer, upto, "k")
+        return self._matrix("_k", layer, upto)
 
     def v_matrix(self, layer: int, upto: int) -> np.ndarray:
-        return self._matrix(self._v, layer, upto, "v")
+        return self._matrix("_v", layer, upto)
 
-    def _matrix(self, store, layer, upto, kind):
+    def _matrix(self, store, layer, upto):
+        """Walk up the parent chain, collecting each cache's own rows below
+        ``upto``; one segment is returned as a view, several are joined by a
+        single concatenate."""
         if upto > self._layer_len[layer]:
             raise ContractViolationError(
                 f"requested {upto} positions, layer {layer} holds "
                 f"{self._layer_len[layer]}")
-        if self.parent is None:
-            return store[layer][:upto]
-        parent = self.parent.k_matrix if kind == "k" else self.parent.v_matrix
-        if upto <= self.prefix_len:
-            return parent(layer, upto)
-        return np.concatenate(
-            [parent(layer, self.prefix_len), store[layer][:upto - self.prefix_len]])
+        parts = []
+        node = self
+        while True:
+            if upto > node.prefix_len:
+                parts.append(getattr(node, store)[layer][:upto - node.prefix_len])
+                upto = node.prefix_len
+            if upto == 0:
+                break
+            node = node.parent
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return getattr(self, store)[layer][:0]
+        return np.concatenate(parts[::-1])
 
     # ------------------------------------------------------------------ #
     # sharing and accounting

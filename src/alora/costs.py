@@ -1,7 +1,8 @@
 """Operation and byte accounting, plus closed-form first-token predictions.
 
 Counters are incremented at the numeric call sites (projections, attention,
-MLP, unembedding) with exact formulas: a matmul of m x k by k x n adds
+MLP, unembedding) through ``add_matmul``, ``add_attention`` and
+``add_softmax``, with exact formulas: a matmul of m x k by k x n adds
 2*m*n*k. ``predict_first_token`` recomputes the same totals from the
 configuration alone, by independent arithmetic, so measured-vs-predicted
 comparisons are exact equalities rather than tolerance checks.
@@ -15,21 +16,19 @@ term.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, List, Tuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .model import ModelConfig
 
+from .adapters import MODE_ALORA, MODE_LORA
+from .cache import row_bytes
 from .errors import ContractViolationError
 
 U64_MAX = 2**64 - 1
 
 CSV_HEADER = ("mode,seed,T_cache,T_new,N,first_token_flops,total_flops,"
               "cache_bytes_incremental,wall_ns,predicted_flops,predicted_bytes")
-
-MODE_LORA = "lora"
-MODE_ALORA = "alora"
-
 
 @dataclass
 class CostLedger:
@@ -84,58 +83,6 @@ class CostLedger:
                    for n in self._COUNTERS if n != "wall_ns")
 
 
-# Event objects for the generic record() entry point.
-
-@dataclass(frozen=True)
-class MatmulEvent:
-    m: int
-    k: int
-    n: int
-
-
-@dataclass(frozen=True)
-class AttentionEvent:
-    flops: int
-
-
-@dataclass(frozen=True)
-class SoftmaxEvent:
-    count: int
-
-
-@dataclass(frozen=True)
-class FreshRowsEvent:
-    rows: int
-
-
-@dataclass(frozen=True)
-class ReusedRowsEvent:
-    rows: int
-
-
-@dataclass(frozen=True)
-class CacheBytesEvent:
-    bytes: int
-
-
-def record(ledger: CostLedger, event) -> None:
-    """Apply one cost event to a ledger."""
-    if isinstance(event, MatmulEvent):
-        ledger.add_matmul(event.m, event.k, event.n)
-    elif isinstance(event, AttentionEvent):
-        ledger.add_attention(event.flops)
-    elif isinstance(event, SoftmaxEvent):
-        ledger.add_softmax(event.count)
-    elif isinstance(event, FreshRowsEvent):
-        ledger._add("rows_projected_fresh", event.rows)
-    elif isinstance(event, ReusedRowsEvent):
-        ledger._add("rows_reused", event.rows)
-    elif isinstance(event, CacheBytesEvent):
-        ledger._add("cache_bytes_incremental", event.bytes)
-    else:
-        raise ContractViolationError(f"unknown cost event {event!r}")
-
-
 @dataclass(frozen=True)
 class CostQuery:
     t_cache: int
@@ -184,8 +131,6 @@ def predict_first_token(query: CostQuery) -> CostLedger:
         softmax += cfg.n_layers * cfg.n_heads * coverage
     matmul += 2 * (2 * d * cfg.vocab_size)             # prefill-final + first-decode logits
 
-    from .cache import row_bytes  # local import to avoid a cycle at module load
-
     n = query.n_adapters
     ledger = CostLedger()
     ledger.matmul_flops = n * matmul
@@ -195,52 +140,3 @@ def predict_first_token(query: CostQuery) -> CostLedger:
     ledger.rows_reused = n * reused
     ledger.cache_bytes_incremental = n * owned_prefill_rows * row_bytes(cfg)
     return ledger
-
-
-@dataclass(frozen=True)
-class SpeedupRow:
-    t_cache: int
-    t_new: int
-    n_adapters: int
-    measured_ratio: float
-    predicted_ratio: float
-    relative_deviation: float
-
-
-def speedup_report(measurements: Iterable[Tuple[CostQuery, CostLedger]]
-                   ) -> Tuple[List[SpeedupRow], List[str]]:
-    """Pair classic/activated measurements and compute first-token flop ratios.
-
-    Returns (rows, diagnostics). Measurements with an empty ledger are
-    filtered out with a diagnostic. Unpaired keys raise.
-    """
-    diagnostics: List[str] = []
-    groups: dict = {}
-    for query, ledger in measurements:
-        if ledger.counted_flops == 0:
-            diagnostics.append(
-                f"filtered zero-length workload: mode={query.mode} "
-                f"T_cache={query.t_cache} T_new={query.t_new} N={query.n_adapters}")
-            continue
-        key = (query.t_cache, query.t_new, query.n_adapters)
-        slot = groups.setdefault(key, {})
-        if query.mode in slot:
-            raise ContractViolationError(
-                f"duplicate {query.mode} measurement for {key}")
-        slot[query.mode] = (query, ledger)
-    rows = []
-    for key in sorted(groups):
-        slot = groups[key]
-        if MODE_LORA not in slot or MODE_ALORA not in slot:
-            raise ContractViolationError(
-                f"unpaired measurement for T_cache={key[0]} T_new={key[1]} N={key[2]}")
-        lora_q, lora_l = slot[MODE_LORA]
-        alora_q, alora_l = slot[MODE_ALORA]
-        measured = lora_l.counted_flops / alora_l.counted_flops
-        predicted = (predict_first_token(lora_q).counted_flops
-                     / predict_first_token(alora_q).counted_flops)
-        rows.append(SpeedupRow(
-            t_cache=key[0], t_new=key[1], n_adapters=key[2],
-            measured_ratio=measured, predicted_ratio=predicted,
-            relative_deviation=abs(measured - predicted) / predicted))
-    return rows, diagnostics

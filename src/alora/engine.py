@@ -41,7 +41,6 @@ class GenerationRequest:
     reuse_cache: Optional[CacheStore] = None
     min_new_tokens: int = 0
     max_new_tokens: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         self.prompt_tokens = [int(t) for t in self.prompt_tokens]
@@ -81,6 +80,7 @@ class Engine:
             if activation is not None:
                 raise ContractViolationError("activation given without an adapter")
             return prompt, BASE_POLICY, None
+        adapter.check_fits(self.config)
         if adapter.mode == MODE_LORA:
             return prompt, build_policy(adapter, activation), None
         if activation is None:
@@ -195,7 +195,7 @@ class Engine:
 
     def invoke_intrinsic(self, base_cache: CacheStore, extra_tokens: Sequence[int],
                          adapter: AdapterSpec, *, max_new_tokens: Optional[int] = None,
-                         min_new_tokens: int = 0, seed: int = 0) -> GenerationResult:
+                         min_new_tokens: int = 0) -> GenerationResult:
         """Regime 1: an activated adapter reuses a sealed base cache."""
         if adapter.mode != MODE_ALORA:
             raise ContractViolationError(
@@ -205,13 +205,12 @@ class Engine:
             prompt_tokens=prompt, adapter=adapter, reuse_cache=base_cache,
             min_new_tokens=min_new_tokens,
             max_new_tokens=adapter.max_new_tokens if max_new_tokens is None
-            else max_new_tokens,
-            seed=seed)
+            else max_new_tokens)
         return self.generate(request)
 
     def lora_invoke(self, full_tokens: Sequence[int], adapter: AdapterSpec, *,
-                    max_new_tokens: Optional[int] = None, min_new_tokens: int = 0,
-                    seed: int = 0) -> GenerationResult:
+                    max_new_tokens: Optional[int] = None,
+                    min_new_tokens: int = 0) -> GenerationResult:
         """Classic adapter: every input position is re-prefilled under the
         adapted weights; no cache can be reused."""
         if adapter.mode != MODE_LORA:
@@ -220,14 +219,13 @@ class Engine:
             prompt_tokens=list(full_tokens), adapter=adapter, reuse_cache=None,
             min_new_tokens=min_new_tokens,
             max_new_tokens=adapter.max_new_tokens if max_new_tokens is None
-            else max_new_tokens,
-            seed=seed)
+            else max_new_tokens)
         return self.generate(request)
 
     def fanout(self, base_cache: CacheStore, adapters: Sequence[AdapterSpec],
                extra_tokens: Optional[Sequence[Sequence[int]]] = None, *,
-               max_new_tokens: Optional[int] = None, min_new_tokens: int = 0,
-               seed: int = 0) -> List[GenerationResult]:
+               max_new_tokens: Optional[int] = None,
+               min_new_tokens: int = 0) -> List[GenerationResult]:
         """Regime 3: each adapter runs against its own fork of one base cache."""
         if extra_tokens is None:
             extra_tokens = [[] for _ in adapters]
@@ -240,13 +238,13 @@ class Engine:
                     f"fanout requires activated adapters, got {spec.adapter_id}")
         return [self.invoke_intrinsic(base_cache, extra, spec,
                                       max_new_tokens=max_new_tokens,
-                                      min_new_tokens=min_new_tokens, seed=seed)
+                                      min_new_tokens=min_new_tokens)
                 for spec, extra in zip(adapters, extra_tokens)]
 
     def resume_base(self, adapter_result: GenerationResult,
                     continuation_tokens: Sequence[int], *,
-                    max_new_tokens: int = 16, min_new_tokens: int = 0,
-                    seed: int = 0) -> GenerationResult:
+                    max_new_tokens: int = 16,
+                    min_new_tokens: int = 0) -> GenerationResult:
         """Regime 2: the base model continues after an adapter request,
         reusing the base-produced prefix and re-prefilling adapter rows."""
         prompt = list(adapter_result.cache.token_ids) + \
@@ -254,6 +252,5 @@ class Engine:
         request = GenerationRequest(
             prompt_tokens=prompt, adapter=None,
             reuse_cache=adapter_result.cache,
-            min_new_tokens=min_new_tokens, max_new_tokens=max_new_tokens,
-            seed=seed)
+            min_new_tokens=min_new_tokens, max_new_tokens=max_new_tokens)
         return self.generate(request)

@@ -1,11 +1,16 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
-Everything here is computed one position (row) at a time, always through the
-same helper for a given operation. That is the accumulation-order contract
-that makes the equivalence guarantees in this package exact: two passes that
-feed identical values through identical call shapes produce bitwise-identical
+The engine computes one position (row) at a time, always through the same
+helper for a given operation. That is the accumulation-order contract that
+makes the equivalence guarantees in this package exact: two passes that feed
+identical values through identical call shapes produce bitwise-identical
 floats, so cached-vs-uncached and batch-vs-incremental comparisons need no
 tolerances.
+
+The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
+the last axis, and a row's result does not depend on how many rows come with
+it. The trainer's batched tape calls the same functions on whole sequences,
+so it trains the model the engine serves.
 
 Adapters plug in through a projection policy (see adapters.py): the model
 never inspects adapter state, it only asks the policy for a per-position
@@ -125,80 +130,50 @@ class ModelWeights:
                             unembedding=cast(self.unembedding))
 
 
-@dataclass
-class HiddenRows:
-    """A contiguous run of residual-stream rows starting at an absolute position."""
-
-    rows: np.ndarray  # positions x d_model
-    start_position: int
-
-
-@dataclass
-class ProjectionTriple:
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        if not (self.q.shape[0] == self.k.shape[0] == self.v.shape[0]):
-            raise ConfigurationError("Q/K/V row counts differ")
-
-
 # ---------------------------------------------------------------------- #
 # row-level primitives
 
+GELU_K = 0.7978845608028654  # sqrt(2/pi)
+GELU_C = 0.044715
 
-def rms_norm_row(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(x * x)
-    return x / np.sqrt(ms + RMS_EPS) * gain
+
+def rms_norm_row(x: np.ndarray, gain: np.ndarray):
+    """Normalise over the last axis; returns (normalised, root mean square)."""
+    root = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    return x / root * gain, root
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     # tanh approximation; used identically in inference and training
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)))
+    return 0.5 * x * (1.0 + np.tanh(GELU_K * (x + GELU_C * x * x * x)))
 
 
-_ROPE_CACHE: dict = {}
+def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """cos/sin tables of shape positions.shape + (d_head/2,).
 
-
-def _rope_angles(position, d_head: int, theta: float, dtype) -> Tuple[np.ndarray, np.ndarray]:
-    key = (float(position), d_head, float(theta), np.dtype(dtype).char)
-    hit = _ROPE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    exponents = np.arange(0, d_head, 2, dtype=np.float64) / d_head
-    freqs = float(position) * theta ** (-exponents)
-    pair = (np.cos(freqs).astype(dtype), np.sin(freqs).astype(dtype))
-    if len(_ROPE_CACHE) < 262144:
-        _ROPE_CACHE[key] = pair
-    return pair
-
-
-def rope_rotate(vec: np.ndarray, position, config: ModelConfig) -> np.ndarray:
-    """Rotate consecutive pairs of a single head-sized vector.
-
-    Pair i turns by position / theta^(2i/d_head); position 0 is the identity.
+    Pair i at position p turns by p / theta^(2i/d_head); positions may be
+    fractional. Angles are computed in f64, then cast to ``dtype``.
     """
-    if vec.shape[-1] != config.d_head:
-        raise ConfigurationError(
-            f"rope_rotate expects d_head={config.d_head} vector, got {vec.shape}")
-    cos, sin = _rope_angles(position, config.d_head, config.rope_theta, vec.dtype)
-    even, odd = vec[0::2], vec[1::2]
-    out = np.empty_like(vec)
-    out[0::2] = even * cos - odd * sin
-    out[1::2] = even * sin + odd * cos
-    return out
+    exponents = np.arange(0, config.d_head, 2, dtype=np.float64) / config.d_head
+    inv_freq = config.rope_theta ** (-exponents)
+    angles = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
+    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def rope_rotate_heads(row: np.ndarray, position, config: ModelConfig) -> np.ndarray:
-    """Apply the per-head rotation to a d_model-wide row (all heads at once)."""
-    heads = row.reshape(config.n_heads, config.d_head)
-    cos, sin = _rope_angles(position, config.d_head, config.rope_theta, row.dtype)
-    even, odd = heads[:, 0::2], heads[:, 1::2]
+def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate consecutive pairs within each head of ``x`` (..., d_model).
+
+    ``cos``/``sin`` come from ``rope_tables`` for the rows' positions and
+    apply to every head alike.
+    """
+    d_head = 2 * cos.shape[-1]
+    heads = x.reshape(x.shape[:-1] + (x.shape[-1] // d_head, d_head))
+    c, s = cos[..., None, :], sin[..., None, :]
+    even, odd = heads[..., 0::2], heads[..., 1::2]
     out = np.empty_like(heads)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
-    return out.reshape(config.d_model)
+    out[..., 0::2] = even * c - odd * s
+    out[..., 1::2] = even * s + odd * c
+    return out.reshape(x.shape)
 
 
 def project_row(x_row: np.ndarray, layer_index: int, layer: LayerWeights,
@@ -263,18 +238,19 @@ def forward_position(token: int, position: int, weights: ModelWeights,
     cache.append_token_ids([token])
     x = weights.token_embedding[token].copy()
     ledger.rows_projected_fresh += 1
+    cos, sin = rope_tables(position, config, weights.dtype)
     for li, layer in enumerate(weights.layers):
-        n1 = rms_norm_row(x, layer.norm_attn)
+        n1, _ = rms_norm_row(x, layer.norm_attn)
         q, k, v = project_row(n1, li, layer, policy, position, ledger)
-        q = rope_rotate_heads(q, position, config)
-        k = rope_rotate_heads(k, position, config)
+        q = rope_rotate_heads(q, cos, sin)
+        k = rope_rotate_heads(k, cos, sin)
         cache.append_rows(li, k, v, provenance)
         keys = cache.k_matrix(li, position + 1)
         vals = cache.v_matrix(li, position + 1)
         mixed = attend_single(q, keys, vals, config, ledger)
         x = x + mixed @ layer.w_o
         ledger.add_matmul(1, d, d)
-        n2 = rms_norm_row(x, layer.norm_mlp)
+        n2, _ = rms_norm_row(x, layer.norm_mlp)
         up = n2 @ layer.mlp_up
         ledger.add_matmul(1, d, 4 * d)
         down = gelu(up) @ layer.mlp_down
@@ -282,7 +258,7 @@ def forward_position(token: int, position: int, weights: ModelWeights,
         x = x + down
     if not want_logits:
         return None
-    nf = rms_norm_row(x, weights.norm_final)
+    nf, _ = rms_norm_row(x, weights.norm_final)
     logits = nf @ weights.unembedding
     ledger.add_matmul(1, d, config.vocab_size)
     return logits
@@ -306,51 +282,6 @@ def forward_segment(tokens, start_position: int, weights: ModelWeights,
         logits = forward_position(token, start_position + i, weights, config,
                                   policy, cache, ledger, want_logits=(i == last))
     return logits
-
-
-def project_segment(x: HiddenRows, layer_index: int, weights: ModelWeights,
-                    policy, ledger: Optional[CostLedger] = None) -> ProjectionTriple:
-    """Row-by-row projection of a segment of residual rows (no rotary applied)."""
-    if ledger is None:
-        ledger = CostLedger()
-    rows = np.atleast_2d(x.rows)
-    if not np.isfinite(rows).all():
-        raise ContractViolationError("projection input contains non-finite values")
-    layer = weights.layers[layer_index]
-    qs, ks, vs = [], [], []
-    for i in range(rows.shape[0]):
-        q, k, v = project_row(rows[i], layer_index, layer, policy,
-                              x.start_position + i, ledger)
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-    return ProjectionTriple(q=np.stack(qs), k=np.stack(ks), v=np.stack(vs))
-
-
-def attend(q_rows: np.ndarray, start_position: int, keys: np.ndarray,
-           values: np.ndarray, w_o: np.ndarray, config: ModelConfig,
-           ledger: Optional[CostLedger] = None) -> HiddenRows:
-    """Causal attention for queries at absolute positions start..start+n-1.
-
-    ``keys``/``values`` must cover positions [0, start+n). Each query row
-    attends its own causal prefix; head outputs are concatenated and
-    multiplied by W_O.
-    """
-    if ledger is None:
-        ledger = CostLedger()
-    q_rows = np.atleast_2d(q_rows)
-    n = q_rows.shape[0]
-    if keys.shape[0] < start_position + n:
-        raise ContractViolationError(
-            f"query position {start_position + n - 1} exceeds key coverage "
-            f"{keys.shape[0]}")
-    out = np.empty_like(q_rows)
-    for i in range(n):
-        upto = start_position + i + 1
-        mixed = attend_single(q_rows[i], keys[:upto], values[:upto], config, ledger)
-        out[i] = mixed @ w_o
-        ledger.add_matmul(1, config.d_model, config.d_model)
-    return HiddenRows(rows=out, start_position=start_position)
 
 
 def greedy_pick(logits: np.ndarray) -> int:

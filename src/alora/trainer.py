@@ -11,6 +11,10 @@ means), so duplicating an example in a batch exactly doubles its gradient
 contribution. Dropout applies to the x@A intermediate only and is disabled
 for gradient checks. The f64 precision mode exists for finite-difference
 verification; real runs default to f32.
+
+The forward tape runs the engine's own primitives from model.py (RMS norm,
+GELU, rotary tables and rotation) over the whole sequence at once; only the
+masked attention and the backward helpers live here.
 """
 
 from __future__ import annotations
@@ -25,10 +29,8 @@ from .adapters import MODE_ALORA, AdapterSpec, LowRankDelta, PROJECTIONS
 from .engine import Engine, GenerationRequest
 from .errors import (ConfigurationError, ContractViolationError,
                      TrainingDivergedError)
-from .model import ModelConfig, ModelWeights, RMS_EPS
-
-GELU_K = 0.7978845608028654  # sqrt(2/pi)
-GELU_C = 0.044715
+from .model import (GELU_C, GELU_K, ModelConfig, ModelWeights, gelu,
+                    rms_norm_row, rope_rotate_heads, rope_tables)
 
 
 @dataclass(frozen=True)
@@ -163,23 +165,6 @@ def sft_loss(logits: np.ndarray, example: SftExample) -> float:
 # ---------------------------------------------------------------------- #
 # forward with tape, and backward
 
-def _rope_tables(n_positions: int, config: ModelConfig, dtype):
-    exponents = np.arange(0, config.d_head, 2, dtype=np.float64) / config.d_head
-    inv_freq = config.rope_theta ** (-exponents)
-    angles = np.arange(n_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-
-
-def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: (T, H, d_head); cos/sin: (T, d_head/2) broadcast over heads
-    even, odd = x[..., 0::2], x[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
-
-
 def _rope_unapply(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     # transpose of the rotation: rotate gradients back by -angle
     even, odd = g[..., 0::2], g[..., 1::2]
@@ -190,21 +175,12 @@ def _rope_unapply(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     return out
 
 
-def _rms_rows(x: np.ndarray, gain: np.ndarray):
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMS_EPS)
-    return x * inv * gain, inv
-
-
-def _rms_backward(dy: np.ndarray, x: np.ndarray, inv: np.ndarray,
+def _rms_backward(dy: np.ndarray, x: np.ndarray, root: np.ndarray,
                   gain: np.ndarray) -> np.ndarray:
+    # y = x / root * gain with root = sqrt(mean(x^2) + eps), per row
     dyg = dy * gain
-    d = x.shape[1]
     dot = np.sum(dyg * x, axis=1, keepdims=True)
-    return dyg * inv - x * (inv ** 3) * (dot / d)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(GELU_K * (x + GELU_C * x * x * x)))
+    return (dyg - x * (dot / (x.shape[1] * root * root))) / root
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -218,15 +194,15 @@ def _forward_tape(tokens: List[int], t_invoke: int, weights: ModelWeights,
     """Full-sequence forward; returns (logits, tape) for the backward pass."""
     T = len(tokens)
     H, dh = config.n_heads, config.d_head
-    cos, sin = _rope_tables(T, config, weights.dtype)
+    cos, sin = rope_tables(np.arange(T), config, weights.dtype)
     x = weights.token_embedding[np.asarray(tokens)]
     scale = params.scale if params is not None else 0.0
     tape = {"cos": cos, "sin": sin, "layers": [], "tokens": tokens,
             "t_invoke": t_invoke}
     for li, layer in enumerate(weights.layers):
         rec = {"x_in": x}
-        n1, inv1 = _rms_rows(x, layer.norm_attn)
-        rec["n1"], rec["inv1"] = n1, inv1
+        n1, root1 = rms_norm_row(x, layer.norm_attn)
+        rec["n1"], rec["root1"] = n1, root1
         projections = {}
         for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)):
             out = n1 @ w
@@ -238,8 +214,8 @@ def _forward_tape(tokens: List[int], t_invoke: int, weights: ModelWeights,
                 out[t_invoke:] = out[t_invoke:] + scale * (ud @ params.b[key])
                 rec[f"ud_{proj}"] = ud
             projections[proj] = out
-        qr = _rope_apply(projections["q"].reshape(T, H, dh), cos, sin)
-        kr = _rope_apply(projections["k"].reshape(T, H, dh), cos, sin)
+        qr = rope_rotate_heads(projections["q"], cos, sin).reshape(T, H, dh)
+        kr = rope_rotate_heads(projections["k"], cos, sin).reshape(T, H, dh)
         v = projections["v"].reshape(T, H, dh)
         rec["qr"], rec["kr"], rec["v"] = qr, kr, v
         causal = np.tril(np.ones((T, T), dtype=bool))
@@ -257,15 +233,15 @@ def _forward_tape(tokens: List[int], t_invoke: int, weights: ModelWeights,
         rec["probs"] = probs
         x = x + mixed.reshape(T, config.d_model) @ layer.w_o
         rec["x_mid"] = x
-        n2, inv2 = _rms_rows(x, layer.norm_mlp)
-        rec["n2"], rec["inv2"] = n2, inv2
+        n2, root2 = rms_norm_row(x, layer.norm_mlp)
+        rec["n2"], rec["root2"] = n2, root2
         uff = n2 @ layer.mlp_up
         rec["uff"] = uff
-        x = x + _gelu(uff) @ layer.mlp_down
+        x = x + gelu(uff) @ layer.mlp_down
         tape["layers"].append(rec)
     tape["x_out"] = x
-    nf, invf = _rms_rows(x, weights.norm_final)
-    tape["nf"], tape["invf"] = nf, invf
+    nf, rootf = rms_norm_row(x, weights.norm_final)
+    tape["nf"], tape["rootf"] = nf, rootf
     logits = nf @ weights.unembedding
     tape["logits"] = logits
     return logits, tape
@@ -303,7 +279,7 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
     grads_b = {k: np.zeros_like(v) for k, v in params.b.items()}
 
     dnf = dlogits @ weights.unembedding.T
-    dx = _rms_backward(dnf, tape["x_out"], tape["invf"], weights.norm_final)
+    dx = _rms_backward(dnf, tape["x_out"], tape["rootf"], weights.norm_final)
     inv_sqrt = 1.0 / math.sqrt(dh)
     for li in range(config.n_layers - 1, -1, -1):
         layer = weights.layers[li]
@@ -312,7 +288,7 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
         dg = dx @ layer.mlp_down.T
         duff = dg * _gelu_grad(rec["uff"])
         dn2 = duff @ layer.mlp_up.T
-        dx = dx + _rms_backward(dn2, rec["x_mid"], rec["inv2"], layer.norm_mlp)
+        dx = dx + _rms_backward(dn2, rec["x_mid"], rec["root2"], layer.norm_mlp)
         # attention block (residual): x_mid = x_in + mix @ w_o
         dmix = (dx @ layer.w_o.T).reshape(T, H, dh)
         dqr = np.empty_like(rec["qr"])
@@ -342,7 +318,7 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
                 du = dud * mask if mask is not None else dud
                 grads_a[key] += n1a.T @ du
                 dn1[t_invoke:] += du @ params.a[key].T
-        dx = dx + _rms_backward(dn1, rec["x_in"], rec["inv1"], layer.norm_attn)
+        dx = dx + _rms_backward(dn1, rec["x_in"], rec["root1"], layer.norm_attn)
     return grads_a, grads_b
 
 

@@ -2,9 +2,9 @@
 
 Each check builds random prompts and random adapters, runs paired passes,
 and demands BITWISE equality (the row-at-a-time accumulation contract makes
-that attainable). The mutation check flips one pre-activation verdict
-through the policy's test hook and requires the equivalence check to fail,
-proving the suite can actually detect violations.
+that attainable). The mutation check runs the adapter under a corrupted
+policy that adapts one pre-activation position, and requires the
+equivalence check to fail, proving the suite can actually detect violations.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterSpec,
-                       BASE_POLICY, build_policy, find_invocation,
-                       random_adapter, zero_adapter)
+from .adapters import (MODE_ALORA, MODE_LORA, VERDICT_ADAPTED, ActivationPoint,
+                       AdapterPolicy, AdapterSpec, BASE_POLICY, build_policy,
+                       find_invocation, random_adapter, zero_adapter)
 from .cache import BASE, CacheStore, Provenance
 from .costs import CostLedger
 from .engine import Engine, GenerationRequest
@@ -28,6 +28,19 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+@dataclass
+class _CorruptedPolicy(AdapterPolicy):
+    """An activated adapter's policy that also adapts one position before
+    t_invoke: the violation the mutation check must detect."""
+
+    corrupt_position: int = 0
+
+    def verdict(self, position: int) -> str:
+        if position == self.corrupt_position:
+            return VERDICT_ADAPTED
+        return super().verdict(position)
 
 
 def _random_invocation(rng, length: Optional[int] = None) -> Tuple[int, ...]:
@@ -87,7 +100,8 @@ def kv_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
 
     policy = build_policy(spec, activation)
     if corrupt:
-        policy.overrides[int(rng.integers(0, t_invoke))] = "adapted"
+        policy = _CorruptedPolicy(spec, t_invoke=t_invoke,
+                                  corrupt_position=int(rng.integers(0, t_invoke)))
     adapted_cache = CacheStore(config, dtype=engine.weights.dtype)
     forward_segment(prompt, 0, engine.weights, config, policy,
                     adapted_cache, CostLedger())
@@ -214,6 +228,8 @@ def run_verify(engine: Engine, seed: int, trials: int,
                spec: Optional[AdapterSpec] = None) -> List[CheckResult]:
     """The full suite; CLI `verify` prints one line per entry. A loaded
     adapter (``spec``) additionally runs through the KV-prefix check."""
+    if spec is not None:
+        spec.check_fits(engine.config)
     rng = np.random.default_rng(seed)
     results: List[CheckResult] = []
     if trials == 0:

@@ -134,6 +134,34 @@ class TestFork:
         fill(child, 2, rng=rng)
         assert parent.length == 3 and child.length == 2
 
+    def test_fork_chain_reads_like_a_flat_cache(self, config, rng):
+        # oracle: the rows appended at each position, cut back at every fork
+        node, expected = CacheStore(config), []
+        for depth in range(6):
+            if depth:
+                node.seal()
+                cut = node.length - depth % 2
+                node = node.fork_shared(cut)
+                del expected[cut:]
+            for _ in range(3):
+                k, v = rng.standard_normal((2, config.n_layers, config.d_model)
+                                           ).astype(np.float32)
+                node.append_token_ids([3])
+                for l in range(config.n_layers):
+                    node.append_rows(l, k[l], v[l], BASE)
+                expected.append((k, v))
+        for l in range(config.n_layers):
+            for upto in range(node.length + 1):
+                want = np.array([(k[l], v[l]) for k, v in expected[:upto]]
+                                ).reshape(upto, 2, config.d_model)
+                assert np.array_equal(node.k_matrix(l, upto), want[:, 0])
+                assert np.array_equal(node.v_matrix(l, upto), want[:, 1])
+        # a read inside the root's rows is a view, not a copy
+        root = node
+        while root.parent is not None:
+            root = root.parent
+        assert np.shares_memory(node.k_matrix(0, 2), root.k_matrix(0, 2))
+
     def test_fork_past_sealed_rejected(self, config):
         parent = CacheStore(config)
         fill(parent, 3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from alora import load_adapter, load_checkpoint
+from alora import load_adapter, load_checkpoint, random_adapter, save_adapter
 from alora.cli import main
 from alora.costs import CSV_HEADER
 
@@ -76,6 +76,17 @@ class TestVerifyCommand:
     def test_missing_checkpoint_exit_code_three(self, tmp_path):
         assert main(["verify", "--checkpoint",
                      str(tmp_path / "missing.alre")]) == 3
+
+    def test_adapter_with_more_layers_exit_code_two(self, checkpoint, tmp_path,
+                                                    capsys):
+        path = tmp_path / "deep.alad"
+        save_adapter(random_adapter(64, 9, rank=4, alpha=8.0, mode="alora",
+                                    adapter_id="deep", seed=0,
+                                    invocation_sequence=(2, 3)), path)
+        code = main(["verify", "--checkpoint", str(checkpoint),
+                     "--adapter", str(path), "--trials", "1"])
+        assert code == 2
+        assert "layer 4" in capsys.readouterr().err
 
     def test_detected_failure_exit_code_one(self, checkpoint, monkeypatch):
         from alora import cli

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from alora import (BASE, GenerationRequest, Provenance, random_adapter,
-                   row_bytes)
+from alora import (BASE, Engine, GenerationRequest, ModelConfig, Provenance,
+                   random_adapter, random_weights, row_bytes)
 from alora.adapters import MODE_ALORA, MODE_LORA, zero_adapter
 from alora.errors import ConfigurationError, ContractViolationError
 
@@ -75,8 +75,7 @@ class TestGenerate:
 
     def test_deterministic_repeat(self, toy_engine, rng):
         prompt = rng.integers(8, 256, size=12).tolist()
-        req = lambda: GenerationRequest(prompt_tokens=prompt, max_new_tokens=8,
-                                        seed=7)
+        req = lambda: GenerationRequest(prompt_tokens=prompt, max_new_tokens=8)
         a = toy_engine.generate(req())
         b = toy_engine.generate(req())
         assert a.new_tokens == b.new_tokens
@@ -312,3 +311,47 @@ class TestResumeBase:
                 assert provenance == BASE
             else:
                 assert provenance == Provenance("mine")
+
+
+class TestAdapterFit:
+    def test_more_layers_than_the_model_rejected(self, toy_engine, rng):
+        config = toy_engine.config
+        spec = random_adapter(config.d_model, config.n_layers + 5, rank=4,
+                              alpha=8.0, mode=MODE_ALORA, adapter_id="deep",
+                              seed=0, invocation_sequence=(2, 3))
+        with pytest.raises(ConfigurationError, match="layer 4"):
+            toy_engine.generate(GenerationRequest(
+                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
+                adapter=spec, max_new_tokens=2))
+
+    def test_other_width_rejected(self, toy_engine, rng):
+        config = toy_engine.config
+        spec = random_adapter(config.d_model // 2, config.n_layers, rank=4,
+                              alpha=8.0, mode=MODE_LORA, adapter_id="narrow",
+                              seed=0)
+        with pytest.raises(ConfigurationError, match="d_model"):
+            toy_engine.lora_invoke(rng.integers(8, 256, size=6).tolist(), spec,
+                                   max_new_tokens=2)
+
+
+class TestDeepConversation:
+    def test_600_turns_alternating_adapter_and_base(self):
+        # every turn forks the previous turn's cache, so reads walk a parent
+        # chain one level deeper per turn
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_head=4,
+                             vocab_size=32, max_positions=4096)
+        engine = Engine(random_weights(config, seed=0), config)
+        spec = random_adapter(config.d_model, config.n_layers, rank=2,
+                              alpha=4.0, mode=MODE_ALORA, adapter_id="a",
+                              seed=1, invocation_sequence=(2, 3))
+        last = engine.generate(GenerationRequest(
+            prompt_tokens=[9, 10, 11], max_new_tokens=1, min_new_tokens=1))
+        for turn in range(1, 601):
+            if turn % 2:
+                last = engine.invoke_intrinsic(last.cache, [2, 3], spec,
+                                               max_new_tokens=1,
+                                               min_new_tokens=1)
+            else:
+                last = engine.resume_base(last, [12], max_new_tokens=1,
+                                          min_new_tokens=1)
+        assert last.cache.length == 4 + 300 * 3 + 300 * 2

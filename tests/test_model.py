@@ -7,13 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alora import (AdapterSpec, BASE_POLICY, CostLedger, HiddenRows,
-                   LowRankDelta, ModelConfig, ModelWeights, build_policy,
-                   forward_segment, greedy_pick, project_segment, rope_rotate)
+from alora import (AdapterSpec, BASE_POLICY, CostLedger, LowRankDelta,
+                   ModelConfig, ModelWeights, build_policy, forward_segment,
+                   greedy_pick)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
 from alora.errors import ConfigurationError, ContractViolationError
-from alora.model import LayerWeights, attend, attend_single, forward_position
+from alora.model import (LayerWeights, attend_single, forward_position,
+                         project_row, rope_rotate_heads, rope_tables)
+
+
+def project_rows(x, weights, policy):
+    """project_row over each row of ``x``, at positions 0, 1, ...; stacked."""
+    rows = [project_row(row, 0, weights.layers[0], policy, i, CostLedger())
+            for i, row in enumerate(x)]
+    return tuple(np.stack(part) for part in zip(*rows))
+
+
+def rotate(vec, position, config):
+    """rope_tables + rope_rotate_heads for one vector at one position."""
+    cos, sin = rope_tables(position, config, vec.dtype)
+    return rope_rotate_heads(vec, cos, sin)
 
 
 def make_micro_model(d_model, n_heads, vocab, seed=0, max_positions=64):
@@ -47,14 +61,15 @@ class TestModelConfig:
 
 
 class TestProjectSegment:
+    """A segment of residual rows projected one project_row call per row."""
+
     def test_base_policy_is_plain_matmul(self):
         config, weights = make_micro_model(8, 2, 16)
         x = np.random.default_rng(3).standard_normal((1, 8)).astype(np.float32)
-        triple = project_segment(HiddenRows(rows=x, start_position=0), 0,
-                                 weights, BASE_POLICY)
-        assert np.array_equal(triple.q, x @ weights.layers[0].w_q)
-        assert np.array_equal(triple.k, x @ weights.layers[0].w_k)
-        assert np.array_equal(triple.v, x @ weights.layers[0].w_v)
+        q, k, v = project_rows(x, weights, BASE_POLICY)
+        assert np.array_equal(q, x @ weights.layers[0].w_q)
+        assert np.array_equal(k, x @ weights.layers[0].w_k)
+        assert np.array_equal(v, x @ weights.layers[0].w_v)
 
     def test_zero_b_factor_matches_base_bitwise(self):
         config, weights = make_micro_model(8, 2, 16)
@@ -62,11 +77,10 @@ class TestProjectSegment:
                             adapter_id="z")
         policy = build_policy(spec, None)
         x = np.random.default_rng(4).standard_normal((3, 8)).astype(np.float32)
-        rows = HiddenRows(rows=x, start_position=0)
-        adapted = project_segment(rows, 0, weights, policy)
-        base = project_segment(rows, 0, weights, BASE_POLICY)
-        for name in ("q", "k", "v"):
-            assert np.array_equal(getattr(adapted, name), getattr(base, name))
+        adapted = project_rows(x, weights, policy)
+        base = project_rows(x, weights, BASE_POLICY)
+        for a, b in zip(adapted, base):
+            assert np.array_equal(a, b)
 
     def test_two_by_two_hand_computed(self):
         # d_model=2, x=[[1,0]], W_Q=[[1,2],[3,4]], delta=[[0.5,0],[0,0]]
@@ -91,10 +105,9 @@ class TestProjectSegment:
         spec = AdapterSpec(adapter_id="toy", mode=MODE_ALORA,
                            deltas={(0, "q"): delta}, invocation_sequence=(1,))
         policy = build_policy(spec, ActivationPoint(0))
-        x = HiddenRows(rows=np.array([[1.0, 0.0]], dtype=np.float32),
-                       start_position=0)
-        triple = project_segment(x, 0, weights, policy)
-        assert np.allclose(triple.q, [[1.5, 2.0]])
+        q, _, _ = project_rows(np.array([[1.0, 0.0]], dtype=np.float32),
+                               weights, policy)
+        assert np.allclose(q, [[1.5, 2.0]])
 
 
 class TestRope:
@@ -102,12 +115,12 @@ class TestRope:
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_head=8,
                              vocab_size=8, max_positions=8)
         vec = rng.standard_normal(8).astype(np.float32)
-        assert np.array_equal(rope_rotate(vec, 0, config), vec)
+        assert np.array_equal(rotate(vec, 0, config), vec)
 
     def test_quarter_turn_two_dims(self):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=2, d_head=2,
                              vocab_size=8, max_positions=8)
-        out = rope_rotate(np.array([1.0, 0.0], dtype=np.float32),
+        out = rotate(np.array([1.0, 0.0], dtype=np.float32),
                           math.pi / 2, config)
         assert np.allclose(out, [0.0, 1.0], atol=1e-6)
 
@@ -123,7 +136,7 @@ class TestRope:
             rot = np.array([[math.cos(angle), -math.sin(angle)],
                             [math.sin(angle), math.cos(angle)]])
             expected[2 * i:2 * i + 2] = rot @ vec[2 * i:2 * i + 2].astype(np.float64)
-        assert np.allclose(rope_rotate(vec, position, config), expected, atol=1e-5)
+        assert np.allclose(rotate(vec, position, config), expected, atol=1e-5)
 
     @settings(max_examples=50, deadline=None)
     @given(position=st.integers(min_value=0, max_value=10000),
@@ -132,18 +145,18 @@ class TestRope:
         config = ModelConfig(n_layers=1, n_heads=1, d_model=16, d_head=16,
                              vocab_size=8, max_positions=16384)
         vec = np.random.default_rng(seed).standard_normal(16).astype(np.float32)
-        out = rope_rotate(vec, position, config)
+        out = rotate(vec, position, config)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(vec), rel=1e-6)
 
 
 class TestAttend:
     def test_singleton_softmax_returns_value_row(self, rng):
-        config, weights = make_micro_model(8, 2, 16)
-        q = rng.standard_normal((1, 8)).astype(np.float32)
+        config, _ = make_micro_model(8, 2, 16)
+        q = rng.standard_normal(8).astype(np.float32)
         k = rng.standard_normal((1, 8)).astype(np.float32)
         v = rng.standard_normal((1, 8)).astype(np.float32)
-        out = attend(q, 0, k, v, weights.layers[0].w_o, config)
-        assert np.allclose(out.rows[0], v[0] @ weights.layers[0].w_o, atol=1e-6)
+        mixed = attend_single(q, k, v, config, CostLedger())
+        assert np.array_equal(mixed, v[0])
 
     def test_identical_keys_average_values(self, rng):
         config, _ = make_micro_model(8, 2, 16)
@@ -161,7 +174,9 @@ class TestAttend:
         q = rng.standard_normal((n, 8)).astype(np.float32)
         k = rng.standard_normal((n, 8)).astype(np.float32)
         v = rng.standard_normal((n, 8)).astype(np.float32)
-        got = attend(q, 0, k, v, weights.layers[0].w_o, config)
+        got = np.stack([attend_single(q[i], k[:i + 1], v[:i + 1], config,
+                                      CostLedger()) @ weights.layers[0].w_o
+                        for i in range(n)])
 
         dh = config.d_head
         expected = np.empty_like(q)
@@ -173,14 +188,7 @@ class TestAttend:
                 e = np.exp(scores - scores.max())
                 parts.append((e / e.sum()) @ v[:i + 1, lo:hi])
             expected[i] = np.concatenate(parts) @ weights.layers[0].w_o
-        assert np.abs(got.rows - expected).max() == 0.0
-
-    def test_coverage_error(self, rng):
-        config, weights = make_micro_model(8, 2, 16)
-        q = rng.standard_normal((2, 8)).astype(np.float32)
-        kv = rng.standard_normal((1, 8)).astype(np.float32)
-        with pytest.raises(ContractViolationError):
-            attend(q, 0, kv, kv, weights.layers[0].w_o, config)
+        assert np.abs(got - expected).max() == 0.0
 
 
 class TestForwardSegment:

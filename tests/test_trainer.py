@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from alora import (AdapterSpec, ModelConfig, SftExample, TrainConfig,
-                   backward_adapter, make_synthetic_task, random_weights,
-                   read_dataset, sft_loss, train, write_dataset)
-from alora.adapters import MODE_ALORA
+from alora import (BASE_POLICY, AdapterSpec, CacheStore, ModelConfig,
+                   SftExample, TrainConfig, backward_adapter, build_policy,
+                   forward_segment, make_synthetic_task, random_adapter,
+                   random_weights, read_dataset, sft_loss, train,
+                   write_dataset)
+from alora.adapters import MODE_ALORA, ActivationPoint
 from alora.errors import ContractViolationError, TrainingDivergedError
 from alora.tasks import (EOS_ID, INVOCATION_SEQUENCE, MARKER_ID, NO_ID,
                          TASK_CLASSIFY_MARKER, TASK_COPY_KEY, YES_ID)
@@ -140,6 +142,35 @@ class TestBackward:
                     bp = grads.get(key).reshape(-1)[idx]
                     worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-6))
         assert worst <= 1e-4
+
+
+class TestForwardTape:
+    def test_logits_match_engine_f64(self, rng, grad_config):
+        # The tape batches the sequence and masks a full softmax where the
+        # engine runs one row at a time over exact prefixes, so the two agree
+        # to rounding only; the bound is fixed by the dtype, not measured.
+        tol = 1e3 * np.finfo(np.float64).eps
+        weights = random_weights(grad_config, seed=5).astype(np.float64)
+        spec = random_adapter(grad_config.d_model, grad_config.n_layers, rank=2,
+                              alpha=4.0, mode=MODE_ALORA, adapter_id="t",
+                              seed=12, invocation_sequence=(2, 3), std=0.3)
+        ex = small_example(rng)
+        for params, policy in (
+                (None, BASE_POLICY),
+                (AdapterParams.from_spec(spec, dtype=np.float64),
+                 build_policy(spec, ActivationPoint(ex.t_invoke)))):
+            tape_logits, _ = _forward_tape(ex.tokens, ex.t_invoke, weights,
+                                           grad_config, params)
+            cache = CacheStore(grad_config, dtype=np.float64)
+            engine_logits = np.stack([
+                forward_segment([token], i, weights, grad_config, policy, cache)
+                for i, token in enumerate(ex.tokens)])
+            scale = np.abs(engine_logits).max()
+            assert np.abs(tape_logits - engine_logits).max() <= tol * scale
+        # the adapter moves the logits far more than the bound
+        assert np.abs(tape_logits - _forward_tape(
+            ex.tokens, ex.t_invoke, weights, grad_config, None)[0]).max() \
+            > 1e6 * tol * scale
 
 
 class TestTrainLoop:
