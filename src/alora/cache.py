@@ -66,9 +66,10 @@ class CacheStore:
         capacity = config.max_positions - prefix_len
         if capacity < 0:
             raise ConfigurationError("fork prefix exceeds max_positions")
-        self._k = [np.zeros((capacity, config.d_model), dtype=self.dtype)
+        # Uninitialised: reads never go past a layer's length.
+        self._k = [np.empty((capacity, config.d_model), dtype=self.dtype)
                    for _ in range(config.n_layers)]
-        self._v = [np.zeros((capacity, config.d_model), dtype=self.dtype)
+        self._v = [np.empty((capacity, config.d_model), dtype=self.dtype)
                    for _ in range(config.n_layers)]
         # Per-layer lengths in absolute positions; all must agree between
         # segment boundaries (integrity_check enforces it).

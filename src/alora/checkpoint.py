@@ -20,7 +20,8 @@ def random_weights(config: ModelConfig, seed: int) -> ModelWeights:
     remaining matrices use 1/sqrt(d_model), which keeps attention scores and
     value rows at unit scale at toy widths (flat 0.02 leaves the key/value
     signal orders of magnitude below the residual stream and makes frozen
-    random models untrainable for adapters)."""
+    random models untrainable for adapters). The shapes follow ``config``
+    by construction; ``Engine`` validates weights when it takes them."""
     rng = np.random.default_rng(seed)
     std = 1.0 / np.sqrt(config.d_model)
     residual_std = 0.02 / np.sqrt(config.n_layers)
@@ -41,14 +42,12 @@ def random_weights(config: ModelConfig, seed: int) -> ModelWeights:
             norm_attn=np.ones(d, dtype=np.float32),
             norm_mlp=np.ones(d, dtype=np.float32),
         ))
-    weights = ModelWeights(
+    return ModelWeights(
         token_embedding=gauss((v, d), std),
         layers=tuple(layers),
         norm_final=np.ones(d, dtype=np.float32),
         unembedding=gauss((d, v), std),
     )
-    weights.validate(config)
-    return weights
 
 
 def _tensor_list(config: ModelConfig, weights: ModelWeights):

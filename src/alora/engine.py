@@ -9,10 +9,14 @@ Three reuse patterns are supported:
 3. Several activated adapters fork one sealed base cache and each extend
    their fork privately (``fanout``).
 
-Every request runs position by position through model.forward_position, so a
-cache-reusing run and a from-scratch run over the same tokens produce
-bitwise-identical logits. The engine is reentrant: requests may share sealed
-caches read-only; each request owns its fork and its cost ledger.
+Prefill goes through model.forward_segment in layer-major runs of rows and
+each decode step through model.forward_position as a one-row run. Every row
+takes its own gemv and attention calls, so a row's bits do not depend on how
+the rows were grouped, and a cache-reusing run and a from-scratch run over
+the same tokens produce bitwise-identical logits; ``Engine`` probes that
+property of numpy and the BLAS when it is built. The engine is reentrant:
+requests may share sealed caches read-only; each request owns its fork and
+its cost ledger.
 """
 
 from __future__ import annotations
@@ -25,13 +29,32 @@ import numpy as np
 
 from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterSpec,
                        BASE_POLICY, build_policy, find_invocation)
-from .cache import CacheStore
+from .cache import BASE, CacheStore
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
 from .model import (ModelConfig, ModelWeights, forward_position, forward_segment,
-                    greedy_pick)
+                    greedy_pick, row_invariance_probe)
 
 EOS_TOKEN = 0
+
+
+def _common_prefix(a: list, b: list) -> int:
+    """Length of the common prefix of two lists of equal length.
+
+    List comparison runs in C and skips identical items, so the lists are
+    compared whole, then the span holding the first difference is halved
+    until it is one item long.
+    """
+    lo, hi = 0, len(a)
+    if a == b:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass
@@ -67,6 +90,9 @@ class Engine:
 
     def __init__(self, weights: ModelWeights, config: ModelConfig):
         weights.validate(config)
+        failure = row_invariance_probe(weights, config)
+        if failure:
+            raise ConfigurationError(f"row-invariance probe failed: {failure}")
         self.weights = weights
         self.config = config
 
@@ -103,20 +129,22 @@ class Engine:
             raise ContractViolationError(
                 f"reuse_cache covers {reuse.length} positions but the prompt "
                 f"has only {len(prompt)} tokens")
-        for i, (cached, wanted) in enumerate(zip(reuse.token_ids, prompt)):
-            if cached != wanted:
-                raise ContractViolationError(
-                    f"reuse_cache tokens diverge from the prompt at position {i} "
-                    f"(cached {cached}, prompt {wanted})")
+        cached, wanted = reuse.token_ids, prompt[:reuse.length]
+        if cached != wanted:
+            i = _common_prefix(cached, wanted)
+            raise ContractViolationError(
+                f"reuse_cache tokens diverge from the prompt at position {i} "
+                f"(cached {cached[i]}, prompt {wanted[i]})")
 
     def _usable_prefix(self, reuse: CacheStore, policy, prompt_len: int) -> int:
         """Longest cached prefix whose producer matches the policy per position."""
-        usable = 0
-        for p in range(min(reuse.length, prompt_len)):
-            if reuse.provenance[p] == policy.provenance_at(p):
-                usable += 1
-            else:
-                break
+        n = min(reuse.length, prompt_len)
+        # The policy's provenance is two runs: base before its activation
+        # point (none for the base model, 0 for a classic adapter), its own
+        # from there on.
+        start = n if policy.spec is None else min(policy.t_invoke or 0, n)
+        expected = [BASE] * start + [policy.provenance_at(start)] * (n - start)
+        usable = _common_prefix(reuse.provenance[:n], expected)
         # Keep at least one fresh row so the last prompt position's logits
         # exist; recomputing it reproduces the cached row bitwise.
         return min(usable, prompt_len - 1)

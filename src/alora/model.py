@@ -1,16 +1,19 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
-The engine computes one position (row) at a time, always through the same
-helper for a given operation. That is the accumulation-order contract that
-makes the equivalence guarantees in this package exact: two passes that feed
-identical values through identical call shapes produce bitwise-identical
-floats, so cached-vs-uncached and batch-vs-incremental comparisons need no
-tolerances.
+The forward is layer-major: a run of up to RUN_ROWS rows that share one
+policy verdict goes through each layer together, and decode is a run of one
+row. Every row still takes its own calls: each projection is a
+(T, 1, d) @ W batched matmul, which numpy sends row by row to the same gemv
+a lone 1-D row gets (never one gemm, whose rows differ from gemv's at these
+widths), and each query row attends over its exact prefix, all heads in one
+call. So a row's result does not depend on how many rows come with it, and
+cached-vs-uncached and batch-vs-incremental comparisons need no tolerances.
+``row_invariance_probe`` checks that property of numpy and the BLAS, and the
+engine refuses to run without it.
 
 The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
-the last axis, and a row's result does not depend on how many rows come with
-it. The trainer's batched tape calls the same functions on whole sequences,
-so it trains the model the engine serves.
+the last axis. The trainer's batched tape calls the same functions on whole
+sequences, so it trains the model the engine serves.
 
 Adapters plug in through a projection policy (see adapters.py): the model
 never inspects adapter state, it only asks the policy for a per-position
@@ -19,6 +22,7 @@ verdict and the delta factors to apply.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
@@ -139,7 +143,9 @@ GELU_C = 0.044715
 
 def rms_norm_row(x: np.ndarray, gain: np.ndarray):
     """Normalise over the last axis; returns (normalised, root mean square)."""
-    root = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    # Sum, then divide: bit for bit what np.mean gives, without its Python layers.
+    root = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+                   + RMS_EPS)
     return x / root * gain, root
 
 
@@ -176,112 +182,178 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
     return out.reshape(x.shape)
 
 
-def project_row(x_row: np.ndarray, layer_index: int, layer: LayerWeights,
-                policy, position: int, ledger: CostLedger):
-    """Project one residual row to (q, k, v) under the policy's verdict."""
-    d = x_row.shape[0]
-    ledger.add_matmul(1, d, d)
-    ledger.add_matmul(1, d, d)
-    ledger.add_matmul(1, d, d)
-    if policy.verdict(position) == VERDICT_ADAPTED:
-        q = _maybe_delta(x_row, layer.w_q, policy.delta(layer_index, "q"))
-        k = _maybe_delta(x_row, layer.w_k, policy.delta(layer_index, "k"))
-        v = _maybe_delta(x_row, layer.w_v, policy.delta(layer_index, "v"))
-    else:
-        q = x_row @ layer.w_q
-        k = x_row @ layer.w_k
-        v = x_row @ layer.w_v
-    return q, k, v
+def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
+                policy, position: int):
+    """Project residual rows ``x`` (T, d), or one row (d,), to (q, k, v).
+
+    All rows take the policy's verdict at ``position``. Each product of a
+    block, low-rank deltas included, is a (T, 1, d) @ W batched matmul:
+    every row gets its own gemv call, with the arguments a lone row gets.
+    """
+    adapted = policy.verdict(position) == VERDICT_ADAPTED
+    out = []
+    for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)):
+        delta = policy.delta(layer_index, proj) if adapted else None
+        if delta is None:
+            out.append(_row_matmul(x, w))
+        elif x.ndim == 1:
+            out.append(delta_apply(x, w, delta))
+        else:
+            out.append(delta_apply(x[:, None, :], w, delta)[:, 0])
+    return tuple(out)
 
 
-def _maybe_delta(x_row, w, delta):
-    if delta is None:
-        return x_row @ w
-    return delta_apply(x_row, w, delta)
+def _row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x`` @ ``w`` as one gemv per row: a (T, k) block goes through as
+    (T, 1, k) @ W (never as one gemm), a lone (k,) row as it is."""
+    if x.ndim == 1:
+        return x @ w
+    return (x[:, None, :] @ w)[:, 0]
 
 
 def attend_single(q_row: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                  config: ModelConfig, ledger: CostLedger) -> np.ndarray:
+                  config: ModelConfig) -> np.ndarray:
     """Causal attention of one query row over ``keys``/``values`` (its full
-    prefix, itself included). Returns the head-concatenated mix, pre-W_O."""
+    prefix, itself included), all heads in one batched call. Returns the
+    head-concatenated mix, pre-W_O."""
     c = keys.shape[0]
-    d_head = config.d_head
-    sqrt_d = math.sqrt(d_head)
-    out = np.empty_like(q_row)
-    for h in range(config.n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        scores = (keys[:, lo:hi] @ q_row[lo:hi]) / sqrt_d
-        ledger.add_attention(2 * c * d_head)
-        m = scores.max()
-        e = np.exp(scores - m)
-        probs = e / e.sum()
-        ledger.add_softmax(c)
-        out[lo:hi] = probs @ values[:, lo:hi]
-        ledger.add_attention(2 * c * d_head)
-    return out
+    h, d_head = config.n_heads, config.d_head
+    k_heads = keys.reshape(c, h, d_head).transpose(1, 0, 2)
+    v_heads = values.reshape(c, h, d_head).transpose(1, 0, 2)
+    scores = (k_heads @ q_row.reshape(h, d_head, 1)).reshape(h, c) / math.sqrt(d_head)
+    # ufunc reduces: what .max() and .sum() run, without their Python layers
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
+    return (probs.reshape(h, 1, c) @ v_heads).reshape(-1)
+
+
+# A run is at most this many rows that share one policy verdict. Longer runs
+# are no faster, and their MLP temporaries grow with the run.
+RUN_ROWS = 64
+
+
+def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
+                 policy, cache, ledger: CostLedger, want_logits: bool):
+    """Run ``tokens``, rows sharing one policy verdict, through all layers,
+    layer by layer, appending their K/V rows; the last row's logits if wanted.
+
+    The cache must already hold exactly positions [0, start).
+    """
+    if cache.length != start:
+        raise ContractViolationError(
+            f"cache holds {cache.length} positions, expected {start}")
+    if min(tokens) < 0 or max(tokens) >= config.vocab_size:
+        bad = next(t for t in tokens if not 0 <= t < config.vocab_size)
+        raise ContractViolationError(f"token id {bad} outside vocabulary")
+    t = len(tokens)
+    end = start + t
+    provenance = policy.provenance_at(start)
+    cache.append_token_ids(tokens)
+    # A one-row run (decode) keeps its row 1-D: the calls are the ones a row
+    # of a block gets, and numpy's 1-D forms cost less.
+    if t == 1:
+        x, positions = weights.token_embedding[tokens[0]], start
+    else:
+        x, positions = weights.token_embedding[tokens], np.arange(start, end)
+    cos, sin = rope_tables(positions, config, weights.dtype)
+    for li, layer in enumerate(weights.layers):
+        n1, _ = rms_norm_row(x, layer.norm_attn)
+        q, k, v = project_row(n1, li, layer, policy, start)
+        q = rope_rotate_heads(q, cos, sin)
+        k = rope_rotate_heads(k, cos, sin)
+        cache.append_rows(li, k, v, provenance)
+        keys = cache.k_matrix(li, end)
+        vals = cache.v_matrix(li, end)
+        if t == 1:
+            mixed = attend_single(q, keys, vals, config)
+        else:
+            mixed = np.empty_like(q)
+            for i in range(t):
+                c = start + i + 1
+                mixed[i] = attend_single(q[i], keys[:c], vals[:c], config)
+        x = x + _row_matmul(mixed, layer.w_o)
+        n2, _ = rms_norm_row(x, layer.norm_mlp)
+        x = x + _row_matmul(gelu(_row_matmul(n2, layer.mlp_up)), layer.mlp_down)
+    _count_run(ledger, config, start, t, want_logits)
+    if not want_logits:
+        return None
+    nf, _ = rms_norm_row(x if t == 1 else x[-1], weights.norm_final)
+    return nf @ weights.unembedding
+
+
+def _count_run(ledger: CostLedger, config: ModelConfig, start: int, t: int,
+               want_logits: bool) -> None:
+    """Add a run's costs in closed form. Each row and layer does q, k, v, W_O
+    and the MLP; a row at position p attends over c = p + 1 keys: 4 c d
+    attention flops and n_heads * c softmax ops."""
+    d = config.d_model
+    rows = config.n_layers * t
+    covered = config.n_layers * (t * start + t * (t + 1) // 2)
+    ledger.rows_projected_fresh += t
+    ledger.add_matmul(4 * rows, d, d)
+    ledger.add_matmul(rows, d, 4 * d)
+    ledger.add_matmul(rows, 4 * d, d)
+    ledger.add_attention(4 * d * covered)
+    ledger.add_softmax(config.n_heads * covered)
+    if want_logits:
+        ledger.add_matmul(1, d, config.vocab_size)
 
 
 def forward_position(token: int, position: int, weights: ModelWeights,
                      config: ModelConfig, policy, cache, ledger: CostLedger,
                      want_logits: bool) -> Optional[np.ndarray]:
-    """Run one token through all layers, appending its K/V rows to the cache.
-
-    The cache must already hold exactly positions [0, position).
-    """
-    if cache.length != position:
-        raise ContractViolationError(
-            f"cache holds {cache.length} positions, expected {position}")
-    if not 0 <= token < config.vocab_size:
-        raise ContractViolationError(f"token id {token} outside vocabulary")
-    d = config.d_model
-    provenance = policy.provenance_at(position)
-    cache.append_token_ids([token])
-    x = weights.token_embedding[token].copy()
-    ledger.rows_projected_fresh += 1
-    cos, sin = rope_tables(position, config, weights.dtype)
-    for li, layer in enumerate(weights.layers):
-        n1, _ = rms_norm_row(x, layer.norm_attn)
-        q, k, v = project_row(n1, li, layer, policy, position, ledger)
-        q = rope_rotate_heads(q, cos, sin)
-        k = rope_rotate_heads(k, cos, sin)
-        cache.append_rows(li, k, v, provenance)
-        keys = cache.k_matrix(li, position + 1)
-        vals = cache.v_matrix(li, position + 1)
-        mixed = attend_single(q, keys, vals, config, ledger)
-        x = x + mixed @ layer.w_o
-        ledger.add_matmul(1, d, d)
-        n2, _ = rms_norm_row(x, layer.norm_mlp)
-        up = n2 @ layer.mlp_up
-        ledger.add_matmul(1, d, 4 * d)
-        down = gelu(up) @ layer.mlp_down
-        ledger.add_matmul(1, 4 * d, d)
-        x = x + down
-    if not want_logits:
-        return None
-    nf, _ = rms_norm_row(x, weights.norm_final)
-    logits = nf @ weights.unembedding
-    ledger.add_matmul(1, d, config.vocab_size)
-    return logits
+    """Run one token through all layers as a one-row run (decode),
+    appending its K/V rows to the cache, which must hold [0, position)."""
+    return _forward_run([token], position, weights, config, policy, cache,
+                        ledger, want_logits)
 
 
 def forward_segment(tokens, start_position: int, weights: ModelWeights,
                     config: ModelConfig, policy, cache,
                     ledger: Optional[CostLedger] = None) -> np.ndarray:
-    """Process a run of tokens position by position; returns the last row's logits."""
+    """Process a segment of tokens; returns the last row's logits.
+
+    The tokens go through the layers in runs of at most RUN_ROWS rows that
+    share one policy verdict, so a run splits where the verdict changes.
+    """
     if ledger is None:
         ledger = CostLedger()
     tokens = [int(t) for t in tokens]
     if not tokens:
         raise ContractViolationError("forward_segment requires at least one token")
-    if cache.length != start_position:
-        raise ContractViolationError(
-            f"cache holds {cache.length} positions, segment starts at {start_position}")
+    n = len(tokens)
+    verdicts = [policy.verdict(start_position + i) for i in range(n)]
     logits = None
-    last = len(tokens) - 1
-    for i, token in enumerate(tokens):
-        logits = forward_position(token, start_position + i, weights, config,
-                                  policy, cache, ledger, want_logits=(i == last))
+    lo = 0
+    for _, same in itertools.groupby(verdicts):
+        hi = lo + len(list(same))
+        for a in range(lo, hi, RUN_ROWS):
+            b = min(a + RUN_ROWS, hi)
+            logits = _forward_run(tokens[a:b], start_position + a, weights, config,
+                                  policy, cache, ledger, want_logits=(b == n))
+        lo = hi
     return logits
+
+
+def row_invariance_probe(weights: ModelWeights, config: ModelConfig) -> Optional[str]:
+    """Check that a block's projections give each row its per-row bits.
+
+    A run projects its block of rows as (T, 1, k) @ W, and decode projects a
+    lone row as a 1-D ``row @ W``. Cached and fresh passes agree bitwise
+    only if every row of the block equals its 1-D call. That is a property
+    of numpy and the BLAS, so it is checked on this model's weights, in
+    their dtype, for each projection shape, rather than assumed. (Attention
+    runs one query row at a time, so it batches no rows.) Returns the first
+    projection that breaks it, or None.
+    """
+    layer = weights.layers[0]
+    x = layer.mlp_down[:2]
+    for name, rows, w in (("W_Q", x, layer.w_q), ("MLP up", x, layer.mlp_up),
+                          ("MLP down", layer.mlp_up[:2], layer.mlp_down)):
+        alone = (rows[0] @ w).tobytes() + (rows[1] @ w).tobytes()
+        if _row_matmul(rows, w).tobytes() != alone:
+            return f"{name}: a 2-row call differs from its 1-D calls"
+    return None
 
 
 def greedy_pick(logits: np.ndarray) -> int:

@@ -66,6 +66,7 @@ class TestVerifyCommand:
         assert code == 0
         assert "kv-prefix-equivalence" in out
         assert "mutation-sensitivity" in out
+        assert "[PASS] row-invariance" in out
 
     def test_zero_trials_vacuous_pass_with_warning(self, checkpoint, capsys):
         code = main(["verify", "--checkpoint", str(checkpoint), "--trials", "0"])
@@ -87,6 +88,21 @@ class TestVerifyCommand:
                      "--adapter", str(path), "--trials", "1"])
         assert code == 2
         assert "layer 4" in capsys.readouterr().err
+
+    def test_row_invariance_failure_exit_code_two(self, checkpoint, monkeypatch,
+                                                  capsys):
+        from alora import model
+        row_matmul = model._row_matmul
+
+        def skewed(x, w):  # rows after the first depend on the row count
+            out = row_matmul(x, w)
+            out[1:] = np.nextafter(out[1:], np.inf)
+            return out
+
+        monkeypatch.setattr(model, "_row_matmul", skewed)
+        code = main(["verify", "--checkpoint", str(checkpoint), "--trials", "1"])
+        assert code == 2
+        assert "[FAIL] row-invariance" in capsys.readouterr().out
 
     def test_detected_failure_exit_code_one(self, checkpoint, monkeypatch):
         from alora import cli

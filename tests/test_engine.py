@@ -64,6 +64,55 @@ class TestPrefill:
                                                   max_new_tokens=0))
 
 
+class TestReuseChecks:
+    """The whole-list reuse checks against the per-position loops they replaced."""
+
+    @staticmethod
+    def usable_per_position(reuse, policy, prompt_len):
+        usable = 0
+        for p in range(min(reuse.length, prompt_len)):
+            if reuse.provenance[p] != policy.provenance_at(p):
+                break
+            usable += 1
+        return min(usable, prompt_len - 1)
+
+    def test_usable_prefix_matches_per_position_loop(self, tiny_engine, rng):
+        from alora import BASE_POLICY, build_policy
+        from alora.adapters import ActivationPoint
+        config = tiny_engine.config
+        prompt = rng.integers(8, 32, size=20).tolist()
+        base = tiny_engine.prefill(GenerationRequest(prompt_tokens=prompt))
+        alora = _alora_spec(config)
+        lora = _lora_spec(config)
+        adapted = tiny_engine.invoke_intrinsic(base, [2, 3], alora,
+                                               max_new_tokens=5).cache
+        classic = tiny_engine.prefill(GenerationRequest(prompt_tokens=prompt,
+                                                        adapter=lora))
+        policies = [BASE_POLICY, build_policy(lora, None),
+                    build_policy(_lora_spec(config, adapter_id="other"), None)]
+        policies += [build_policy(alora, ActivationPoint(t))
+                     for t in (0, 1, 10, 21, 22, 27, 40)]
+        for cache in (base, adapted, classic):
+            for policy in policies:
+                for prompt_len in (1, cache.length // 2, cache.length,
+                                   cache.length + 3):
+                    assert tiny_engine._usable_prefix(cache, policy, prompt_len) \
+                        == self.usable_per_position(cache, policy, prompt_len)
+
+    @pytest.mark.parametrize("position", [0, 1, 17, 18, 19])
+    def test_divergence_names_first_position(self, tiny_engine, rng, position):
+        prompt = rng.integers(8, 32, size=20).tolist()
+        cache = tiny_engine.prefill(GenerationRequest(prompt_tokens=prompt))
+        altered = list(prompt)
+        altered[position] = 8 + (altered[position] - 7) % 24
+        altered[-1] = 8 + (altered[-1] - 7) % 24
+        with pytest.raises(ContractViolationError,
+                           match=f"position {position} "
+                                 f"\\(cached {prompt[position]}, "
+                                 f"prompt {altered[position]}\\)"):
+            tiny_engine._check_reuse(cache, altered + [9])
+
+
 class TestGenerate:
     def test_max_zero_counts_prefill_only(self, toy_engine, rng):
         prompt = rng.integers(8, 256, size=5).tolist()
@@ -355,3 +404,28 @@ class TestDeepConversation:
                 last = engine.resume_base(last, [12], max_new_tokens=1,
                                           min_new_tokens=1)
         assert last.cache.length == 4 + 300 * 3 + 300 * 2
+
+
+def _skew_later_rows(call):
+    """``call`` with every row after the first nudged by one ulp: a batched
+    call whose rows depend on how many rows come with them."""
+    def skewed(*args):
+        out = call(*args)
+        out[1:] = np.nextafter(out[1:], np.inf)
+        return out
+    return skewed
+
+
+class TestRowInvarianceProbe:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_passes_in_f32_and_f64(self, toy_config, toy_weights, dtype):
+        from alora.model import row_invariance_probe
+        assert row_invariance_probe(toy_weights.astype(dtype), toy_config) is None
+
+    def test_row_dependent_projection_refused(self, toy_config, toy_weights,
+                                              monkeypatch):
+        from alora import model
+        monkeypatch.setattr(model, "_row_matmul",
+                            _skew_later_rows(model._row_matmul))
+        with pytest.raises(ConfigurationError, match="row-invariance"):
+            Engine(toy_weights, toy_config)

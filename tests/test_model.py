@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 
 from alora import (AdapterSpec, BASE_POLICY, CostLedger, LowRankDelta,
                    ModelConfig, ModelWeights, build_policy, forward_segment,
-                   greedy_pick)
+                   greedy_pick, random_adapter)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
 from alora.errors import ConfigurationError, ContractViolationError
-from alora.model import (LayerWeights, attend_single, forward_position,
-                         project_row, rope_rotate_heads, rope_tables)
+from alora.model import (RUN_ROWS, LayerWeights, attend_single,
+                         forward_position, project_row, rope_rotate_heads,
+                         rope_tables)
 
 
 def project_rows(x, weights, policy):
-    """project_row over each row of ``x``, at positions 0, 1, ...; stacked."""
-    rows = [project_row(row, 0, weights.layers[0], policy, i, CostLedger())
-            for i, row in enumerate(x)]
-    return tuple(np.stack(part) for part in zip(*rows))
+    """project_row over the rows of ``x``, a run starting at position 0."""
+    return project_row(x, 0, weights.layers[0], policy, 0)
 
 
 def rotate(vec, position, config):
@@ -155,7 +154,7 @@ class TestAttend:
         q = rng.standard_normal(8).astype(np.float32)
         k = rng.standard_normal((1, 8)).astype(np.float32)
         v = rng.standard_normal((1, 8)).astype(np.float32)
-        mixed = attend_single(q, k, v, config, CostLedger())
+        mixed = attend_single(q, k, v, config)
         assert np.array_equal(mixed, v[0])
 
     def test_identical_keys_average_values(self, rng):
@@ -164,31 +163,34 @@ class TestAttend:
         k_row = rng.standard_normal(8).astype(np.float32)
         keys = np.stack([k_row, k_row])
         values = rng.standard_normal((2, 8)).astype(np.float32)
-        mixed = attend_single(q, keys, values, config, CostLedger())
+        mixed = attend_single(q, keys, values, config)
         assert np.allclose(mixed, values.mean(axis=0), atol=1e-6)
 
     def test_matches_dense_reference_exactly(self, rng):
-        # oracle: dense causal attention over the full sequence, no cache
-        config, weights = make_micro_model(8, 2, 16)
-        n = 4
-        q = rng.standard_normal((n, 8)).astype(np.float32)
-        k = rng.standard_normal((n, 8)).astype(np.float32)
-        v = rng.standard_normal((n, 8)).astype(np.float32)
-        got = np.stack([attend_single(q[i], k[:i + 1], v[:i + 1], config,
-                                      CostLedger()) @ weights.layers[0].w_o
-                        for i in range(n)])
+        # oracle: dense causal attention over the full sequence, no cache,
+        # one 1-D product per head; at d_model 64 too, where BLAS kernels
+        # differ in their bits from one call form to another
+        for d_model, n_heads, n, dtype in ((8, 2, 4, np.float32),
+                                           (64, 4, 40, np.float32),
+                                           (64, 4, 40, np.float64)):
+            config, weights = make_micro_model(d_model, n_heads, 16)
+            w_o = weights.layers[0].w_o.astype(dtype)
+            q, k, v = (rng.standard_normal((n, d_model)).astype(dtype)
+                       for _ in range(3))
+            got = np.stack([attend_single(q[i], k[:i + 1], v[:i + 1], config)
+                            @ w_o for i in range(n)])
 
-        dh = config.d_head
-        expected = np.empty_like(q)
-        for i in range(n):
-            parts = []
-            for h in range(config.n_heads):
-                lo, hi = h * dh, (h + 1) * dh
-                scores = (k[:i + 1, lo:hi] @ q[i, lo:hi]) / math.sqrt(dh)
-                e = np.exp(scores - scores.max())
-                parts.append((e / e.sum()) @ v[:i + 1, lo:hi])
-            expected[i] = np.concatenate(parts) @ weights.layers[0].w_o
-        assert np.abs(got - expected).max() == 0.0
+            dh = config.d_head
+            expected = np.empty_like(q)
+            for i in range(n):
+                parts = []
+                for h in range(config.n_heads):
+                    lo, hi = h * dh, (h + 1) * dh
+                    scores = (k[:i + 1, lo:hi] @ q[i, lo:hi]) / math.sqrt(dh)
+                    e = np.exp(scores - scores.max())
+                    parts.append((e / e.sum()) @ v[:i + 1, lo:hi])
+                expected[i] = np.concatenate(parts) @ w_o
+            assert np.abs(got - expected).max() == 0.0
 
 
 class TestForwardSegment:
@@ -261,6 +263,46 @@ class TestForwardSegment:
         with pytest.raises(ContractViolationError):
             forward_segment([1, 2], 3, toy_weights, toy_config, BASE_POLICY,
                             cache)
+
+
+class TestRunBoundaries:
+    """At d_model 64 a (T, d) @ W gemm and per-row gemv calls give different
+    bits (OpenBLAS 0.3.31, f32 and f64), so a wrong kernel anywhere in a run
+    shows as a bit difference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_equals_token_by_token(self, toy_config, toy_weights, dtype):
+        weights = toy_weights.astype(dtype)
+        n = 150
+        # Runs: [0, 64) and [64, 96) base, cut by the cap and by t_invoke;
+        # [96, 150) adapted.
+        t_invoke = RUN_ROWS + RUN_ROWS // 2
+        assert 2 * RUN_ROWS < n
+        tokens = np.random.default_rng(7).integers(
+            8, toy_config.vocab_size, size=n).tolist()
+        spec = random_adapter(toy_config.d_model, toy_config.n_layers, rank=8,
+                              alpha=32.0, mode=MODE_ALORA, adapter_id="runs",
+                              seed=11, invocation_sequence=(2, 3))
+        policy = build_policy(spec, ActivationPoint(t_invoke))
+
+        run_cache, run_ledger = CacheStore(toy_config, dtype), CostLedger()
+        run_logits = forward_segment(tokens, 0, weights, toy_config, policy,
+                                     run_cache, run_ledger)
+        row_cache, row_ledger = CacheStore(toy_config, dtype), CostLedger()
+        for i, token in enumerate(tokens):
+            row_logits = forward_position(token, i, weights, toy_config, policy,
+                                          row_cache, row_ledger,
+                                          want_logits=(i == n - 1))
+
+        assert np.array_equal(run_logits, row_logits)
+        for layer in range(toy_config.n_layers):
+            assert np.array_equal(run_cache.k_matrix(layer, n),
+                                  row_cache.k_matrix(layer, n))
+            assert np.array_equal(run_cache.v_matrix(layer, n),
+                                  row_cache.v_matrix(layer, n))
+        assert run_cache.provenance == row_cache.provenance
+        assert run_ledger == row_ledger
+        assert run_ledger.rows_projected_fresh == n
 
 
 class TestGreedyPick:
