@@ -150,6 +150,7 @@ class BasePolicy:
     """Projection policy of the unadapted model: base verdict everywhere."""
 
     spec = None
+    first_adapted = None  # no position is adapted
 
     def verdict(self, position: int) -> str:
         return VERDICT_BASE
@@ -178,10 +179,13 @@ class AdapterPolicy:
     spec: AdapterSpec
     t_invoke: Optional[int] = None
 
+    @property
+    def first_adapted(self) -> int:
+        """First adapted position; every later one is adapted too."""
+        return 0 if self.spec.mode == MODE_LORA else self.t_invoke
+
     def verdict(self, position: int) -> str:
-        if self.spec.mode == MODE_LORA:
-            return VERDICT_ADAPTED
-        return VERDICT_ADAPTED if position >= self.t_invoke else VERDICT_BASE
+        return VERDICT_ADAPTED if position >= self.first_adapted else VERDICT_BASE
 
     def delta(self, layer: int, proj: str):
         return self.spec.deltas.get((layer, proj))

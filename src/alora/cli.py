@@ -24,7 +24,7 @@ from .model import ModelConfig
 from .tasks import (INVOCATION_SEQUENCE, TASK_CLASSIFY_MARKER, TASK_COPY_KEY,
                     make_synthetic_task, read_dataset)
 from .trainer import TrainConfig, save_metrics_csv, train
-from .verify import row_invariance_check, run_verify
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -36,8 +36,7 @@ def _int_list(text: str):
     return tuple(int(part) for part in text.split(",") if part)
 
 
-def _load_model(path):
-    """(config, weights) of a checkpoint, in the precision ALORA_PRECISION names."""
+def _load_engine(path):
     config, weights = load_checkpoint(path)
     precision = os.environ.get("ALORA_PRECISION", "f32")
     if precision not in ("f32", "f64"):
@@ -45,11 +44,6 @@ def _load_model(path):
             f"ALORA_PRECISION must be f32 or f64, got {precision!r}")
     if precision == "f64":
         weights = weights.astype(np.float64)
-    return config, weights
-
-
-def _load_engine(path):
-    config, weights = _load_model(path)
     return Engine(weights, config)
 
 
@@ -69,13 +63,7 @@ def cmd_gen_model(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, weights = _load_model(args.checkpoint)
-    probe = row_invariance_check(weights, config)
-    if not probe.passed:
-        # The engine refuses to run without the property: a configuration error.
-        print(f"[FAIL] {probe.name}: {probe.detail}")
-        return EXIT_CONFIGURATION
-    engine = Engine(weights, config)
+    engine = _load_engine(args.checkpoint)
     spec = None
     if args.adapter:
         spec = load_adapter(args.adapter, d_model=engine.config.d_model)

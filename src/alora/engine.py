@@ -13,8 +13,10 @@ Prefill goes through model.forward_segment in layer-major runs of rows and
 each decode step through model.forward_position as a one-row run. Every row
 takes its own gemv and attention calls, so a row's bits do not depend on how
 the rows were grouped, and a cache-reusing run and a from-scratch run over
-the same tokens produce bitwise-identical logits; ``Engine`` probes that
-property of numpy and the BLAS when it is built. The engine is reentrant:
+the same tokens produce bitwise-identical logits. ``Engine`` probes that
+property of numpy and the BLAS for the base projections when it is built,
+and for an adapter's delta products on each request that names the
+adapter. The engine is reentrant:
 requests may share sealed caches read-only; each request owns its fork and
 its cost ledger.
 """
@@ -90,7 +92,7 @@ class Engine:
 
     def __init__(self, weights: ModelWeights, config: ModelConfig):
         weights.validate(config)
-        failure = row_invariance_probe(weights, config)
+        failure = row_invariance_probe(weights)
         if failure:
             raise ConfigurationError(f"row-invariance probe failed: {failure}")
         self.weights = weights
@@ -107,6 +109,7 @@ class Engine:
                 raise ContractViolationError("activation given without an adapter")
             return prompt, BASE_POLICY, None
         adapter.check_fits(self.config)
+        self._probe_adapter(adapter)
         if adapter.mode == MODE_LORA:
             return prompt, build_policy(adapter, activation), None
         if activation is None:
@@ -118,6 +121,17 @@ class Engine:
                 prompt = prompt + list(adapter.invocation_sequence)
                 activation = find_invocation(prompt, adapter)
         return prompt, build_policy(adapter, activation), activation.t_invoke
+
+    def _probe_adapter(self, adapter: AdapterSpec) -> None:
+        """Run the row-invariance probe once for each rank and dtype pair
+        among the adapter's deltas, whose products have their own shapes."""
+        kinds = {(d.rank, d.a.dtype, d.b.dtype): d for d in adapter.deltas.values()}
+        for delta in kinds.values():
+            failure = row_invariance_probe(self.weights, delta)
+            if failure:
+                raise ConfigurationError(
+                    f"row-invariance probe failed for adapter "
+                    f"{adapter.adapter_id!r}: {failure}")
 
     # ------------------------------------------------------------------ #
     # prefill
@@ -139,10 +153,10 @@ class Engine:
     def _usable_prefix(self, reuse: CacheStore, policy, prompt_len: int) -> int:
         """Longest cached prefix whose producer matches the policy per position."""
         n = min(reuse.length, prompt_len)
-        # The policy's provenance is two runs: base before its activation
-        # point (none for the base model, 0 for a classic adapter), its own
-        # from there on.
-        start = n if policy.spec is None else min(policy.t_invoke or 0, n)
+        # The policy's provenance is two runs: base before its first adapted
+        # position, its own from there on.
+        first = policy.first_adapted
+        start = n if first is None else min(first, n)
         expected = [BASE] * start + [policy.provenance_at(start)] * (n - start)
         usable = _common_prefix(reuse.provenance[:n], expected)
         # Keep at least one fresh row so the last prompt position's logits

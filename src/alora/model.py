@@ -2,9 +2,9 @@
 
 The forward is layer-major: a run of up to RUN_ROWS rows that share one
 policy verdict goes through each layer together, and decode is a run of one
-row. Every row still takes its own calls: each projection is a
-(T, 1, d) @ W batched matmul, which numpy sends row by row to the same gemv
-a lone 1-D row gets (never one gemm, whose rows differ from gemv's at these
+row through the same code. Every row still takes its own calls: each
+projection is a (T, 1, d) @ W batched matmul, which numpy sends row by row
+to one gemv each (never one gemm, whose rows differ from gemv's at these
 widths), and each query row attends over its exact prefix, all heads in one
 call. So a row's result does not depend on how many rows come with it, and
 cached-vs-uncached and batch-vs-incremental comparisons need no tolerances.
@@ -184,31 +184,23 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
 
 def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
                 policy, position: int):
-    """Project residual rows ``x`` (T, d), or one row (d,), to (q, k, v).
+    """Project residual rows ``x`` (T, d) to (q, k, v).
 
-    All rows take the policy's verdict at ``position``. Each product of a
-    block, low-rank deltas included, is a (T, 1, d) @ W batched matmul:
-    every row gets its own gemv call, with the arguments a lone row gets.
+    All rows take the policy's verdict at ``position``. Each product, with
+    its low-rank delta if adapted, goes through ``_row_matmul``: every row
+    gets its own gemv call.
     """
     adapted = policy.verdict(position) == VERDICT_ADAPTED
-    out = []
-    for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)):
-        delta = policy.delta(layer_index, proj) if adapted else None
-        if delta is None:
-            out.append(_row_matmul(x, w))
-        elif x.ndim == 1:
-            out.append(delta_apply(x, w, delta))
-        else:
-            out.append(delta_apply(x[:, None, :], w, delta)[:, 0])
-    return tuple(out)
+    return tuple(
+        _row_matmul(x, w, policy.delta(layer_index, proj) if adapted else None)
+        for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)))
 
 
-def _row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x`` @ ``w`` as one gemv per row: a (T, k) block goes through as
-    (T, 1, k) @ W (never as one gemm), a lone (k,) row as it is."""
-    if x.ndim == 1:
-        return x @ w
-    return (x[:, None, :] @ w)[:, 0]
+def _row_matmul(x: np.ndarray, w: np.ndarray, delta=None) -> np.ndarray:
+    """``x`` (T, k) @ ``w``, plus the low-rank ``delta`` if given, as one
+    gemv per row: the block goes through as (T, 1, k) @ W, never as one gemm."""
+    rows = x[:, None, :]
+    return (rows @ w if delta is None else delta_apply(rows, w, delta))[:, 0]
 
 
 def attend_single(q_row: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -249,13 +241,8 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
     end = start + t
     provenance = policy.provenance_at(start)
     cache.append_token_ids(tokens)
-    # A one-row run (decode) keeps its row 1-D: the calls are the ones a row
-    # of a block gets, and numpy's 1-D forms cost less.
-    if t == 1:
-        x, positions = weights.token_embedding[tokens[0]], start
-    else:
-        x, positions = weights.token_embedding[tokens], np.arange(start, end)
-    cos, sin = rope_tables(positions, config, weights.dtype)
+    x = weights.token_embedding.take(tokens, axis=0)
+    cos, sin = rope_tables(np.arange(start, end), config, weights.dtype)
     for li, layer in enumerate(weights.layers):
         n1, _ = rms_norm_row(x, layer.norm_attn)
         q, k, v = project_row(n1, li, layer, policy, start)
@@ -264,20 +251,17 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
         cache.append_rows(li, k, v, provenance)
         keys = cache.k_matrix(li, end)
         vals = cache.v_matrix(li, end)
-        if t == 1:
-            mixed = attend_single(q, keys, vals, config)
-        else:
-            mixed = np.empty_like(q)
-            for i in range(t):
-                c = start + i + 1
-                mixed[i] = attend_single(q[i], keys[:c], vals[:c], config)
+        mixed = np.empty_like(q)
+        for i in range(t):
+            c = start + i + 1
+            mixed[i] = attend_single(q[i], keys[:c], vals[:c], config)
         x = x + _row_matmul(mixed, layer.w_o)
         n2, _ = rms_norm_row(x, layer.norm_mlp)
         x = x + _row_matmul(gelu(_row_matmul(n2, layer.mlp_up)), layer.mlp_down)
     _count_run(ledger, config, start, t, want_logits)
     if not want_logits:
         return None
-    nf, _ = rms_norm_row(x if t == 1 else x[-1], weights.norm_final)
+    nf, _ = rms_norm_row(x[-1], weights.norm_final)
     return nf @ weights.unembedding
 
 
@@ -335,24 +319,30 @@ def forward_segment(tokens, start_position: int, weights: ModelWeights,
     return logits
 
 
-def row_invariance_probe(weights: ModelWeights, config: ModelConfig) -> Optional[str]:
-    """Check that a block's projections give each row its per-row bits.
+def row_invariance_probe(weights: ModelWeights, delta=None) -> Optional[str]:
+    """Check that each row of a block projects to the bits it gets alone.
 
-    A run projects its block of rows as (T, 1, k) @ W, and decode projects a
-    lone row as a 1-D ``row @ W``. Cached and fresh passes agree bitwise
-    only if every row of the block equals its 1-D call. That is a property
-    of numpy and the BLAS, so it is checked on this model's weights, in
-    their dtype, for each projection shape, rather than assumed. (Attention
-    runs one query row at a time, so it batches no rows.) Returns the first
-    projection that breaks it, or None.
+    A run projects its rows as one block through ``_row_matmul``, and decode
+    projects its one row the same way. Cached and fresh passes agree
+    bitwise only if every row of a 2-row block equals that row projected on
+    its own. That is a property of numpy and the BLAS, so it is checked on
+    this model's weights, in their dtype, rather than assumed: for the W_Q,
+    MLP-up and MLP-down shapes, or, given an adapter's low-rank ``delta``,
+    for W_Q with that delta. (Attention runs one query row at a time, so it
+    batches no rows.) Returns the first product that breaks it, or None.
     """
     layer = weights.layers[0]
     x = layer.mlp_down[:2]
-    for name, rows, w in (("W_Q", x, layer.w_q), ("MLP up", x, layer.mlp_up),
-                          ("MLP down", layer.mlp_up[:2], layer.mlp_down)):
-        alone = (rows[0] @ w).tobytes() + (rows[1] @ w).tobytes()
-        if _row_matmul(rows, w).tobytes() != alone:
-            return f"{name}: a 2-row call differs from its 1-D calls"
+    if delta is None:
+        cases = (("W_Q", x, layer.w_q), ("MLP up", x, layer.mlp_up),
+                 ("MLP down", layer.mlp_up[:2], layer.mlp_down))
+    else:
+        cases = ((f"W_Q with a rank-{delta.rank} delta", x, layer.w_q),)
+    for name, rows, w in cases:
+        block = _row_matmul(rows, w, delta)
+        for i in range(len(rows)):
+            if block[i].tobytes() != _row_matmul(rows[i:i + 1], w, delta).tobytes():
+                return f"{name}: a 2-row block differs from its rows alone"
     return None
 
 

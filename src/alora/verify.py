@@ -3,10 +3,10 @@
 Each check builds random prompts and random adapters, runs paired passes,
 and demands BITWISE equality. That is attainable because every row takes
 its own gemv call and its own attention call, so its result does not depend
-on how many rows are computed with it; the row-invariance check confirms
-this property of numpy and the BLAS first. The mutation check runs the
-adapter under a corrupted policy that adapts one pre-activation position,
-and requires the equivalence check to fail, proving the suite can actually
+on how many rows are computed with it; ``Engine`` probes this property of
+numpy and the BLAS when it is built. The mutation check runs the adapter
+under a corrupted policy that adapts one pre-activation position, and
+requires the equivalence check to fail, proving the suite can actually
 detect violations.
 """
 
@@ -23,7 +23,7 @@ from .adapters import (MODE_ALORA, MODE_LORA, VERDICT_ADAPTED, ActivationPoint,
 from .cache import BASE, CacheStore, Provenance
 from .costs import CostLedger
 from .engine import Engine, GenerationRequest
-from .model import ModelConfig, ModelWeights, forward_segment, row_invariance_probe
+from .model import forward_segment
 
 
 @dataclass
@@ -227,14 +227,6 @@ def provenance_trial(engine: Engine, rng, *, rank: int = 8) -> Optional[str]:
     return None
 
 
-def row_invariance_check(weights: ModelWeights, config: ModelConfig) -> CheckResult:
-    """The model's row-invariance probe as a check; ``Engine`` refuses
-    weights that fail it."""
-    failure = row_invariance_probe(weights, config)
-    return CheckResult("row-invariance", failure is None,
-                       failure or "batched projections equal per-row calls bitwise")
-
-
 def run_verify(engine: Engine, seed: int, trials: int,
                spec: Optional[AdapterSpec] = None) -> List[CheckResult]:
     """The full suite; CLI `verify` prints one line per entry. A loaded
@@ -242,10 +234,10 @@ def run_verify(engine: Engine, seed: int, trials: int,
     if spec is not None:
         spec.check_fits(engine.config)
     rng = np.random.default_rng(seed)
-    results = [row_invariance_check(engine.weights, engine.config)]
+    results: List[CheckResult] = []
     if trials == 0:
-        return results + [CheckResult("vacuous", True,
-                                      "trials=0: no checks executed (warning)")]
+        return [CheckResult("vacuous", True,
+                            "trials=0: no checks executed (warning)")]
 
     failures = []
     for t in range(trials):

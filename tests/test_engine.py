@@ -420,7 +420,11 @@ class TestRowInvarianceProbe:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_passes_in_f32_and_f64(self, toy_config, toy_weights, dtype):
         from alora.model import row_invariance_probe
-        assert row_invariance_probe(toy_weights.astype(dtype), toy_config) is None
+        weights = toy_weights.astype(dtype)
+        assert row_invariance_probe(weights) is None
+        spec = _alora_spec(toy_config, inv=(2, 3))
+        for delta in spec.deltas.values():
+            assert row_invariance_probe(weights, delta) is None
 
     def test_row_dependent_projection_refused(self, toy_config, toy_weights,
                                               monkeypatch):
@@ -429,3 +433,14 @@ class TestRowInvarianceProbe:
                             _skew_later_rows(model._row_matmul))
         with pytest.raises(ConfigurationError, match="row-invariance"):
             Engine(toy_weights, toy_config)
+
+    def test_row_dependent_adapter_product_refused(self, toy_engine, rng,
+                                                   monkeypatch):
+        from alora import model
+        spec = _alora_spec(toy_engine.config, inv=(2, 3))
+        monkeypatch.setattr(model, "delta_apply",
+                            _skew_later_rows(model.delta_apply))
+        with pytest.raises(ConfigurationError, match="row-invariance"):
+            toy_engine.generate(GenerationRequest(
+                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
+                adapter=spec, max_new_tokens=2))
