@@ -12,6 +12,7 @@ sequence, so the first invocation token itself is still base-projected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -98,8 +99,10 @@ class AdapterSpec:
             if layer < 0:
                 raise ConfigurationError(f"negative layer index {layer}")
 
-    @property
+    @cached_property
     def provenance(self) -> Provenance:
+        # One object per spec: cache rows then compare by identity, which
+        # list comparison checks before calling __eq__.
         return Provenance(self.adapter_id)
 
     def check_fits(self, config) -> None:

@@ -1,20 +1,22 @@
 """Supervised finetuning of adapter deltas with hand-written backprop.
 
-Only the low-rank factors receive gradients; base weights are frozen. The
-forward/backward pair runs over the full token sequence with the activation
-point derived from the example structure (one token after the invocation
-sequence starts, i.e. len(context) + 1), and the loss covers target
-positions only: the logit row at position p-1 predicts token p.
+Only the low-rank factors receive gradients; base weights are frozen. A
+training step stacks the examples of each shape (length, activation point,
+target start) on a batch axis and runs one forward/backward pair per shape,
+unpadded. The activation point comes from the example structure (one token
+after the invocation sequence starts, i.e. len(context) + 1), and the loss
+covers target positions only: the logit row at position p-1 predicts token p.
 
 Training batches are reduced by summation (per-example losses are target
-means), so duplicating an example in a batch exactly doubles its gradient
+means, and gradients are summed over examples in batch order), so
+duplicating an example in a batch exactly doubles its gradient
 contribution. Dropout applies to the x@A intermediate only and is disabled
 for gradient checks. The f64 precision mode exists for finite-difference
 verification; real runs default to f32.
 
 The forward tape runs the engine's own primitives from model.py (RMS norm,
-GELU, rotary tables and rotation) over the whole sequence at once; only the
-masked attention and the backward helpers live here.
+GELU, rotary tables and rotation) on whole sequences; only the masked
+attention and the backward helpers live here.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ class SftExample:
     target_tokens: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "context_tokens", tuple(int(t) for t in self.context_tokens))
-        object.__setattr__(self, "invocation_tokens", tuple(int(t) for t in self.invocation_tokens))
-        object.__setattr__(self, "target_tokens", tuple(int(t) for t in self.target_tokens))
+        for name in ("context_tokens", "invocation_tokens", "target_tokens"):
+            object.__setattr__(self, name, tuple(int(t) for t in getattr(self, name)))
         if not self.invocation_tokens:
             raise ConfigurationError("examples need a non-empty invocation")
 
@@ -147,23 +148,42 @@ class AdapterParams:
 
 def sft_loss(logits: np.ndarray, example: SftExample) -> float:
     """Mean cross-entropy over target positions (next-token prediction)."""
-    tokens = example.tokens
-    if logits.shape[0] < len(tokens):
+    n = len(example.tokens)
+    if logits.shape[0] < n:
         raise ContractViolationError(
-            f"logits cover {logits.shape[0]} rows, example has {len(tokens)} tokens")
+            f"logits cover {logits.shape[0]} rows, example has {n} tokens")
     if not example.target_tokens:
         raise ContractViolationError("example has an empty target")
-    total = 0.0
-    for i in range(example.target_start, len(tokens)):
-        row = logits[i - 1]
-        m = row.max()
-        lse = m + np.log(np.exp(row - m).sum())
-        total += float(lse - row[tokens[i]])
-    return total / len(example.target_tokens)
+    return float(_loss_and_grad_logits(logits[:n], example)[0])
+
+
+def _loss_and_grad_logits(logits: np.ndarray, *examples: SftExample):
+    """Per-example loss (mean over its targets) and dL/dlogits.
+
+    ``logits`` is (T, V) for one example, or (B, T, V) for B examples of one
+    shape in the order given; the loss is then a (B,) array.
+    """
+    first = examples[0]
+    tokens = np.reshape([ex.tokens for ex in examples], logits.shape[:-1])
+    rows = slice(first.target_start - 1, tokens.shape[-1] - 1)
+    targets = tokens[..., first.target_start:, None]
+    n_t = targets.shape[-2]
+    z = logits[..., rows, :]
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    total = e.sum(axis=-1, keepdims=True)
+    nll = np.log(total) + m - np.take_along_axis(z, targets, axis=-1)
+    # each example's targets summed left to right, in f64
+    loss = np.add.accumulate(nll[..., 0].astype(np.float64), axis=-1)[..., -1] / n_t
+    dlogits = np.zeros_like(logits)
+    dlogits[..., rows, :] = (e / total - (targets == np.arange(z.shape[-1]))) / n_t
+    return loss, dlogits
 
 
 # ---------------------------------------------------------------------- #
-# forward with tape, and backward
+# forward with tape, and backward: one example is (T, d), a stack of B
+# examples (B, T, d); a stacked matmul runs slice by slice, so an example
+# gets the same products in a stack as alone.
 
 def _rope_unapply(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     # transpose of the rotation: rotate gradients back by -angle
@@ -179,8 +199,8 @@ def _rms_backward(dy: np.ndarray, x: np.ndarray, root: np.ndarray,
                   gain: np.ndarray) -> np.ndarray:
     # y = x / root * gain with root = sqrt(mean(x^2) + eps), per row
     dyg = dy * gain
-    dot = np.sum(dyg * x, axis=1, keepdims=True)
-    return (dyg - x * (dot / (x.shape[1] * root * root))) / root
+    dot = np.sum(dyg * x, axis=-1, keepdims=True)
+    return (dyg - x * (dot / (x.shape[-1] * root * root))) / root
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -188,99 +208,79 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_K * (1.0 + 3.0 * GELU_C * x * x)
 
 
-def _forward_tape(tokens: List[int], t_invoke: int, weights: ModelWeights,
+def _heads(x: np.ndarray) -> np.ndarray:
+    """(..., T, H, d_head) as a (..., H, T, d_head) view."""
+    return np.swapaxes(x, -2, -3)
+
+
+def _batch_sum(g: np.ndarray) -> np.ndarray:
+    """Sum per-example products (..., m, n) over their examples, in order."""
+    return np.add.reduce(g.reshape((-1,) + g.shape[-2:]), axis=0)
+
+
+def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
                   config: ModelConfig, params: Optional[AdapterParams],
                   dropout: Optional[Dict[ParamKey, np.ndarray]] = None):
-    """Full-sequence forward; returns (logits, tape) for the backward pass."""
-    T = len(tokens)
-    H, dh = config.n_heads, config.d_head
+    """Forward over ``tokens``, (T,) or (B, T) with one t_invoke; returns
+    (logits, tape) for the backward pass. Dropout masks are (..., rows
+    from t_invoke, rank) per adapted projection."""
+    tokens = np.asarray(tokens)
+    T = tokens.shape[-1]
+    heads = tokens.shape + (config.n_heads, config.d_head)
     cos, sin = rope_tables(np.arange(T), config, weights.dtype)
-    x = weights.token_embedding[np.asarray(tokens)]
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    inv_sqrt = 1.0 / math.sqrt(config.d_head)
+    x = weights.token_embedding[tokens]
     scale = params.scale if params is not None else 0.0
-    tape = {"cos": cos, "sin": sin, "layers": [], "tokens": tokens,
-            "t_invoke": t_invoke}
+    tape = {"cos": cos, "sin": sin, "layers": [], "t_invoke": t_invoke}
     for li, layer in enumerate(weights.layers):
-        rec = {"x_in": x}
         n1, root1 = rms_norm_row(x, layer.norm_attn)
-        rec["n1"], rec["root1"] = n1, root1
-        projections = {}
+        rec = {"x_in": x, "n1": n1, "root1": root1}
+        projections = []
         for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)):
             out = n1 @ w
             key = (li, proj)
             if params is not None and key in params.a and t_invoke < T:
-                u = n1[t_invoke:] @ params.a[key]
+                u = n1[..., t_invoke:, :] @ params.a[key]
                 mask = dropout.get(key) if dropout else None
                 ud = u * mask if mask is not None else u
-                out[t_invoke:] = out[t_invoke:] + scale * (ud @ params.b[key])
+                out[..., t_invoke:, :] += scale * (ud @ params.b[key])
                 rec[f"ud_{proj}"] = ud
-            projections[proj] = out
-        qr = rope_rotate_heads(projections["q"], cos, sin).reshape(T, H, dh)
-        kr = rope_rotate_heads(projections["k"], cos, sin).reshape(T, H, dh)
-        v = projections["v"].reshape(T, H, dh)
-        rec["qr"], rec["kr"], rec["v"] = qr, kr, v
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        probs = np.empty((H, T, T), dtype=x.dtype)
-        mixed = np.empty((T, H, dh), dtype=x.dtype)
-        inv_sqrt = 1.0 / math.sqrt(dh)
-        for h in range(H):
-            s = (qr[:, h, :] @ kr[:, h, :].T) * inv_sqrt
-            s = np.where(causal, s, -np.inf)
-            m = s.max(axis=1, keepdims=True)
-            e = np.exp(s - m)
-            p = e / e.sum(axis=1, keepdims=True)
-            probs[h] = p
-            mixed[:, h, :] = p @ v[:, h, :]
-        rec["probs"] = probs
-        x = x + mixed.reshape(T, config.d_model) @ layer.w_o
-        rec["x_mid"] = x
-        n2, root2 = rms_norm_row(x, layer.norm_mlp)
-        rec["n2"], rec["root2"] = n2, root2
+            projections.append(out)
+        q, k, v = projections
+        qr = rope_rotate_heads(q, cos, sin).reshape(heads)
+        kr = rope_rotate_heads(k, cos, sin).reshape(heads)
+        v = v.reshape(heads)
+        s = (_heads(qr) @ np.swapaxes(_heads(kr), -1, -2)) * inv_sqrt
+        s = np.where(causal, s, -np.inf)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        x_mid = x + np.swapaxes(probs @ _heads(v), -2, -3).reshape(x.shape) @ layer.w_o
+        n2, root2 = rms_norm_row(x_mid, layer.norm_mlp)
         uff = n2 @ layer.mlp_up
-        rec["uff"] = uff
-        x = x + gelu(uff) @ layer.mlp_down
+        x = x_mid + gelu(uff) @ layer.mlp_down
+        rec.update(qr=qr, kr=kr, v=v, probs=probs, x_mid=x_mid, root2=root2,
+                   uff=uff)
         tape["layers"].append(rec)
-    tape["x_out"] = x
     nf, rootf = rms_norm_row(x, weights.norm_final)
-    tape["nf"], tape["rootf"] = nf, rootf
-    logits = nf @ weights.unembedding
-    tape["logits"] = logits
-    return logits, tape
-
-
-def _loss_and_grad_logits(logits: np.ndarray, example: SftExample):
-    """Loss plus dL/dlogits for one example (mean over its targets)."""
-    tokens = example.tokens
-    n_t = len(example.target_tokens)
-    dlogits = np.zeros_like(logits)
-    total = 0.0
-    for i in range(example.target_start, len(tokens)):
-        row = logits[i - 1]
-        m = row.max()
-        e = np.exp(row - m)
-        z = e.sum()
-        p = e / z
-        total += float(np.log(z) + m - row[tokens[i]])
-        g = p.copy()
-        g[tokens[i]] -= 1.0
-        dlogits[i - 1] += g / n_t
-    return total / n_t, dlogits
+    tape.update(x_out=x, rootf=rootf)
+    return nf @ weights.unembedding, tape
 
 
 def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
               config: ModelConfig, params: AdapterParams,
               dropout: Optional[Dict[ParamKey, np.ndarray]] = None):
-    """Gradients of the loss w.r.t. every A and B factor; base weights frozen."""
-    T = len(tape["tokens"])
-    H, dh = config.n_heads, config.d_head
+    """Gradients of the loss w.r.t. every A and B factor, summed over the
+    tape's examples; base weights frozen."""
     t_invoke = tape["t_invoke"]
     cos, sin = tape["cos"], tape["sin"]
     scale = params.scale
+    inv_sqrt = 1.0 / math.sqrt(config.d_head)
     grads_a = {k: np.zeros_like(v) for k, v in params.a.items()}
     grads_b = {k: np.zeros_like(v) for k, v in params.b.items()}
 
     dnf = dlogits @ weights.unembedding.T
     dx = _rms_backward(dnf, tape["x_out"], tape["rootf"], weights.norm_final)
-    inv_sqrt = 1.0 / math.sqrt(dh)
     for li in range(config.n_layers - 1, -1, -1):
         layer = weights.layers[li]
         rec = tape["layers"][li]
@@ -290,43 +290,71 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
         dn2 = duff @ layer.mlp_up.T
         dx = dx + _rms_backward(dn2, rec["x_mid"], rec["root2"], layer.norm_mlp)
         # attention block (residual): x_mid = x_in + mix @ w_o
-        dmix = (dx @ layer.w_o.T).reshape(T, H, dh)
-        dqr = np.empty_like(rec["qr"])
-        dkr = np.empty_like(rec["kr"])
-        dv = np.empty_like(rec["v"])
-        for h in range(H):
-            p = rec["probs"][h]
-            dp = dmix[:, h, :] @ rec["v"][:, h, :].T
-            dv[:, h, :] = p.T @ dmix[:, h, :]
-            ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
-            dqr[:, h, :] = (ds @ rec["kr"][:, h, :]) * inv_sqrt
-            dkr[:, h, :] = (ds.T @ rec["qr"][:, h, :]) * inv_sqrt
-        dq = _rope_unapply(dqr, cos, sin).reshape(T, config.d_model)
-        dk = _rope_unapply(dkr, cos, sin).reshape(T, config.d_model)
-        dvf = dv.reshape(T, config.d_model)
+        dmix = _heads((dx @ layer.w_o.T).reshape(rec["qr"].shape))
+        p, qh, kh, vh = rec["probs"], _heads(rec["qr"]), _heads(rec["kr"]), _heads(rec["v"])
+        dp = dmix @ np.swapaxes(vh, -1, -2)
+        dv = np.swapaxes(p, -1, -2) @ dmix
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        dqr = (ds @ kh) * inv_sqrt
+        dkr = (np.swapaxes(ds, -1, -2) @ qh) * inv_sqrt
+        dq = _rope_unapply(_heads(dqr), cos, sin).reshape(dx.shape)
+        dk = _rope_unapply(_heads(dkr), cos, sin).reshape(dx.shape)
+        dvf = _heads(dv).reshape(dx.shape)
         dn1 = dq @ layer.w_q.T + dk @ layer.w_k.T + dvf @ layer.w_v.T
-        if t_invoke < T:
-            n1a = rec["n1"][t_invoke:]
+        if t_invoke < dx.shape[-2]:
+            n1a_t = np.swapaxes(rec["n1"][..., t_invoke:, :], -1, -2)
             for proj, dproj in (("q", dq), ("k", dk), ("v", dvf)):
                 key = (li, proj)
                 if key not in params.a:
                     continue
-                da = dproj[t_invoke:]
-                grads_b[key] += scale * (rec[f"ud_{proj}"].T @ da)
+                da = dproj[..., t_invoke:, :]
+                grads_b[key] += _batch_sum(
+                    scale * (np.swapaxes(rec[f"ud_{proj}"], -1, -2) @ da))
                 dud = scale * (da @ params.b[key].T)
                 mask = dropout.get(key) if dropout else None
                 du = dud * mask if mask is not None else dud
-                grads_a[key] += n1a.T @ du
-                dn1[t_invoke:] += du @ params.a[key].T
+                grads_a[key] += _batch_sum(n1a_t @ du)
+                dn1[..., t_invoke:, :] += du @ params.a[key].T
         dx = dx + _rms_backward(dn1, rec["x_in"], rec["root1"], layer.norm_attn)
     return grads_a, grads_b
+
+
+def _first_adapted(example: SftExample, mode: str) -> int:
+    return example.t_invoke if mode == MODE_ALORA else 0
+
+
+def _batch_loss_and_grads(batch: Sequence[SftExample], weights: ModelWeights,
+                          config: ModelConfig, params: AdapterParams,
+                          mode: str, masks=None):
+    """Per-example losses, in batch order, and the A/B gradients summed
+    over the batch. Each example's dropout ``masks``, if given, are one
+    (n_keys, rows from the activation point, rank) array."""
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for i, ex in enumerate(batch):
+        shape = (len(ex.tokens), _first_adapted(ex, mode), ex.target_start)
+        groups.setdefault(shape, []).append(i)
+    losses = np.empty(len(batch))
+    grads_a = {k: np.zeros_like(v) for k, v in params.a.items()}
+    grads_b = {k: np.zeros_like(v) for k, v in params.b.items()}
+    for (_, t_invoke, _), members in groups.items():
+        group = [batch[i] for i in members]
+        dropout = None if masks is None else dict(zip(
+            params.keys(), np.stack([masks[i] for i in members], axis=1)))
+        logits, tape = _forward_tape([ex.tokens for ex in group], t_invoke,
+                                     weights, config, params, dropout)
+        losses[members], dlogits = _loss_and_grad_logits(logits, *group)
+        ga, gb = _backward(tape, dlogits, weights, config, params, dropout)
+        for key in grads_a:
+            grads_a[key] += ga[key]
+            grads_b[key] += gb[key]
+    return losses, grads_a, grads_b
 
 
 def example_loss(example: SftExample, weights: ModelWeights, config: ModelConfig,
                  params: Optional[AdapterParams], mode: str = MODE_ALORA) -> float:
     """Forward-only loss; the quantity the finite-difference oracle probes."""
-    t_invoke = example.t_invoke if mode == MODE_ALORA else 0
-    logits, _ = _forward_tape(example.tokens, t_invoke, weights, config, params)
+    logits, _ = _forward_tape(example.tokens, _first_adapted(example, mode),
+                              weights, config, params)
     return sft_loss(logits, example)
 
 
@@ -334,10 +362,9 @@ def backward_adapter(example: SftExample, spec: AdapterSpec,
                      weights: ModelWeights, config: ModelConfig):
     """Exact reverse-mode gradients of sft_loss for every A and B factor."""
     params = AdapterParams.from_spec(spec, dtype=weights.dtype)
-    t_invoke = example.t_invoke if spec.mode == MODE_ALORA else 0
-    logits, tape = _forward_tape(example.tokens, t_invoke, weights, config, params)
-    _, dlogits = _loss_and_grad_logits(logits, example)
-    return _backward(tape, dlogits, weights, config, params)
+    _, grads_a, grads_b = _batch_loss_and_grads([example], weights, config,
+                                                params, spec.mode)
+    return grads_a, grads_b
 
 
 # ---------------------------------------------------------------------- #
@@ -351,13 +378,13 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, keys, like_a, like_b, cfg: TrainConfig):
+    def __init__(self, params: AdapterParams, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.m = {("a", k): np.zeros_like(like_a[k]) for k in keys}
-        self.v = {("a", k): np.zeros_like(like_a[k]) for k in keys}
-        self.m.update({("b", k): np.zeros_like(like_b[k]) for k in keys})
-        self.v.update({("b", k): np.zeros_like(like_b[k]) for k in keys})
+        self.m = {(which, k): np.zeros_like(t)
+                  for which, tensors in (("a", params.a), ("b", params.b))
+                  for k, t in tensors.items()}
+        self.v = {slot: np.zeros_like(m) for slot, m in self.m.items()}
 
     def step(self, params: AdapterParams, grads_a, grads_b):
         cfg = self.cfg
@@ -394,37 +421,27 @@ def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeight
                                           train_config.alpha, train_config.seed,
                                           dtype=dtype)
     rng = np.random.default_rng(train_config.seed)
-    adam = _Adam(params.keys(), params.a, params.b, train_config)
+    adam = _Adam(params, train_config)
     engine = Engine(weights, model_config) if eval_dataset else None
     history: List[dict] = []
     rate = train_config.dropout_rate
 
     for step in range(1, train_config.steps + 1):
-        idx = rng.integers(0, len(dataset), size=train_config.batch_size)
-        total_loss = 0.0
-        acc_a = {k: np.zeros_like(v) for k, v in params.a.items()}
-        acc_b = {k: np.zeros_like(v) for k, v in params.b.items()}
-        for i in idx:
-            example = dataset[int(i)]
-            t_invoke = example.t_invoke if spec.mode == MODE_ALORA else 0
-            dropout = None
-            if rate > 0.0:
-                rows = max(len(example.tokens) - t_invoke, 0)
-                dropout = {
-                    key: (rng.random((rows, params.rank)) >= rate).astype(dtype)
-                    / dtype(1.0 - rate)
-                    for key in params.keys()}
-            logits, tape = _forward_tape(example.tokens, t_invoke, w,
-                                         model_config, params, dropout)
-            loss, dlogits = _loss_and_grad_logits(logits, example)
-            total_loss += loss
-            ga, gb = _backward(tape, dlogits, w, model_config, params, dropout)
-            for k in acc_a:
-                acc_a[k] += ga[k]
-                acc_b[k] += gb[k]
+        batch = [dataset[int(i)] for i in
+                 rng.integers(0, len(dataset), size=train_config.batch_size)]
+        masks = None
+        if rate > 0.0:
+            shapes = [(len(params.a), len(ex.tokens) - _first_adapted(ex, spec.mode),
+                       params.rank) for ex in batch]
+            masks = [(rng.random(shape) >= rate).astype(dtype) / dtype(1.0 - rate)
+                     for shape in shapes]
+        losses, grads_a, grads_b = _batch_loss_and_grads(
+            batch, w, model_config, params, spec.mode, masks)
+        # left to right in batch order
+        total_loss = float(np.add.accumulate(losses)[-1])
         if not math.isfinite(total_loss):
             raise TrainingDivergedError(step)
-        adam.step(params, acc_a, acc_b)
+        adam.step(params, grads_a, grads_b)
         row = {"step": step, "loss": total_loss / train_config.batch_size,
                "eval_exact_match": None}
         if eval_dataset and (step % train_config.eval_every == 0

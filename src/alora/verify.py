@@ -227,6 +227,13 @@ def provenance_trial(engine: Engine, rng, *, rank: int = 8) -> Optional[str]:
     return None
 
 
+def _checked(name: str, ok: str, details) -> CheckResult:
+    """Run the (trial number, failure or None) pairs in order; the check
+    passes when none failed and otherwise names the first failure."""
+    failures = [f"trial {t}: {detail}" for t, detail in details if detail]
+    return CheckResult(name, not failures, failures[0] if failures else ok)
+
+
 def run_verify(engine: Engine, seed: int, trials: int,
                spec: Optional[AdapterSpec] = None) -> List[CheckResult]:
     """The full suite; CLI `verify` prints one line per entry. A loaded
@@ -234,31 +241,21 @@ def run_verify(engine: Engine, seed: int, trials: int,
     if spec is not None:
         spec.check_fits(engine.config)
     rng = np.random.default_rng(seed)
-    results: List[CheckResult] = []
     if trials == 0:
         return [CheckResult("vacuous", True,
                             "trials=0: no checks executed (warning)")]
 
-    failures = []
-    for t in range(trials):
-        rank = int(rng.choice([8, 32]))
-        detail = kv_equivalence_trial(engine, rng, rank=rank)
-        if detail:
-            failures.append(f"trial {t}: {detail}")
-    results.append(CheckResult(
-        "kv-prefix-equivalence", not failures,
-        failures[0] if failures else f"{trials} trials bitwise equal"))
-
+    results = [_checked(
+        "kv-prefix-equivalence", f"{trials} trials bitwise equal",
+        ((t, kv_equivalence_trial(engine, rng, rank=int(rng.choice([8, 32]))))
+         for t in range(trials)))]
     if spec is not None:
-        failures = []
         n_spec = max(1, min(trials, 20))
-        for t in range(n_spec):
-            detail = kv_equivalence_trial(engine, rng, spec=spec)
-            if detail:
-                failures.append(f"trial {t}: {detail}")
-        results.append(CheckResult(
-            f"loaded-adapter-kv ({spec.adapter_id})", not failures,
-            failures[0] if failures else f"{n_spec} trials bitwise equal"))
+        results.append(_checked(
+            f"loaded-adapter-kv ({spec.adapter_id})",
+            f"{n_spec} trials bitwise equal",
+            ((t, kv_equivalence_trial(engine, rng, spec=spec))
+             for t in range(n_spec))))
 
     detected = kv_equivalence_trial(engine, rng, rank=8, corrupt=True)
     results.append(CheckResult(
@@ -268,31 +265,13 @@ def run_verify(engine: Engine, seed: int, trials: int,
     n_small = max(1, min(trials, 10))
     for name, fn in (("cache-reuse-oracle", oracle_equivalence_trial),
                      ("t-invoke-zero-reduction", reduction_trial)):
-        failures = []
-        for t in range(n_small):
-            detail = fn(engine, rng)
-            if detail:
-                failures.append(f"trial {t}: {detail}")
-        results.append(CheckResult(
-            name, not failures,
-            failures[0] if failures else f"{n_small} trials bitwise equal"))
-
-    failures = []
-    for t in range(n_small):
-        for mode in (MODE_ALORA, MODE_LORA):
-            detail = zero_delta_trial(engine, rng, mode=mode)
-            if detail:
-                failures.append(f"trial {t}: {detail}")
-    results.append(CheckResult(
-        "zero-delta-identity", not failures,
-        failures[0] if failures else f"{2 * n_small} trials bitwise equal"))
-
-    failures = []
-    for t in range(n_small):
-        detail = provenance_trial(engine, rng)
-        if detail:
-            failures.append(f"trial {t}: {detail}")
-    results.append(CheckResult(
-        "provenance-rules", not failures,
-        failures[0] if failures else f"{n_small} trials consistent"))
+        results.append(_checked(name, f"{n_small} trials bitwise equal",
+                                ((t, fn(engine, rng)) for t in range(n_small))))
+    results.append(_checked(
+        "zero-delta-identity", f"{2 * n_small} trials bitwise equal",
+        ((t, zero_delta_trial(engine, rng, mode=mode))
+         for t in range(n_small) for mode in (MODE_ALORA, MODE_LORA))))
+    results.append(_checked(
+        "provenance-rules", f"{n_small} trials consistent",
+        ((t, provenance_trial(engine, rng)) for t in range(n_small))))
     return results

@@ -229,6 +229,17 @@ class TestLoraInvoke:
         assert res.cost.rows_reused == 0
         assert all(p == Provenance("l") for p in res.cache.provenance)
 
+    def test_requests_by_one_spec_share_one_provenance_object(self, toy_engine,
+                                                             rng):
+        # Reuse checks compare provenance lists, which is fast only when
+        # equal rows hold the same object.
+        spec = _lora_spec(toy_engine.config)
+        rows = [p for _ in range(2) for p in toy_engine.lora_invoke(
+            rng.integers(8, 256, size=6).tolist(), spec,
+            max_new_tokens=3, min_new_tokens=3).cache.provenance]
+        assert len(rows) == 18
+        assert all(p is rows[0] for p in rows)
+
     def test_zero_delta_equals_base(self, toy_engine, rng):
         full = rng.integers(8, 256, size=9).tolist()
         spec = zero_adapter(toy_engine.config.d_model, toy_engine.config.n_layers,

@@ -10,12 +10,12 @@ from alora import (BASE_POLICY, AdapterSpec, CacheStore, ModelConfig,
                    forward_segment, make_synthetic_task, random_adapter,
                    random_weights, read_dataset, sft_loss, train,
                    write_dataset)
-from alora.adapters import MODE_ALORA, ActivationPoint
+from alora.adapters import MODE_ALORA, MODE_LORA, ActivationPoint
 from alora.errors import ContractViolationError, TrainingDivergedError
 from alora.tasks import (EOS_ID, INVOCATION_SEQUENCE, MARKER_ID, NO_ID,
                          TASK_CLASSIFY_MARKER, TASK_COPY_KEY, YES_ID)
-from alora.trainer import (AdapterParams, _backward, _forward_tape,
-                           _loss_and_grad_logits, example_loss)
+from alora.trainer import (AdapterParams, _backward, _batch_loss_and_grads,
+                           _forward_tape, _loss_and_grad_logits, example_loss)
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +104,52 @@ class TestBackward:
         for key in params.keys():
             params.b[key] = (0.05 * np.random.default_rng(3).standard_normal(
                 params.b[key].shape)).astype(np.float32)
-        spec = params.to_spec(template_spec())
-        ga1, gb1 = backward_adapter(ex, spec, grad_weights, grad_config)
-        acc_a = {k: ga1[k] + ga1[k] for k in ga1}
-        acc_b = {k: gb1[k] + gb1[k] for k in gb1}
-        for key in ga1:
-            assert np.array_equal(acc_a[key], 2.0 * ga1[key])
-            assert np.array_equal(acc_b[key], 2.0 * gb1[key])
+        loss1, ga1, gb1 = _batch_loss_and_grads([ex], grad_weights, grad_config,
+                                                params, MODE_ALORA)
+        loss2, ga2, gb2 = _batch_loss_and_grads([ex, ex], grad_weights,
+                                                grad_config, params, MODE_ALORA)
+        assert loss2.tolist() == [loss1[0], loss1[0]]
+        for key in params.keys():
+            assert np.abs(ga1[key]).max() > 0 and np.abs(gb1[key]).max() > 0
+            assert np.array_equal(ga2[key], 2.0 * ga1[key])
+            assert np.array_equal(gb2[key], 2.0 * gb1[key])
+
+    @pytest.mark.parametrize("mode", [MODE_ALORA, MODE_LORA])
+    def test_mixed_shapes_equal_sum_of_single_examples(self, mode, grad_config):
+        # Two context lengths and two invocation lengths: four shapes (two
+        # of them twice), so the step runs several groups. The grouped sums
+        # run in another order than the sum over single examples, so the
+        # two agree to rounding; the bound is fixed by the dtype.
+        weights = random_weights(grad_config, seed=5).astype(np.float64)
+        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0,
+                                          seed=4, dtype=np.float64)
+        gen = np.random.default_rng(6)
+        for key in params.keys():
+            params.b[key] = 0.05 * gen.standard_normal(params.b[key].shape)
+        batch = [SftExample(context_tokens=tuple(gen.integers(8, 32, size=n_ctx)),
+                            invocation_tokens=invocation,
+                            target_tokens=tuple(gen.integers(8, 32, size=2)) + (0,))
+                 for n_ctx, invocation in ((4, (2, 3)), (7, (2, 3)), (4, (2,)),
+                                           (7, (2, 3)), (4, (2, 3)), (7, (2,)))]
+        assert len({(len(ex.tokens), ex.t_invoke) for ex in batch}) == 4
+        # a dropout mask per example, which must follow its example
+        masks = [(gen.random((len(params.a), len(ex.tokens) - first, 2)) >= 0.3)
+                 / 0.7 for ex in batch
+                 for first in [ex.t_invoke if mode == MODE_ALORA else 0]]
+        losses, grads_a, grads_b = _batch_loss_and_grads(
+            batch, weights, grad_config, params, mode, masks)
+        singles = [_batch_loss_and_grads([ex], weights, grad_config, params,
+                                         mode, [mask])
+                   for ex, mask in zip(batch, masks)]
+        tol = 2 * len(batch) * np.finfo(np.float64).eps
+        single_losses = np.concatenate([loss for loss, _, _ in singles])
+        assert np.abs(losses - single_losses).max() <= tol * single_losses.max()
+        for which, grads in ((1, grads_a), (2, grads_b)):
+            for key in params.keys():
+                parts = np.stack([single[which][key] for single in singles])
+                assert np.abs(parts).max() > 0
+                bound = tol * np.abs(parts).sum(axis=0)
+                assert np.all(np.abs(grads[key] - parts.sum(axis=0)) <= bound)
 
     def test_finite_differences_f64(self, rng, grad_config):
         weights = random_weights(grad_config, seed=5).astype(np.float64)
@@ -140,6 +179,38 @@ class TestBackward:
                     flat[idx] = orig
                     fd = (up - down) / (2 * eps)
                     bp = grads.get(key).reshape(-1)[idx]
+                    worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-6))
+        assert worst <= 1e-4
+
+
+    def test_finite_differences_with_dropout_f64(self, rng, grad_config):
+        # a fixed dropout mask makes the loss a deterministic function of
+        # the factors, so its gradients take the same check
+        weights = random_weights(grad_config, seed=5).astype(np.float64)
+        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0,
+                                          seed=4, dtype=np.float64)
+        gen = np.random.default_rng(7)
+        for key in params.keys():
+            params.b[key] = 0.02 * gen.standard_normal(params.b[key].shape)
+        ex = small_example(rng, n_ctx=5, n_target=2)
+        mask = [(gen.random((len(params.a), len(ex.tokens) - ex.t_invoke, 2))
+                 >= 0.5) / 0.5]
+        step = lambda: _batch_loss_and_grads([ex], weights, grad_config, params,
+                                             MODE_ALORA, mask)
+        _, grads_a, grads_b = step()
+        eps, worst = 1e-5, 0.0
+        for tensors, grads in ((params.a, grads_a), (params.b, grads_b)):
+            for key in params.keys():
+                flat = tensors[key].reshape(-1)
+                for idx in range(0, flat.size, 5):
+                    orig = flat[idx]
+                    flat[idx] = orig + eps
+                    up = step()[0][0]
+                    flat[idx] = orig - eps
+                    down = step()[0][0]
+                    flat[idx] = orig
+                    fd = (up - down) / (2 * eps)
+                    bp = grads[key].reshape(-1)[idx]
                     worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-6))
         assert worst <= 1e-4
 
@@ -205,6 +276,25 @@ class TestTrainLoop:
                        train(data, template_spec(), grad_weights, grad_config,
                              cfg).history]
         assert run() == run()
+
+    def test_mixed_length_dataset_same_seed_same_loss_curve(
+            self, tmp_path, grad_config, grad_weights):
+        data = (make_synthetic_task(TASK_COPY_KEY, 8, seed=5, vocab_size=32,
+                                    n_distractors=1, n_values=2)
+                + make_synthetic_task(TASK_COPY_KEY, 8, seed=6, vocab_size=32,
+                                      n_distractors=2, n_values=2))
+        path = tmp_path / "mixed.jsonl"
+        write_dataset(path, data)
+        data = read_dataset(path)
+        assert len({len(ex.tokens) for ex in data}) == 2
+        cfg = TrainConfig(steps=6, batch_size=4, rank=2, alpha=4.0,
+                          dropout_rate=0.05, seed=12)
+        run = lambda: [r["loss"] for r in
+                       train(data, template_spec(), grad_weights, grad_config,
+                             cfg).history]
+        first = run()
+        assert all(math.isfinite(loss) for loss in first)
+        assert first == run()
 
     def test_divergence_aborts_with_step(self, grad_config, grad_weights):
         # normalization keeps moderate blowups finite, so force f32 overflow
