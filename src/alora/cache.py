@@ -1,23 +1,40 @@
-"""Per-layer key/value cache with per-position producer provenance.
+"""Per-layer key/value cache in shared fixed-size blocks, with per-position
+producer provenance.
 
 Rows are stored pre-head-split at d_model width; head reshaping happens in
-the attention code as a view. A cache either owns all of its rows (a flat
-cache) or aliases a sealed prefix of a parent cache and owns only its
-extension rows. Aliased rows are never copied into the child's storage and
-are counted once in byte accounting.
+the attention code as a view. K/V rows live in a block pool: one
+(blocks, BLOCK_ROWS, d_model) array per layer for K and one for V. A root
+cache creates a pool reserving max_positions rows, uninitialised, and its
+forks draw on the same pool. Every cache holds a block table, the ids of the
+blocks holding its positions in order. ``fork_shared(L)`` shares the
+parent's full blocks below L (their refcounts go up) and copies the rows of
+the partial block, at most BLOCK_ROWS - 1, into a fresh block. Nothing walks
+a chain of parents: a table whose blocks are consecutive, as a root cache's
+are, is read as a view, and any other table with one gather copy (attention
+on exact prefixes needs contiguous keys). When the last table holding a
+block is collected, the block returns to the pool's free list; the pool
+grows only when its live blocks run out.
+
+Byte accounting is logical: a fork owns the positions it appended, and its
+aliased prefix, copied rows included, is counted once, in the cache that
+appended it.
 
 Concurrency contract: sealed prefixes are immutable and may be read from any
-number of threads; extending a fork is single-writer.
+number of threads; extending a fork is single-writer. Allocation, freeing,
+growth and block writes hold the pool's lock, so forks of one pool may be
+extended in different threads.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ContractViolationError
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -25,6 +42,9 @@ if TYPE_CHECKING:
 # Byte accounting is fixed at f32 row width regardless of the dtype the
 # arrays happen to use (f64 runs keep the same accounting unit).
 BYTES_PER_ELEMENT = 4
+
+# Rows per K/V block.
+BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -52,35 +72,129 @@ def row_bytes(config) -> int:
     return config.n_layers * 2 * config.d_model * BYTES_PER_ELEMENT
 
 
-class CacheStore:
-    """Growable per-layer K/V store, optionally aliasing a parent prefix."""
+@dataclass(frozen=True)
+class CacheStats:
+    """Read-only summary of one cache and of the pool it draws on."""
 
-    def __init__(self, config: "ModelConfig", dtype=np.float32,
-                 parent: Optional["CacheStore"] = None, prefix_len: int = 0):
-        if parent is None and prefix_len != 0:
-            raise ConfigurationError("prefix_len requires a parent cache")
+    owned_positions: int
+    aliased_positions: int
+    blocks: int
+    rows_copied_at_fork: int
+    pool_live_blocks: int
+    pool_free_blocks: int
+
+
+class BlockPool:
+    """Refcounted K/V blocks shared by a root cache and its forks."""
+
+    def __init__(self, config: "ModelConfig", dtype):
+        n = -(-config.max_positions // BLOCK_ROWS)
+        self._layers, self._width, self.dtype = config.n_layers, config.d_model, dtype
+        self.lock = threading.RLock()
+        self.refs = np.zeros(n, dtype=np.intp)
+        # Blocks below ``fresh`` have been handed out; ``free`` is a stack of
+        # those returned since.
+        self.fresh = 0
+        self.free = []
+        self.k, self.v = [], []
+        self._reserve(n)
+
+    def _reserve(self, n: int) -> None:
+        """Uninitialised arrays of ``n`` blocks, the current rows copied in."""
+        shape = (n, BLOCK_ROWS, self._width)
+        k = [np.empty(shape, dtype=self.dtype) for _ in range(self._layers)]
+        v = [np.empty(shape, dtype=self.dtype) for _ in range(self._layers)]
+        for new, old in zip(k + v, self.k + self.v):
+            new[:len(old)] = old
+        self.k, self.v = k, v
+        # The same storage as (n * BLOCK_ROWS, d_model) rows.
+        self.k_rows = [a.reshape(-1, self._width) for a in k]
+        self.v_rows = [a.reshape(-1, self._width) for a in v]
+
+    @property
+    def live_blocks(self) -> int:
+        return self.fresh - len(self.free)
+
+    @property
+    def free_blocks(self) -> int:
+        return len(self.refs) - self.live_blocks
+
+    def allocate(self, count: int) -> list:
+        """``count`` blocks, each with refcount 1: returned ones first, then
+        never-used ones in ascending order; call under the lock."""
+        reused = min(count, len(self.free))
+        ids = [self.free.pop() for _ in range(reused)]
+        start, self.fresh = self.fresh, self.fresh + count - reused
+        n = len(self.refs)
+        if self.fresh > n:
+            grown = max(2 * n, self.fresh)
+            refs = np.zeros(grown, dtype=np.intp)
+            refs[:n] = self.refs
+            self.refs = refs
+            self._reserve(grown)
+        ids.extend(range(start, self.fresh))
+        for block in ids:
+            self.refs[block] = 1
+        return ids
+
+    def release(self, table: "_Table") -> None:
+        """Drop one reference to each block of ``table``."""
+        with self.lock:
+            ids = table.ids[:table.n]
+            self.refs[ids] -= 1
+            # Pushed in reverse, so the next allocation pops them in order.
+            self.free.extend(ids[self.refs[ids] == 0][::-1].tolist())
+
+
+class _Table:
+    """A cache's block ids and the number in use; ``run`` is how many
+    leading ids are consecutive, and ``start`` the first row of the first."""
+
+    __slots__ = ("ids", "n", "run", "start")
+
+    def __init__(self, capacity: int):
+        self.ids = np.empty(capacity, dtype=np.intp)
+        self.n = self.run = self.start = 0
+
+    def share(self, other: "_Table", n: int) -> None:
+        """Start with the first ``n`` ids of ``other``."""
+        self.ids[:n] = other.ids[:n]
+        self.n, self.run, self.start = n, min(other.run, n), other.start
+
+    def add(self, ids) -> None:
+        for block in ids:
+            if self.run == self.n:
+                if self.n == 0:
+                    self.start = block * BLOCK_ROWS
+                if self.n == 0 or block == self.ids[self.n - 1] + 1:
+                    self.run += 1
+            self.ids[self.n] = block
+            self.n += 1
+
+
+class CacheStore:
+    """Per-layer K/V store over a block table; a fork shares its parent's
+    full blocks instead of keeping the parent."""
+
+    def __init__(self, config: "ModelConfig", dtype=np.float32):
+        self._attach(config, BlockPool(config, np.dtype(dtype)), 0)
+        self.token_ids = []
+        self.provenance = []
+
+    def _attach(self, config, pool: BlockPool, aliased: int) -> None:
         self.config = config
-        self.dtype = np.dtype(dtype)
-        self.parent = parent
-        self.prefix_len = prefix_len
-        capacity = config.max_positions - prefix_len
-        if capacity < 0:
-            raise ConfigurationError("fork prefix exceeds max_positions")
-        # Uninitialised: reads never go past a layer's length.
-        self._k = [np.empty((capacity, config.d_model), dtype=self.dtype)
-                   for _ in range(config.n_layers)]
-        self._v = [np.empty((capacity, config.d_model), dtype=self.dtype)
-                   for _ in range(config.n_layers)]
+        self.dtype = pool.dtype
+        self._pool = pool
+        self.aliased_positions = aliased
+        self.rows_copied_at_fork = 0
+        # A table never holds more blocks than max_positions rows need.
+        self._table = _Table(-(-config.max_positions // BLOCK_ROWS))
+        finalizer = weakref.finalize(self, pool.release, self._table)
+        finalizer.atexit = False
         # Per-layer lengths in absolute positions; all must agree between
         # segment boundaries (integrity_check enforces it).
-        self._layer_len = [prefix_len] * config.n_layers
-        if parent is not None:
-            self.token_ids = list(parent.token_ids[:prefix_len])
-            self.provenance = list(parent.provenance[:prefix_len])
-        else:
-            self.token_ids = []
-            self.provenance = []
-        self.sealed_length = prefix_len
+        self._layer_len = [aliased] * config.n_layers
+        self.sealed_length = aliased
 
     # ------------------------------------------------------------------ #
     # growth
@@ -92,7 +206,7 @@ class CacheStore:
 
     @property
     def owned_positions(self) -> int:
-        return self.length - self.prefix_len
+        return self.length - self.aliased_positions
 
     def append_token_ids(self, tokens) -> None:
         self.token_ids.extend(int(t) for t in tokens)
@@ -119,9 +233,25 @@ class CacheStore:
             raise ContractViolationError(
                 f"cache overflow: position {end} exceeds max_positions "
                 f"{self.config.max_positions}")
-        lo, hi = pos - self.prefix_len, end - self.prefix_len
-        self._k[layer][lo:hi] = k_rows
-        self._v[layer][lo:hi] = v_rows
+        table, pool = self._table, self._pool
+        with pool.lock:
+            need = -(-end // BLOCK_ROWS) - table.n
+            if need > 0:
+                table.add(pool.allocate(need))
+            k, v = pool.k_rows[layer], pool.v_rows[layer]
+            if end <= table.run * BLOCK_ROWS:
+                at = table.start + pos
+                k[at:at + n] = k_rows
+                v[at:at + n] = v_rows
+            else:
+                done = 0
+                while done < n:
+                    block, offset = divmod(pos + done, BLOCK_ROWS)
+                    rows = min(BLOCK_ROWS - offset, n - done)
+                    at = table.ids[block] * BLOCK_ROWS + offset
+                    k[at:at + rows] = k_rows[done:done + rows]
+                    v[at:at + rows] = v_rows[done:done + rows]
+                    done += rows
         self._layer_len[layer] = end
         if layer == 0:
             self.provenance.extend([provenance] * n)
@@ -130,34 +260,26 @@ class CacheStore:
     # reads
 
     def k_matrix(self, layer: int, upto: int) -> np.ndarray:
-        """Contiguous K rows for positions [0, upto). Aliased prefix included."""
-        return self._matrix("_k", layer, upto)
+        """Contiguous K rows for positions [0, upto). Aliased prefix included.
+        A view into the pool stays valid while this cache lives."""
+        return self._matrix(self._pool.k_rows, self._pool.k, layer, upto)
 
     def v_matrix(self, layer: int, upto: int) -> np.ndarray:
-        return self._matrix("_v", layer, upto)
+        return self._matrix(self._pool.v_rows, self._pool.v, layer, upto)
 
-    def _matrix(self, store, layer, upto):
-        """Walk up the parent chain, collecting each cache's own rows below
-        ``upto``; one segment is returned as a view, several are joined by a
-        single concatenate."""
+    def _matrix(self, rows, blocks, layer, upto):
+        """A view when the rows lie in the table's leading run of
+        consecutive blocks; otherwise one gather of the blocks."""
         if upto > self._layer_len[layer]:
             raise ContractViolationError(
                 f"requested {upto} positions, layer {layer} holds "
                 f"{self._layer_len[layer]}")
-        parts = []
-        node = self
-        while True:
-            if upto > node.prefix_len:
-                parts.append(getattr(node, store)[layer][:upto - node.prefix_len])
-                upto = node.prefix_len
-            if upto == 0:
-                break
-            node = node.parent
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return getattr(self, store)[layer][:0]
-        return np.concatenate(parts[::-1])
+        table = self._table
+        if upto <= table.run * BLOCK_ROWS:
+            return rows[layer][table.start:table.start + upto]
+        n = -(-upto // BLOCK_ROWS)
+        gathered = blocks[layer].take(table.ids[:n], axis=0)
+        return gathered.reshape(-1, self.config.d_model)[:upto]
 
     # ------------------------------------------------------------------ #
     # sharing and accounting
@@ -167,11 +289,29 @@ class CacheStore:
         self.sealed_length = self.length
 
     def fork_shared(self, length: int) -> "CacheStore":
-        """New cache aliasing the first ``length`` sealed positions."""
+        """New cache aliasing the first ``length`` sealed positions: it shares
+        their full blocks and copies the rows of a partial last block."""
         if length > self.sealed_length:
             raise ContractViolationError(
                 f"fork at {length} exceeds sealed_length {self.sealed_length}")
-        return CacheStore(self.config, dtype=self.dtype, parent=self, prefix_len=length)
+        child = CacheStore.__new__(CacheStore)
+        child._attach(self.config, self._pool, length)
+        child.token_ids = self.token_ids[:length]
+        child.provenance = self.provenance[:length]
+        full, partial = divmod(length, BLOCK_ROWS)
+        pool = self._pool
+        with pool.lock:
+            pool.refs[self._table.ids[:full]] += 1
+            child._table.share(self._table, full)
+            if partial:
+                source = self._table.ids[full]
+                child._table.add(pool.allocate(1))
+                fresh = child._table.ids[full]
+                for arrays in (pool.k, pool.v):
+                    for a in arrays:
+                        a[fresh, :partial] = a[source, :partial]
+        child.rows_copied_at_fork = partial
+        return child
 
     def reusable_prefix(self, consumer: Provenance) -> int:
         """Longest prefix whose every position the consumer may reuse.
@@ -190,6 +330,21 @@ class CacheStore:
     def incremental_bytes(self) -> int:
         """Bytes owned exclusively by this cache (aliased prefix excluded)."""
         return self.owned_positions * row_bytes(self.config)
+
+    @property
+    def pool(self) -> BlockPool:
+        return self._pool
+
+    def stats(self) -> CacheStats:
+        pool = self._pool
+        with pool.lock:
+            return CacheStats(
+                owned_positions=self.owned_positions,
+                aliased_positions=self.aliased_positions,
+                blocks=self._table.n,
+                rows_copied_at_fork=self.rows_copied_at_fork,
+                pool_live_blocks=pool.live_blocks,
+                pool_free_blocks=pool.free_blocks)
 
     def integrity_check(self) -> None:
         """All layers must cover the same positions; provenance must match."""

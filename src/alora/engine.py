@@ -205,6 +205,13 @@ class Engine:
         started = time.perf_counter_ns()
         prompt, policy, t_invoke = self._resolve(
             request.prompt_tokens, request.adapter, activation)
+        # Every emitted token is run through the layers, and EOS stops no
+        # request before min_new_tokens nor before its first token.
+        certain = max(request.min_new_tokens, min(request.max_new_tokens, 1))
+        if len(prompt) + certain > self.config.max_positions:
+            raise ConfigurationError(
+                f"prompt of {len(prompt)} tokens and {certain} new tokens "
+                f"exceed max_positions {self.config.max_positions}")
         ledger = CostLedger()
         cache, logits = self._prefill(prompt, policy, request.reuse_cache, ledger)
         first: Optional[CostLedger] = None

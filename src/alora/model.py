@@ -149,9 +149,11 @@ def rms_norm_row(x: np.ndarray, gain: np.ndarray):
     return x / root * gain, root
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation; used identically in inference and training
-    return 0.5 * x * (1.0 + np.tanh(GELU_K * (x + GELU_C * x * x * x)))
+def gelu(x: np.ndarray):
+    """tanh approximation, used identically in inference and training;
+    returns (value, tanh), the tanh for the trainer's backward pass."""
+    t = np.tanh(GELU_K * (x + GELU_C * x * x * x))
+    return 0.5 * x * (1.0 + t), t
 
 
 def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,7 +259,8 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
             mixed[i] = attend_single(q[i], keys[:c], vals[:c], config)
         x = x + _row_matmul(mixed, layer.w_o)
         n2, _ = rms_norm_row(x, layer.norm_mlp)
-        x = x + _row_matmul(gelu(_row_matmul(n2, layer.mlp_up)), layer.mlp_down)
+        up, _ = gelu(_row_matmul(n2, layer.mlp_up))
+        x = x + _row_matmul(up, layer.mlp_down)
     _count_run(ledger, config, start, t, want_logits)
     if not want_logits:
         return None

@@ -203,8 +203,8 @@ def _rms_backward(dy: np.ndarray, x: np.ndarray, root: np.ndarray,
     return (dyg - x * (dot / (x.shape[-1] * root * root))) / root
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(GELU_K * (x + GELU_C * x * x * x))
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``, given the forward's ``t`` = tanh(...)."""
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_K * (1.0 + 3.0 * GELU_C * x * x)
 
 
@@ -258,9 +258,10 @@ def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
         x_mid = x + np.swapaxes(probs @ _heads(v), -2, -3).reshape(x.shape) @ layer.w_o
         n2, root2 = rms_norm_row(x_mid, layer.norm_mlp)
         uff = n2 @ layer.mlp_up
-        x = x_mid + gelu(uff) @ layer.mlp_down
+        g, tanh = gelu(uff)
+        x = x_mid + g @ layer.mlp_down
         rec.update(qr=qr, kr=kr, v=v, probs=probs, x_mid=x_mid, root2=root2,
-                   uff=uff)
+                   uff=uff, tanh=tanh)
         tape["layers"].append(rec)
     nf, rootf = rms_norm_row(x, weights.norm_final)
     tape.update(x_out=x, rootf=rootf)
@@ -286,7 +287,7 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
         rec = tape["layers"][li]
         # MLP block (residual): x_out = x_mid + gelu(n2 @ up) @ down
         dg = dx @ layer.mlp_down.T
-        duff = dg * _gelu_grad(rec["uff"])
+        duff = dg * _gelu_grad(rec["uff"], rec["tanh"])
         dn2 = duff @ layer.mlp_up.T
         dx = dx + _rms_backward(dn2, rec["x_mid"], rec["root2"], layer.norm_mlp)
         # attention block (residual): x_mid = x_in + mix @ w_o

@@ -1,4 +1,9 @@
-"""Cache store: append/read, provenance reuse, forks, byte accounting."""
+"""Cache store: append/read, provenance reuse, forks, block tables, byte
+accounting."""
+
+import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alora import BASE, CacheStore, ModelConfig, Provenance, row_bytes
+from alora.cache import BLOCK_ROWS
 from alora.errors import ContractViolationError
 
 
@@ -136,7 +142,8 @@ class TestFork:
 
     def test_fork_chain_reads_like_a_flat_cache(self, config, rng):
         # oracle: the rows appended at each position, cut back at every fork
-        node, expected = CacheStore(config), []
+        root = node = CacheStore(config)
+        expected = []
         for depth in range(6):
             if depth:
                 node.seal()
@@ -156,11 +163,8 @@ class TestFork:
                                 ).reshape(upto, 2, config.d_model)
                 assert np.array_equal(node.k_matrix(l, upto), want[:, 0])
                 assert np.array_equal(node.v_matrix(l, upto), want[:, 1])
-        # a read inside the root's rows is a view, not a copy
-        root = node
-        while root.parent is not None:
-            root = root.parent
-        assert np.shares_memory(node.k_matrix(0, 2), root.k_matrix(0, 2))
+        # the flat root reads as a view of the pool, not a copy
+        assert np.shares_memory(root.k_matrix(0, root.length), root.pool.k[0])
 
     def test_fork_past_sealed_rejected(self, config):
         parent = CacheStore(config)
@@ -216,3 +220,205 @@ class TestBytes:
             c.incremental_bytes() for c in children)
         flat_union_positions = parent_len + n_forks * t_new
         assert tree_total == flat_union_positions * row_bytes(config)
+
+
+def random_rows(rng, n, config):
+    """``n`` positions of (layer, K or V, d_model) rows."""
+    return rng.standard_normal((n, config.n_layers, 2, config.d_model)
+                               ).astype(np.float32)
+
+
+def put(cache, rows, provenance=BASE):
+    cache.append_token_ids([3] * len(rows))
+    for layer in range(cache.config.n_layers):
+        cache.append_rows(layer, rows[:, layer, 0], rows[:, layer, 1], provenance)
+
+
+def assert_reads(cache, expected):
+    """Every layer's K and V reads of the whole cache and of shorter prefixes
+    ending at or next to block edges equal the rows appended, ``expected``
+    (positions, layer, 2, d)."""
+    n = len(expected)
+    assert cache.length == n
+    edges = range(0, n + 1, BLOCK_ROWS)
+    for layer in range(cache.config.n_layers):
+        for upto in {1, n // 2, n - 1, n, *edges, *(e - 1 for e in edges)}:
+            if 0 <= upto <= n:
+                assert np.array_equal(cache.k_matrix(layer, upto),
+                                      expected[:upto, layer, 0])
+                assert np.array_equal(cache.v_matrix(layer, upto),
+                                      expected[:upto, layer, 1])
+
+
+class TestBlockTable:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(["append", "seal", "fork", "drop"]),
+                                  st.integers(0, 63), st.integers(0, 40)),
+                        max_size=30),
+           seed=st.integers(0, 2**16))
+    def test_random_fork_trees_read_like_flat_lists(self, config, ops, seed):
+        # oracle: each live cache paired with the rows appended along its
+        # path from the root, cut back at every fork
+        rng = np.random.default_rng(seed)
+        live, pools = [], []
+        for kind, which, amount in ops:
+            if not live:
+                live.append((CacheStore(config), random_rows(rng, 0, config)))
+                pools.append(live[0][0].pool)
+            i = which % len(live)
+            cache, rows = live[i]
+            if kind == "append":
+                new = random_rows(rng, min(amount, config.max_positions - cache.length),
+                                  config)
+                put(cache, new)
+                live[i] = (cache, np.concatenate([rows, new]))
+            elif kind == "seal":
+                cache.seal()
+            elif kind == "fork":
+                cut = amount % (cache.sealed_length + 1)
+                live.append((cache.fork_shared(cut), rows[:cut]))
+            else:
+                del live[i], cache
+            for cache, rows in live:
+                assert_reads(cache, rows)
+                stats = cache.stats()
+                assert stats.owned_positions + stats.aliased_positions == cache.length
+                assert stats.blocks == -(-cache.length // BLOCK_ROWS)
+        live = cache = None
+        gc.collect()
+        assert all(pool.live_blocks == 0 for pool in pools)
+
+    def test_child_reads_after_its_parent_is_dropped(self, config, rng):
+        parent = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(parent, rows)
+        parent.seal()
+        child = parent.fork_shared(20)
+        pool = parent.pool
+        del parent
+        gc.collect()
+        # block 0 is held by the child alone; the parent's partial block is free
+        assert pool.live_blocks == 2
+        extra = random_rows(rng, 5, config)
+        put(child, extra)
+        assert_reads(child, np.concatenate([rows, extra]))
+
+    def test_parent_appends_past_sealed_length_after_mid_block_fork(self, config, rng):
+        parent = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(parent, rows)
+        parent.seal()
+        child = parent.fork_shared(18)
+        assert child.stats().rows_copied_at_fork == 2
+        more, own = random_rows(rng, 14, config), random_rows(rng, 9, config)
+        put(parent, more)
+        put(child, own)
+        assert_reads(parent, np.concatenate([rows, more]))
+        assert_reads(child, np.concatenate([rows[:18], own]))
+
+    def test_flat_tables_read_as_views_and_forks_gather_once(self, config, rng):
+        parent = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(parent, rows)
+        parent.seal()
+        child = parent.fork_shared(20)
+        k = parent.pool.k[0]
+        assert np.shares_memory(parent.k_matrix(0, 20), k)
+        # the shared full block is the child's leading run: a view; past it,
+        # the child's partial block lives elsewhere, so the read is a copy
+        assert np.shares_memory(child.k_matrix(0, BLOCK_ROWS), k)
+        gathered = child.k_matrix(0, 20)
+        assert not np.shares_memory(gathered, k)
+        assert np.array_equal(gathered, rows[:, 0, 0])
+
+    def test_every_block_returns_to_the_free_list(self, config, rng):
+        root = CacheStore(config)
+        pool = root.pool
+        put(root, random_rows(rng, 40, config))
+        root.seal()
+        caches = [root]
+        for cut in (0, 7, 16, 33, 40, 40):
+            child = root.fork_shared(cut)
+            put(child, random_rows(rng, config.max_positions - cut, config))
+            child.seal()
+            caches.append(child.fork_shared(child.length - 5))
+            caches.append(child)
+        # the forks outgrew the root's reservation of max_positions rows
+        assert len(pool.refs) > -(-config.max_positions // BLOCK_ROWS)
+        assert pool.live_blocks > 0
+        del root, child, caches
+        gc.collect()
+        assert pool.live_blocks == 0
+        assert pool.free_blocks == len(pool.refs)
+        # every block handed out is back on the free list, once
+        assert sorted(pool.free) == list(range(pool.fresh))
+
+    def test_fork_of_a_fork_reads_its_shared_blocks(self, config):
+        # rows unlike other tests', which freed pool memory may still hold
+        rng = np.random.default_rng(99)
+        root = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(root, rows)
+        root.seal()
+        first = root.fork_shared(20)  # blocks: root's first, then its own
+        more = random_rows(rng, 13, config)
+        put(first, more)
+        first.seal()
+        second = first.fork_shared(33)  # shares both, which are not adjacent
+        own = random_rows(rng, 4, config)
+        put(second, own)
+        assert_reads(second, np.concatenate([rows, more[:13], own]))
+
+    def test_forks_extended_in_two_threads_equal_serial(self, rng):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
+                             vocab_size=16, max_positions=256)
+        prefix = random_rows(rng, 37, config)
+        tails = [random_rows(rng, 256 - 37, config) for _ in range(2)]
+
+        def run(threaded):
+            root = CacheStore(config)
+            pool = root.pool
+            put(root, prefix)
+            root.seal()
+            forks = [root.fork_shared(37) for _ in tails]
+            start = threading.Barrier(len(forks) if threaded else 1, timeout=60)
+
+            def extend(cache, rows):
+                start.wait()
+                for i in range(len(rows)):
+                    put(cache, rows[i:i + 1])
+                    cache.k_matrix(0, cache.length)
+
+            if threaded:
+                threads = [threading.Thread(target=extend, args=pair)
+                           for pair in zip(forks, tails)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+            else:
+                list(map(extend, forks, tails))
+            # the two forks together outgrow the pool while they extend
+            assert len(pool.refs) > 256 // BLOCK_ROWS
+            reads = [np.stack([np.stack([f.k_matrix(l, f.length),
+                                         f.v_matrix(l, f.length)], axis=1)
+                               for l in range(config.n_layers)], axis=1)
+                     for f in forks]
+            del root, forks
+            gc.collect()
+            assert pool.live_blocks == 0
+            return reads
+
+        serial = run(False)
+        for tail, got in zip(tails, serial):
+            assert np.array_equal(got, np.concatenate([prefix, tail]))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # each repetition races one pool growth against the other writer
+            for _ in range(50):
+                for got, want in zip(run(True), serial):
+                    assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(switch)

@@ -5,6 +5,8 @@ import pytest
 
 from alora import (BASE, Engine, GenerationRequest, ModelConfig, Provenance,
                    random_adapter, random_weights, row_bytes)
+from alora import engine as engine_module
+from alora.cache import BLOCK_ROWS
 from alora.adapters import MODE_ALORA, MODE_LORA, zero_adapter
 from alora.errors import ConfigurationError, ContractViolationError
 
@@ -62,6 +64,30 @@ class TestPrefill:
         with pytest.raises(ConfigurationError):
             toy_engine.generate(GenerationRequest(prompt_tokens=prompt,
                                                   max_new_tokens=0))
+
+    @pytest.mark.parametrize("prompt_len,min_new,max_new", [
+        (128, 0, 1),     # a full-length prompt overflows on its first token
+        (125, 4, 8),     # min_new_tokens rows can never fit
+    ])
+    def test_certain_overflow_refused_before_prefill(
+            self, tiny_engine, rng, monkeypatch, prompt_len, min_new, max_new):
+        assert tiny_engine.config.max_positions == 128
+        prompt = rng.integers(8, 32, size=prompt_len).tolist()
+
+        def no_prefill(*args, **kwargs):
+            raise AssertionError("prefill ran")
+
+        monkeypatch.setattr(engine_module, "forward_segment", no_prefill)
+        with pytest.raises(ConfigurationError, match="exceed max_positions 128"):
+            tiny_engine.generate(GenerationRequest(
+                prompt_tokens=prompt, min_new_tokens=min_new,
+                max_new_tokens=max_new))
+
+    def test_request_that_fits_exactly_runs(self, tiny_engine, rng):
+        res = tiny_engine.generate(GenerationRequest(
+            prompt_tokens=rng.integers(8, 32, size=124).tolist(),
+            min_new_tokens=4, max_new_tokens=4))
+        assert res.cache.length == 128
 
 
 class TestReuseChecks:
@@ -273,6 +299,37 @@ class TestFanout:
             for s in lora_specs)
         assert lora_bytes == n * (len(base_prompt) + t_new) * row_bytes(config)
 
+    def test_stats_follow_the_memory_law(self, toy_engine, rng):
+        # a base cache that ends mid-block, so every fork copies a partial block
+        base = toy_engine.generate(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=43).tolist(),
+            max_new_tokens=4, min_new_tokens=4)).cache
+        length, n, new_rows = base.length, 5, 4 + 8
+        partial = length % BLOCK_ROWS
+        assert partial
+        adapters = [_alora_spec(toy_engine.config, inv=(2, 3, 4, 5), seed=i,
+                                adapter_id=f"a{i}") for i in range(n)]
+        results = toy_engine.fanout(base, adapters,
+                                    extra_tokens=[[2, 3, 4, 5]] * n,
+                                    max_new_tokens=8, min_new_tokens=8)
+        for r in results:
+            stats = r.cache.stats()
+            assert stats.owned_positions == new_rows
+            assert stats.aliased_positions == length
+            assert stats.rows_copied_at_fork == partial
+            assert stats.blocks == -(-(length + new_rows) // BLOCK_ROWS)
+        # memory law in rows: the base once, each fork's own rows once
+        law_rows = base.stats().owned_positions + sum(
+            r.cache.stats().owned_positions for r in results)
+        assert law_rows == length + n * new_rows
+        # blocks: the base's, then each fork's copied partial block and tail
+        live = results[0].cache.stats().pool_live_blocks
+        own_blocks = -(-(partial + new_rows) // BLOCK_ROWS)
+        assert live == -(-length // BLOCK_ROWS) + n * own_blocks
+        law_blocks = -(-length // BLOCK_ROWS) + n * -(-new_rows // BLOCK_ROWS)
+        assert -(-law_rows // BLOCK_ROWS) <= live <= law_blocks + n
+        assert live + stats.pool_free_blocks == len(base.pool.refs)
+
     def test_single_adapter_reduces_to_invoke(self, toy_engine, rng):
         base_cache = toy_engine.prefill(GenerationRequest(
             prompt_tokens=rng.integers(8, 256, size=16).tolist()))
@@ -395,18 +452,20 @@ class TestAdapterFit:
 
 
 class TestDeepConversation:
-    def test_600_turns_alternating_adapter_and_base(self):
-        # every turn forks the previous turn's cache, so reads walk a parent
-        # chain one level deeper per turn
+    def test_5000_turns_alternating_adapter_and_base(self):
+        # every turn forks the previous turn's cache; the dropped turns'
+        # blocks go back to the pool, so it never grows
         config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_head=4,
-                             vocab_size=32, max_positions=4096)
+                             vocab_size=32, max_positions=16384)
         engine = Engine(random_weights(config, seed=0), config)
         spec = random_adapter(config.d_model, config.n_layers, rank=2,
                               alpha=4.0, mode=MODE_ALORA, adapter_id="a",
                               seed=1, invocation_sequence=(2, 3))
         last = engine.generate(GenerationRequest(
             prompt_tokens=[9, 10, 11], max_new_tokens=1, min_new_tokens=1))
-        for turn in range(1, 601):
+        pool = last.cache.pool
+        reserved = len(pool.refs)
+        for turn in range(1, 5001):
             if turn % 2:
                 last = engine.invoke_intrinsic(last.cache, [2, 3], spec,
                                                max_new_tokens=1,
@@ -414,7 +473,9 @@ class TestDeepConversation:
             else:
                 last = engine.resume_base(last, [12], max_new_tokens=1,
                                           min_new_tokens=1)
-        assert last.cache.length == 4 + 300 * 3 + 300 * 2
+        assert last.cache.length == 4 + 2500 * 3 + 2500 * 2
+        assert last.cache.pool is pool and len(pool.refs) == reserved
+        assert pool.live_blocks == last.cache.stats().blocks
 
 
 def _skew_later_rows(call):

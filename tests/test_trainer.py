@@ -11,7 +11,9 @@ from alora import (BASE_POLICY, AdapterSpec, CacheStore, ModelConfig,
                    random_weights, read_dataset, sft_loss, train,
                    write_dataset)
 from alora.adapters import MODE_ALORA, MODE_LORA, ActivationPoint
+from alora import trainer as trainer_module
 from alora.errors import ContractViolationError, TrainingDivergedError
+from alora.model import GELU_C, GELU_K
 from alora.tasks import (EOS_ID, INVOCATION_SEQUENCE, MARKER_ID, NO_ID,
                          TASK_CLASSIFY_MARKER, TASK_COPY_KEY, YES_ID)
 from alora.trainer import (AdapterParams, _backward, _batch_loss_and_grads,
@@ -267,15 +269,30 @@ class TestTrainLoop:
         assert np.array_equal(grad_weights.token_embedding, snapshot)
         assert np.array_equal(grad_weights.layers[0].w_q, layer_snapshot)
 
-    def test_same_seed_same_loss_curve(self, grad_config, grad_weights):
+    def test_same_seed_same_loss_curve(self, grad_config, grad_weights,
+                                       monkeypatch):
         data = make_synthetic_task(TASK_COPY_KEY, 16, seed=2, vocab_size=32,
                                    n_distractors=1, n_values=2)
         cfg = TrainConfig(steps=6, batch_size=4, rank=2, alpha=4.0,
                           dropout_rate=0.05, seed=11)
-        run = lambda: [r["loss"] for r in
-                       train(data, template_spec(), grad_weights, grad_config,
-                             cfg).history]
-        assert run() == run()
+
+        def run():
+            result = train(data, template_spec(), grad_weights, grad_config, cfg)
+            return ([r["loss"] for r in result.history],
+                    [(d.a.tobytes(), d.b.tobytes())
+                     for _, d in sorted(result.spec.deltas.items())])
+
+        first = run()
+        assert first == run()
+        # the GELU derivative from the forward's tanh equals the one that
+        # takes the tanh again, so loss and factors keep their bits
+        def recomputed(x, _t):
+            t = np.tanh(GELU_K * (x + GELU_C * x * x * x))
+            return (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_K
+                    * (1.0 + 3.0 * GELU_C * x * x))
+
+        monkeypatch.setattr(trainer_module, "_gelu_grad", recomputed)
+        assert run() == first
 
     def test_mixed_length_dataset_same_seed_same_loss_curve(
             self, tmp_path, grad_config, grad_weights):
