@@ -9,11 +9,15 @@ forks draw on the same pool. Every cache holds a block table, the ids of the
 blocks holding its positions in order. ``fork_shared(L)`` shares the
 parent's full blocks below L (their refcounts go up) and copies the rows of
 the partial block, at most BLOCK_ROWS - 1, into a fresh block. Nothing walks
-a chain of parents: a table whose blocks are consecutive, as a root cache's
-are, is read as a view, and any other table with one gather copy (attention
-on exact prefixes needs contiguous keys). When the last table holding a
-block is collected, the block returns to the pool's free list; the pool
-grows only when its live blocks run out.
+a chain of parents: rows in the table's leading run of consecutive blocks,
+all of a root cache's, are read as a view; rows past it are copied with the
+run into one new array (attention on exact prefixes needs contiguous keys),
+by joining two slices when the blocks past the run are consecutive too, as a
+fork's own blocks usually are, and otherwise by one gather of the blocks.
+When the last table holding a block is collected, the block returns to the
+pool's free list; the pool grows only when its live blocks run out. A fork
+keeps a ``ForkParent`` record of its ancestry, not its parent: dropping a
+parent frees what only it held.
 
 Byte accounting is logical: a fork owns the positions it appended, and its
 aliased prefix, copied rows included, is counted once, in the cache that
@@ -70,6 +74,17 @@ BASE = Provenance(None)
 def row_bytes(config) -> int:
     """Bytes of K+V storage for one position across all layers."""
     return config.n_layers * 2 * config.d_model * BYTES_PER_ELEMENT
+
+
+@dataclass(frozen=True)
+class ForkParent:
+    """What a fork keeps of the cache it was forked from: the positions it
+    shares and that cache's own ``parent`` record (``None`` for a root).
+    It holds no cache and no blocks."""
+
+    __slots__ = ("length", "parent")
+    length: int
+    parent: Optional["ForkParent"]
 
 
 @dataclass(frozen=True)
@@ -148,26 +163,31 @@ class BlockPool:
 
 class _Table:
     """A cache's block ids and the number in use; ``run`` is how many
-    leading ids are consecutive, and ``start`` the first row of the first."""
+    leading ids are consecutive, ``start`` the first row of the first, and
+    ``last`` the index where the trailing stretch of consecutive ids begins
+    (0 while there is one stretch)."""
 
-    __slots__ = ("ids", "n", "run", "start")
+    __slots__ = ("ids", "n", "run", "start", "last")
 
     def __init__(self, capacity: int):
         self.ids = np.empty(capacity, dtype=np.intp)
-        self.n = self.run = self.start = 0
+        self.n = self.run = self.start = self.last = 0
 
     def share(self, other: "_Table", n: int) -> None:
         """Start with the first ``n`` ids of ``other``."""
         self.ids[:n] = other.ids[:n]
         self.n, self.run, self.start = n, min(other.run, n), other.start
+        breaks = np.flatnonzero(np.diff(self.ids[:n]) != 1)
+        self.last = int(breaks[-1]) + 1 if len(breaks) else 0
 
     def add(self, ids) -> None:
         for block in ids:
-            if self.run == self.n:
-                if self.n == 0:
-                    self.start = block * BLOCK_ROWS
-                if self.n == 0 or block == self.ids[self.n - 1] + 1:
-                    self.run += 1
+            if self.n == 0:
+                self.start = block * BLOCK_ROWS
+            elif block != self.ids[self.n - 1] + 1:
+                self.last = self.n
+            if self.last == 0:
+                self.run += 1
             self.ids[self.n] = block
             self.n += 1
 
@@ -177,12 +197,15 @@ class CacheStore:
     full blocks instead of keeping the parent."""
 
     def __init__(self, config: "ModelConfig", dtype=np.float32):
-        self._attach(config, BlockPool(config, np.dtype(dtype)), 0)
+        self._attach(config, BlockPool(config, np.dtype(dtype)), 0, None)
         self.token_ids = []
         self.provenance = []
 
-    def _attach(self, config, pool: BlockPool, aliased: int) -> None:
+    def _attach(self, config, pool: BlockPool, aliased: int,
+                parent: Optional[ForkParent]) -> None:
         self.config = config
+        # Ancestry only; reads never walk it.
+        self.parent = parent
         self.dtype = pool.dtype
         self._pool = pool
         self.aliased_positions = aliased
@@ -269,14 +292,20 @@ class CacheStore:
 
     def _matrix(self, rows, blocks, layer, upto):
         """A view when the rows lie in the table's leading run of
-        consecutive blocks; otherwise one gather of the blocks."""
+        consecutive blocks; a join of two slices when one more stretch
+        follows it; otherwise one gather of the blocks."""
         if upto > self._layer_len[layer]:
             raise ContractViolationError(
                 f"requested {upto} positions, layer {layer} holds "
                 f"{self._layer_len[layer]}")
-        table = self._table
-        if upto <= table.run * BLOCK_ROWS:
-            return rows[layer][table.start:table.start + upto]
+        table, rows = self._table, rows[layer]
+        run = table.run * BLOCK_ROWS
+        if upto <= run:
+            return rows[table.start:table.start + upto]
+        if table.last == table.run:
+            at = table.ids[table.run] * BLOCK_ROWS
+            return np.concatenate((rows[table.start:table.start + run],
+                                   rows[at:at + upto - run]))
         n = -(-upto // BLOCK_ROWS)
         gathered = blocks[layer].take(table.ids[:n], axis=0)
         return gathered.reshape(-1, self.config.d_model)[:upto]
@@ -295,7 +324,8 @@ class CacheStore:
             raise ContractViolationError(
                 f"fork at {length} exceeds sealed_length {self.sealed_length}")
         child = CacheStore.__new__(CacheStore)
-        child._attach(self.config, self._pool, length)
+        child._attach(self.config, self._pool, length,
+                      ForkParent(length, self.parent))
         child.token_ids = self.token_ids[:length]
         child.provenance = self.provenance[:length]
         full, partial = divmod(length, BLOCK_ROWS)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alora import BASE, CacheStore, ModelConfig, Provenance, row_bytes
-from alora.cache import BLOCK_ROWS
+from alora.cache import BLOCK_ROWS, ForkParent
 from alora.errors import ContractViolationError
 
 
@@ -368,6 +368,42 @@ class TestBlockTable:
         own = random_rows(rng, 4, config)
         put(second, own)
         assert_reads(second, np.concatenate([rows, more[:13], own]))
+
+    def test_forks_of_tables_in_several_stretches(self, config):
+        rng = np.random.default_rng(98)
+        root = CacheStore(config)
+        rows = random_rows(rng, 2 * BLOCK_ROWS, config)
+        put(root, rows)  # blocks 0, 1
+        root.seal()
+        first = root.fork_shared(BLOCK_ROWS)
+        more = [random_rows(rng, BLOCK_ROWS, config) for _ in range(4)]
+        put(first, more[0])  # blocks 0, 2
+        first.seal()
+        second = first.fork_shared(2 * BLOCK_ROWS)
+        put(second, more[1])  # blocks 0, 2, 3: 3 follows the shared 2
+        assert_reads(second, np.concatenate([rows[:BLOCK_ROWS], *more[:2]]))
+        put(first, more[2])  # blocks 0, 2, 4
+        first.seal()
+        third = first.fork_shared(3 * BLOCK_ROWS)
+        put(third, more[3])  # blocks 0, 2, 4, 5
+        assert_reads(third, np.concatenate([rows[:BLOCK_ROWS], more[0], *more[2:]]))
+
+    def test_forks_record_ancestry_without_keeping_it(self, config, rng):
+        root = CacheStore(config)
+        pool = root.pool
+        put(root, random_rows(rng, 20, config))
+        root.seal()
+        first = root.fork_shared(18)
+        put(first, random_rows(rng, 7, config))
+        first.seal()
+        second = first.fork_shared(25)
+        assert root.parent is None
+        assert second.parent == ForkParent(25, ForkParent(18, None))
+        assert second.parent.parent is first.parent
+        del root, first
+        gc.collect()
+        # the record holds no cache: only the second fork's blocks are live
+        assert pool.live_blocks == second.stats().blocks
 
     def test_forks_extended_in_two_threads_equal_serial(self, rng):
         config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
