@@ -11,6 +11,7 @@ sequence, so the first invocation token itself is still base-projected.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
@@ -64,15 +65,27 @@ class LowRankDelta:
         return self.alpha / self.rank
 
 
-def delta_apply(x_row: np.ndarray, w: np.ndarray, delta: LowRankDelta) -> np.ndarray:
-    """x @ W + (alpha/r) * ((x @ A) @ B), low-rank first; A@B never materialized."""
-    if x_row.shape[-1] != w.shape[0]:
+def delta_apply(x_row: np.ndarray, xw: np.ndarray, delta: LowRankDelta) -> np.ndarray:
+    """``xw`` (x @ W, already computed) + (alpha/r) * ((x @ A) @ B), low-rank
+    first; A@B never materialized."""
+    if x_row.shape[-1] != delta.a.shape[0]:
         raise ConfigurationError(
-            f"row width {x_row.shape[-1]} does not match W {w.shape}")
-    if delta.a.shape[0] != w.shape[0]:
+            f"row width {x_row.shape[-1]} does not match delta A {delta.a.shape}")
+    if xw.shape[-1] != delta.b.shape[1]:
         raise ConfigurationError(
-            f"delta width {delta.a.shape[0]} does not match W {w.shape}")
-    return x_row @ w + delta.scale * ((x_row @ delta.a) @ delta.b)
+            f"product width {xw.shape[-1]} does not match delta B {delta.b.shape}")
+    return xw + delta.scale * ((x_row @ delta.a) @ delta.b)
+
+
+def as_token_ids(tokens) -> list:
+    """``tokens`` as a list of Python ints. Integers of any type, numpy's
+    included, are accepted; anything else, a float included, raises
+    ContractViolationError instead of being truncated."""
+    try:
+        return list(map(operator.index, tokens))
+    except TypeError as exc:
+        raise ContractViolationError(
+            f"token ids must be integers: {exc}") from None
 
 
 @dataclass
@@ -92,7 +105,7 @@ class AdapterSpec:
             if not self.invocation_sequence:
                 raise ConfigurationError(
                     "alora adapters require a non-empty invocation sequence")
-            self.invocation_sequence = tuple(int(t) for t in self.invocation_sequence)
+            self.invocation_sequence = tuple(as_token_ids(self.invocation_sequence))
         for (layer, proj) in self.deltas:
             if proj not in PROJECTIONS:
                 raise ConfigurationError(f"unknown projection target {proj!r}")
@@ -132,19 +145,22 @@ class ActivationPoint:
 
 
 def find_invocation(tokens, spec: AdapterSpec) -> ActivationPoint:
-    """Locate the LAST occurrence of the invocation sequence in ``tokens``.
+    """Locate the LAST occurrence of the invocation sequence in the
+    sequence ``tokens``, scanning from its end.
 
-    Weights activate one token after the start of that occurrence.
+    Weights activate one token after the start of that occurrence. Only the
+    slices compared are converted (``as_token_ids``), so the common case,
+    a sequence a few tokens from the end, costs O(1) whatever the length.
     Raises NotInvokedError when the sequence is absent (the engine responds
     by appending the sequence itself).
     """
     if spec.mode != MODE_ALORA:
         raise ContractViolationError("find_invocation requires an alora adapter")
     seq = spec.invocation_sequence
-    tokens = [int(t) for t in tokens]
-    n, m = len(tokens), len(seq)
-    for start in range(n - m, -1, -1):
-        if tuple(tokens[start:start + m]) == seq:
+    first, m = seq[0], len(seq)
+    for start in range(len(tokens) - m, -1, -1):
+        if (tokens[start] == first
+                and tuple(as_token_ids(tokens[start:start + m])) == seq):
             return ActivationPoint(start + 1)
     raise NotInvokedError(seq)
 

@@ -235,8 +235,9 @@ class CacheStore:
         self.token_ids.extend(int(t) for t in tokens)
 
     def append_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray,
-                    provenance: Provenance) -> None:
-        """Append K/V rows for one layer. Layer 0 drives the provenance list."""
+                    provenance) -> None:
+        """Append K/V rows for one layer; ``provenance`` holds one
+        ``Provenance`` per row. Layer 0 drives the provenance list."""
         if not 0 <= layer < self.config.n_layers:
             raise ContractViolationError(f"layer {layer} out of range")
         k_rows = np.atleast_2d(k_rows)
@@ -244,6 +245,9 @@ class CacheStore:
         if k_rows.shape != v_rows.shape or k_rows.shape[1] != self.config.d_model:
             raise ContractViolationError("K/V row shapes inconsistent")
         n = k_rows.shape[0]
+        if len(provenance) != n:
+            raise ContractViolationError(
+                f"{len(provenance)} provenances for {n} rows")
         if n == 0:
             return
         pos = self._layer_len[layer]
@@ -277,7 +281,7 @@ class CacheStore:
                     done += rows
         self._layer_len[layer] = end
         if layer == 0:
-            self.provenance.extend([provenance] * n)
+            self.provenance.extend(provenance)
 
     # ------------------------------------------------------------------ #
     # reads

@@ -9,14 +9,17 @@ Three reuse patterns are supported:
 3. Several activated adapters fork one sealed base cache and each extend
    their fork privately (``fanout``).
 
-Prefill goes through model.forward_segment in layer-major runs of rows and
-each decode step through model.forward_position as a one-row run. Every row
-takes its own gemv and attention calls, so a row's bits do not depend on how
-the rows were grouped, and a cache-reusing run and a from-scratch run over
-the same tokens produce bitwise-identical logits. ``Engine`` probes that
-property of numpy and the BLAS for the base projections when it is built,
-and for an adapter's delta products on each request that names the
-adapter. The engine is reentrant:
+Prefill goes through model.forward_segment in layer-major runs of up to
+model.RUN_ROWS rows and each decode step through model.forward_position as
+a one-row run. A run does not split at t_invoke: an activated adapter's
+fresh prompt (its base-projected first invocation token and the adapted
+rows after it) takes one pass through the layers, each row under its own
+policy verdict. Every row takes its own gemv and attention calls, so a
+row's bits do not depend on how the rows were grouped, and a cache-reusing
+run and a from-scratch run over the same tokens produce bitwise-identical
+logits. ``Engine`` probes that property of numpy and the BLAS for the base
+projections when it is built, and for an adapter's delta products on each
+request that names the adapter. The engine is reentrant:
 requests may share sealed caches read-only; each request owns its fork and
 its cost ledger.
 """
@@ -30,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterSpec,
-                       BASE_POLICY, build_policy, find_invocation)
+                       BASE_POLICY, as_token_ids, build_policy, find_invocation)
 from .cache import BASE, CacheStore
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
@@ -68,7 +71,8 @@ class GenerationRequest:
     max_new_tokens: int = 16
 
     def __post_init__(self):
-        self.prompt_tokens = [int(t) for t in self.prompt_tokens]
+        # Converted once, here: a float token is refused, not truncated.
+        self.prompt_tokens = as_token_ids(self.prompt_tokens)
         if self.min_new_tokens < 0 or self.max_new_tokens < 0:
             raise ConfigurationError("token counts must be non-negative")
         if self.min_new_tokens > self.max_new_tokens:
@@ -249,7 +253,7 @@ class Engine:
         if adapter.mode != MODE_ALORA:
             raise ContractViolationError(
                 "invoke_intrinsic requires an activated adapter; use lora_invoke")
-        prompt = list(base_cache.token_ids) + [int(t) for t in extra_tokens]
+        prompt = base_cache.token_ids + list(extra_tokens)
         request = GenerationRequest(
             prompt_tokens=prompt, adapter=adapter, reuse_cache=base_cache,
             min_new_tokens=min_new_tokens,
@@ -296,8 +300,7 @@ class Engine:
                     min_new_tokens: int = 0) -> GenerationResult:
         """Regime 2: the base model continues after an adapter request,
         reusing the base-produced prefix and re-prefilling adapter rows."""
-        prompt = list(adapter_result.cache.token_ids) + \
-            [int(t) for t in continuation_tokens]
+        prompt = adapter_result.cache.token_ids + list(continuation_tokens)
         request = GenerationRequest(
             prompt_tokens=prompt, adapter=None,
             reuse_cache=adapter_result.cache,

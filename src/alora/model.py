@@ -1,13 +1,16 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
-The forward is layer-major: a run of up to RUN_ROWS rows that share one
-policy verdict goes through each layer together, and decode is a run of one
-row through the same code. Every row still takes its own calls: each
-projection is a (T, 1, d) @ W batched matmul, which numpy sends row by row
-to one gemv each (never one gemm, whose rows differ from gemv's at these
-widths), and each query row attends over its exact prefix, all heads in one
-call. So a row's result does not depend on how many rows come with it, and
-cached-vs-uncached and batch-vs-incremental comparisons need no tolerances.
+The forward is layer-major: a run of up to RUN_ROWS consecutive rows goes
+through each layer together, whatever the policy's verdict on each row, and
+decode is a run of one row through the same code. Every row still takes its
+own calls: each product is a (T, 1, d) @ W batched matmul, which numpy sends
+row by row to one gemv each (never one gemm, whose rows differ from gemv's
+at these widths). q, k and v come from one such product against
+[W_Q | W_K | W_V], and the rows the policy adapts then add their low-rank
+deltas, again row by row. Each query row attends over its exact prefix, all
+heads in one call. So a row's result does not depend on how many rows come
+with it, nor on their verdicts, and cached-vs-uncached and
+batch-vs-incremental comparisons need no tolerances.
 ``row_invariance_probe`` checks that property of numpy and the BLAS, and the
 engine refuses to run without it.
 
@@ -22,14 +25,15 @@ verdict and the delta factors to apply.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .adapters import VERDICT_ADAPTED, delta_apply
+from .adapters import (MODE_LORA, PROJECTIONS, VERDICT_ADAPTED, AdapterSpec,
+                       as_token_ids, build_policy, delta_apply)
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
 
@@ -77,6 +81,13 @@ class LayerWeights:
     mlp_down: np.ndarray
     norm_attn: np.ndarray
     norm_mlp: np.ndarray
+
+    @cached_property
+    def w_qkv(self) -> np.ndarray:
+        """[W_Q | W_K | W_V], (d, 3 d): q, k and v in one product per row.
+        On the BLAS the engine accepts, its column slices give the bits of
+        the separate products."""
+        return np.concatenate((self.w_q, self.w_k, self.w_v), axis=1)
 
 
 @dataclass
@@ -157,52 +168,77 @@ def gelu(x: np.ndarray):
 
 
 def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables of shape positions.shape + (d_head/2,).
+    """Rotary tables (C, S) of shape positions.shape + (d_head,).
 
-    Pair i at position p turns by p / theta^(2i/d_head); positions may be
-    fractional. Angles are computed in f64, then cast to ``dtype``.
+    Pair i at position p turns by angle p / theta^(2i/d_head); positions
+    may be fractional. Angles are computed in f64; their cosines and sines
+    are cast to ``dtype`` and interleaved as C = (c0, c0, c1, c1, ...) and
+    S = (-s0, s0, -s1, s1, ...), the form ``rope_rotate_heads`` multiplies by.
     """
     exponents = np.arange(0, config.d_head, 2, dtype=np.float64) / config.d_head
     inv_freq = config.rope_theta ** (-exponents)
     angles = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    cos = np.cos(angles).astype(dtype).repeat(2, axis=-1)
+    sin = np.sin(angles).astype(dtype).repeat(2, axis=-1)
+    sin[..., 0::2] *= -1
+    return cos, sin
 
 
 def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate consecutive pairs within each head of ``x`` (..., d_model).
+    """Rotate consecutive pairs within each head of ``x`` (..., width),
+    where width is any multiple of d_head (q, or q|k side by side).
 
-    ``cos``/``sin`` come from ``rope_tables`` for the rows' positions and
-    apply to every head alike.
+    ``cos``/``sin`` are the (C, S) tables of ``rope_tables`` for the rows'
+    positions and apply to every head alike. A pair (a, b) becomes
+    (a c - b s, a s + b c), computed as x * C + swap(x) * S, where swap
+    exchanges a and b: the same bits, as a - b is a + (-b) and + commutes.
     """
-    d_head = 2 * cos.shape[-1]
-    heads = x.reshape(x.shape[:-1] + (x.shape[-1] // d_head, d_head))
-    c, s = cos[..., None, :], sin[..., None, :]
-    even, odd = heads[..., 0::2], heads[..., 1::2]
-    out = np.empty_like(heads)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
+    heads = x.shape[:-1] + (-1, cos.shape[-1])
+    swapped = x.take(np.arange(x.shape[-1]) ^ 1, axis=-1).reshape(heads)
+    # In place where it keeps the bits: two temporaries rather than four,
+    # which kept long prefills' peak RSS at what it was before.
+    swapped *= sin[..., None, :]
+    out = x.reshape(heads) * cos[..., None, :]
+    out += swapped
     return out.reshape(x.shape)
 
 
+def adapted_rows(policy, start: int, t: int):
+    """Which rows of the run [start, start + t) the policy adapts, asked
+    row by row: None for none, a full slice for all, else their indices."""
+    flags = [policy.verdict(p) == VERDICT_ADAPTED for p in range(start, start + t)]
+    if all(flags):
+        return slice(None)
+    return np.flatnonzero(flags) if any(flags) else None
+
+
 def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
-                policy, position: int):
-    """Project residual rows ``x`` (T, d) to (q, k, v).
+                policy, adapted):
+    """Project residual rows ``x`` (T, d) to their q|k|v block (T, 3 d).
 
-    All rows take the policy's verdict at ``position``. Each product, with
-    its low-rank delta if adapted, goes through ``_row_matmul``: every row
-    gets its own gemv call.
+    Every row gets one gemv against [W_Q | W_K | W_V] (``_row_matmul``).
+    The rows that ``adapted`` selects (see ``adapted_rows``) then get each
+    of the policy's deltas for this layer added to their q, k or v columns
+    by ``delta_apply``, again one row at a time.
     """
-    adapted = policy.verdict(position) == VERDICT_ADAPTED
-    return tuple(
-        _row_matmul(x, w, policy.delta(layer_index, proj) if adapted else None)
-        for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)))
+    qkv = _row_matmul(x, layer.w_qkv)
+    if adapted is None:
+        return qkv
+    d = x.shape[-1]
+    rows = x[adapted, None, :]
+    for j, proj in enumerate(PROJECTIONS):
+        delta = policy.delta(layer_index, proj)
+        if delta is not None:
+            cols = slice(j * d, (j + 1) * d)
+            qkv[adapted, cols] = delta_apply(rows, qkv[adapted, None, cols],
+                                             delta)[:, 0]
+    return qkv
 
 
-def _row_matmul(x: np.ndarray, w: np.ndarray, delta=None) -> np.ndarray:
-    """``x`` (T, k) @ ``w``, plus the low-rank ``delta`` if given, as one
-    gemv per row: the block goes through as (T, 1, k) @ W, never as one gemm."""
-    rows = x[:, None, :]
-    return (rows @ w if delta is None else delta_apply(rows, w, delta))[:, 0]
+def _row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x`` (T, k) @ ``w`` as one gemv per row: the block goes through as
+    (T, 1, k) @ W, never as one gemm."""
+    return (x[:, None, :] @ w)[:, 0]
 
 
 def attend_single(q_row: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -221,15 +257,16 @@ def attend_single(q_row: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return (probs.reshape(h, 1, c) @ v_heads).reshape(-1)
 
 
-# A run is at most this many rows that share one policy verdict. Longer runs
-# are no faster, and their MLP temporaries grow with the run.
+# A run is at most this many rows. Longer runs are no faster, and their
+# MLP temporaries grow with the run.
 RUN_ROWS = 64
 
 
 def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
                  policy, cache, ledger: CostLedger, want_logits: bool):
-    """Run ``tokens``, rows sharing one policy verdict, through all layers,
-    layer by layer, appending their K/V rows; the last row's logits if wanted.
+    """Run ``tokens`` through all layers, layer by layer, appending their
+    K/V rows, each row under its own policy verdict and provenance; returns
+    the last row's logits if wanted.
 
     The cache must already hold exactly positions [0, start).
     """
@@ -241,19 +278,21 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
         raise ContractViolationError(f"token id {bad} outside vocabulary")
     t = len(tokens)
     end = start + t
-    provenance = policy.provenance_at(start)
+    d = config.d_model
+    adapted = adapted_rows(policy, start, t)
+    provenance = [policy.provenance_at(p) for p in range(start, end)]
     cache.append_token_ids(tokens)
     x = weights.token_embedding.take(tokens, axis=0)
     cos, sin = rope_tables(np.arange(start, end), config, weights.dtype)
     for li, layer in enumerate(weights.layers):
         n1, _ = rms_norm_row(x, layer.norm_attn)
-        q, k, v = project_row(n1, li, layer, policy, start)
-        q = rope_rotate_heads(q, cos, sin)
-        k = rope_rotate_heads(k, cos, sin)
-        cache.append_rows(li, k, v, provenance)
+        qkv = project_row(n1, li, layer, policy, adapted)
+        qk = rope_rotate_heads(qkv[:, :2 * d], cos, sin)
+        q = qk[:, :d]
+        cache.append_rows(li, qk[:, d:], qkv[:, 2 * d:], provenance)
         keys = cache.k_matrix(li, end)
         vals = cache.v_matrix(li, end)
-        mixed = np.empty_like(q)
+        mixed = np.empty((t, d), dtype=x.dtype)
         for i in range(t):
             c = start + i + 1
             mixed[i] = attend_single(q[i], keys[:c], vals[:c], config)
@@ -300,51 +339,53 @@ def forward_segment(tokens, start_position: int, weights: ModelWeights,
                     ledger: Optional[CostLedger] = None) -> np.ndarray:
     """Process a segment of tokens; returns the last row's logits.
 
-    The tokens go through the layers in runs of at most RUN_ROWS rows that
-    share one policy verdict, so a run splits where the verdict changes.
+    The tokens go through the layers in runs of RUN_ROWS rows (the last run
+    may be shorter). A run may hold base and adapted rows: each row takes
+    its own verdict, so the run does not split where the verdict changes.
     """
     if ledger is None:
         ledger = CostLedger()
-    tokens = [int(t) for t in tokens]
+    tokens = as_token_ids(tokens)
     if not tokens:
         raise ContractViolationError("forward_segment requires at least one token")
     n = len(tokens)
-    verdicts = [policy.verdict(start_position + i) for i in range(n)]
     logits = None
-    lo = 0
-    for _, same in itertools.groupby(verdicts):
-        hi = lo + len(list(same))
-        for a in range(lo, hi, RUN_ROWS):
-            b = min(a + RUN_ROWS, hi)
-            logits = _forward_run(tokens[a:b], start_position + a, weights, config,
-                                  policy, cache, ledger, want_logits=(b == n))
-        lo = hi
+    for a in range(0, n, RUN_ROWS):
+        b = min(a + RUN_ROWS, n)
+        logits = _forward_run(tokens[a:b], start_position + a, weights, config,
+                              policy, cache, ledger, want_logits=(b == n))
     return logits
 
 
 def row_invariance_probe(weights: ModelWeights, delta=None) -> Optional[str]:
     """Check that each row of a block projects to the bits it gets alone.
 
-    A run projects its rows as one block through ``_row_matmul``, and decode
-    projects its one row the same way. Cached and fresh passes agree
-    bitwise only if every row of a 2-row block equals that row projected on
-    its own. That is a property of numpy and the BLAS, so it is checked on
-    this model's weights, in their dtype, rather than assumed: for the W_Q,
-    MLP-up and MLP-down shapes, or, given an adapter's low-rank ``delta``,
-    for W_Q with that delta. (Attention runs one query row at a time, so it
+    A run projects its rows as one block, and decode projects its one row
+    the same way. Cached and fresh passes agree bitwise only if every row of
+    a 2-row block equals that row projected on its own. That is a property
+    of numpy and the BLAS, so it is checked on this model's weights, in
+    their dtype, rather than assumed, for the products the forward makes:
+    [W_Q | W_K | W_V], MLP up and MLP down, or, given an adapter's low-rank
+    ``delta``, ``project_row`` with that delta on q (deltas on k and v have
+    the same shapes). (Attention runs one query row at a time, so it
     batches no rows.) Returns the first product that breaks it, or None.
     """
     layer = weights.layers[0]
     x = layer.mlp_down[:2]
     if delta is None:
-        cases = (("W_Q", x, layer.w_q), ("MLP up", x, layer.mlp_up),
-                 ("MLP down", layer.mlp_up[:2], layer.mlp_down))
+        cases = (("W_QKV", x, lambda rows: _row_matmul(rows, layer.w_qkv)),
+                 ("MLP up", x, lambda rows: _row_matmul(rows, layer.mlp_up)),
+                 ("MLP down", layer.mlp_up[:2],
+                  lambda rows: _row_matmul(rows, layer.mlp_down)))
     else:
-        cases = ((f"W_Q with a rank-{delta.rank} delta", x, layer.w_q),)
-    for name, rows, w in cases:
-        block = _row_matmul(rows, w, delta)
+        policy = build_policy(AdapterSpec(adapter_id="probe", mode=MODE_LORA,
+                                          deltas={(0, "q"): delta}), None)
+        cases = ((f"W_QKV with a rank-{delta.rank} delta on W_Q", x,
+                  lambda rows: project_row(rows, 0, layer, policy, slice(None))),)
+    for name, rows, product in cases:
+        block = product(rows)
         for i in range(len(rows)):
-            if block[i].tobytes() != _row_matmul(rows[i:i + 1], w, delta).tobytes():
+            if block[i].tobytes() != product(rows[i:i + 1])[0].tobytes():
                 return f"{name}: a 2-row block differs from its rows alone"
     return None
 

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adapters import MODE_ALORA, AdapterSpec, LowRankDelta, PROJECTIONS
+from .adapters import (MODE_ALORA, AdapterSpec, LowRankDelta, PROJECTIONS,
+                       as_token_ids)
 from .engine import Engine, GenerationRequest
 from .errors import (ConfigurationError, ContractViolationError,
                      TrainingDivergedError)
@@ -43,7 +44,7 @@ class SftExample:
 
     def __post_init__(self):
         for name in ("context_tokens", "invocation_tokens", "target_tokens"):
-            object.__setattr__(self, name, tuple(int(t) for t in getattr(self, name)))
+            object.__setattr__(self, name, tuple(as_token_ids(getattr(self, name))))
         if not self.invocation_tokens:
             raise ConfigurationError("examples need a non-empty invocation")
 
@@ -185,16 +186,6 @@ def _loss_and_grad_logits(logits: np.ndarray, *examples: SftExample):
 # examples (B, T, d); a stacked matmul runs slice by slice, so an example
 # gets the same products in a stack as alone.
 
-def _rope_unapply(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # transpose of the rotation: rotate gradients back by -angle
-    even, odd = g[..., 0::2], g[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
-    out = np.empty_like(g)
-    out[..., 0::2] = even * c + odd * s
-    out[..., 1::2] = -even * s + odd * c
-    return out
-
-
 def _rms_backward(dy: np.ndarray, x: np.ndarray, root: np.ndarray,
                   gain: np.ndarray) -> np.ndarray:
     # y = x / root * gain with root = sqrt(mean(x^2) + eps), per row
@@ -274,7 +265,8 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
     """Gradients of the loss w.r.t. every A and B factor, summed over the
     tape's examples; base weights frozen."""
     t_invoke = tape["t_invoke"]
-    cos, sin = tape["cos"], tape["sin"]
+    # the transpose of the rotation turns back by -angle
+    cos, back = tape["cos"], -tape["sin"]
     scale = params.scale
     inv_sqrt = 1.0 / math.sqrt(config.d_head)
     grads_a = {k: np.zeros_like(v) for k, v in params.a.items()}
@@ -298,8 +290,8 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
         dqr = (ds @ kh) * inv_sqrt
         dkr = (np.swapaxes(ds, -1, -2) @ qh) * inv_sqrt
-        dq = _rope_unapply(_heads(dqr), cos, sin).reshape(dx.shape)
-        dk = _rope_unapply(_heads(dkr), cos, sin).reshape(dx.shape)
+        dq = rope_rotate_heads(_heads(dqr).reshape(dx.shape), cos, back)
+        dk = rope_rotate_heads(_heads(dkr).reshape(dx.shape), cos, back)
         dvf = _heads(dv).reshape(dx.shape)
         dn1 = dq @ layer.w_q.T + dk @ layer.w_k.T + dvf @ layer.w_v.T
         if t_invoke < dx.shape[-2]:

@@ -21,7 +21,7 @@ class TestDeltaApply:
         delta = LowRankDelta(a=rng.standard_normal((d, r)).astype(np.float32),
                              b=np.zeros((r, d), dtype=np.float32),
                              rank=r, alpha=6.0)
-        assert np.array_equal(delta_apply(x, w, delta), x @ w)
+        assert np.array_equal(delta_apply(x, x @ w, delta), x @ w)
 
     def test_full_rank_identity_shift(self, rng):
         # alpha = r and A @ B = I, so the result is x @ (W + I)
@@ -30,7 +30,7 @@ class TestDeltaApply:
         w = rng.standard_normal((d, d)).astype(np.float32)
         delta = LowRankDelta(a=np.eye(d, dtype=np.float32),
                              b=np.eye(d, dtype=np.float32), rank=d, alpha=float(d))
-        assert np.allclose(delta_apply(x, w, delta), x @ (w + np.eye(d)),
+        assert np.allclose(delta_apply(x, x @ w, delta), x @ (w + np.eye(d)),
                            atol=1e-6)
 
     def test_rank_one_hand_computed(self):
@@ -39,7 +39,7 @@ class TestDeltaApply:
         delta = LowRankDelta(a=np.array([[1.0], [0.0]], dtype=np.float32),
                              b=np.array([[2.0, 0.0]], dtype=np.float32),
                              rank=1, alpha=1.0)
-        assert np.allclose(delta_apply(x, w, delta), [3.0, 1.0])
+        assert np.allclose(delta_apply(x, x @ w, delta), [3.0, 1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), r=st.integers(1, 8))
@@ -52,15 +52,18 @@ class TestDeltaApply:
         b = rng.standard_normal((r, d)).astype(np.float32)
         delta = LowRankDelta(a=a, b=b, rank=r, alpha=2.0 * r)
         dense = x @ (w + (2.0 * r / r) * (a @ b))
-        assert np.allclose(delta_apply(x, w, delta), dense, atol=1e-4)
+        assert np.allclose(delta_apply(x, x @ w, delta), dense, atol=1e-4)
 
     def test_shape_mismatch_rejected(self, rng):
         delta = LowRankDelta(a=rng.standard_normal((8, 2)).astype(np.float32),
                              b=rng.standard_normal((2, 8)).astype(np.float32),
                              rank=2, alpha=1.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="row width"):
             delta_apply(np.zeros(4, dtype=np.float32),
-                        np.zeros((4, 4), dtype=np.float32), delta)
+                        np.zeros(8, dtype=np.float32), delta)
+        with pytest.raises(ConfigurationError, match="product width"):
+            delta_apply(np.zeros(8, dtype=np.float32),
+                        np.zeros(4, dtype=np.float32), delta)
 
     def test_rank_above_width_rejected(self, rng):
         with pytest.raises(ConfigurationError):
@@ -87,6 +90,15 @@ class TestFindInvocation:
         spec = _alora((9,))
         with pytest.raises(NotInvokedError):
             find_invocation([1, 2, 3], spec)
+
+    def test_numpy_tokens_accepted(self):
+        spec = _alora((7, 7))
+        tokens = np.array([5, 9, 7, 7, 2], dtype=np.int32)
+        assert find_invocation(tokens, spec).t_invoke == 3
+
+    def test_non_integer_invocation_sequence_refused(self):
+        with pytest.raises(ContractViolationError, match="integers"):
+            _alora((7.5, 7))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), inv_len=st.integers(1, 3))

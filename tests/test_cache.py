@@ -31,7 +31,7 @@ def fill(cache, n, provenance=BASE, rng=None, token_base=3):
             cache.append_rows(layer,
                               rng.standard_normal((1, d)).astype(np.float32),
                               rng.standard_normal((1, d)).astype(np.float32),
-                              provenance)
+                              [provenance])
 
 
 class TestAppend:
@@ -45,7 +45,7 @@ class TestAppend:
         cache = CacheStore(config)
         d = config.d_model
         cache.append_rows(0, np.zeros((0, d), dtype=np.float32),
-                          np.zeros((0, d), dtype=np.float32), BASE)
+                          np.zeros((0, d), dtype=np.float32), [])
         assert cache.length == 0
 
     def test_unequal_layers_detected_with_layer_name(self, config):
@@ -53,7 +53,7 @@ class TestAppend:
         d = config.d_model
         row = np.ones((1, d), dtype=np.float32)
         cache.append_token_ids([1])
-        cache.append_rows(0, row, row, BASE)
+        cache.append_rows(0, row, row, [BASE])
         # layer 1 never written: integrity scan must name it
         with pytest.raises(ContractViolationError, match="layer 1"):
             cache.integrity_check()
@@ -155,7 +155,7 @@ class TestFork:
                                            ).astype(np.float32)
                 node.append_token_ids([3])
                 for l in range(config.n_layers):
-                    node.append_rows(l, k[l], v[l], BASE)
+                    node.append_rows(l, k[l], v[l], [BASE])
                 expected.append((k, v))
         for l in range(config.n_layers):
             for upto in range(node.length + 1):
@@ -231,7 +231,8 @@ def random_rows(rng, n, config):
 def put(cache, rows, provenance=BASE):
     cache.append_token_ids([3] * len(rows))
     for layer in range(cache.config.n_layers):
-        cache.append_rows(layer, rows[:, layer, 0], rows[:, layer, 1], provenance)
+        cache.append_rows(layer, rows[:, layer, 0], rows[:, layer, 1],
+                          [provenance] * len(rows))
 
 
 def assert_reads(cache, expected):

@@ -205,6 +205,31 @@ class TestGenerate:
         assert evaluation.cost.rows_reused == base.cache.length
 
 
+class TestRequestTokens:
+    @pytest.mark.parametrize("prompt", [[3.7, 9.2], [3, 9.0], [np.float32(4)],
+                                        ["3"], [None]])
+    def test_non_integer_token_refused(self, prompt):
+        with pytest.raises(ContractViolationError, match="integers"):
+            GenerationRequest(prompt_tokens=prompt)
+
+    def test_numpy_integer_tokens_accepted(self, toy_engine, rng):
+        prompt = rng.integers(8, 256, size=6)
+        mixed = [np.int32(prompt[0]), np.uint8(prompt[1])] + prompt[2:].tolist()
+        for tokens in (prompt, mixed):
+            request = GenerationRequest(prompt_tokens=tokens, max_new_tokens=2)
+            assert request.prompt_tokens == prompt.tolist()
+            assert {type(t) for t in request.prompt_tokens} == {int}
+        res = toy_engine.generate(request)
+        assert res.cache.token_ids[:6] == prompt.tolist()
+
+    def test_non_integer_extra_tokens_refused(self, toy_engine, rng):
+        base_cache = toy_engine.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=8).tolist()))
+        spec = _alora_spec(toy_engine.config, inv=(2, 3))
+        with pytest.raises(ContractViolationError, match="integers"):
+            toy_engine.invoke_intrinsic(base_cache, [2.0, 3.5], spec)
+
+
 class TestInvokeIntrinsic:
     def test_five_fresh_rows_for_four_token_invocation(self, toy_engine, rng):
         base_prompt = rng.integers(8, 256, size=64).tolist()

@@ -13,14 +13,17 @@ from alora import (AdapterSpec, BASE_POLICY, CostLedger, LowRankDelta,
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
 from alora.errors import ConfigurationError, ContractViolationError
-from alora.model import (RUN_ROWS, LayerWeights, attend_single,
+from alora.model import (RUN_ROWS, LayerWeights, adapted_rows, attend_single,
                          forward_position, project_row, rope_rotate_heads,
                          rope_tables)
 
 
 def project_rows(x, weights, policy):
-    """project_row over the rows of ``x``, a run starting at position 0."""
-    return project_row(x, 0, weights.layers[0], policy, 0)
+    """project_row over the rows of ``x``, a run starting at position 0,
+    split into its (q, k, v) column blocks."""
+    qkv = project_row(x, 0, weights.layers[0], policy,
+                      adapted_rows(policy, 0, len(x)))
+    return np.split(qkv, 3, axis=-1)
 
 
 def rotate(vec, position, config):
@@ -136,6 +139,24 @@ class TestRope:
                             [math.sin(angle), math.cos(angle)]])
             expected[2 * i:2 * i + 2] = rot @ vec[2 * i:2 * i + 2].astype(np.float64)
         assert np.allclose(rotate(vec, position, config), expected, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_two_product_form_bitwise(self, rng, dtype):
+        # (a, b) -> (a c - b s, a s + b c), per pair and per head, written
+        # out as two products per output; the rotation must give its bits
+        config = ModelConfig(n_layers=1, n_heads=4, d_model=64, d_head=16,
+                             vocab_size=8, max_positions=4096)
+        positions = np.arange(1000, 1040)
+        x = rng.standard_normal((len(positions), 2 * config.d_model)).astype(dtype)
+        cos, sin = rope_tables(positions, config, dtype)
+        got = rope_rotate_heads(x, cos, sin)
+        c, s = cos[:, None, 0::2], sin[:, None, 1::2]
+        heads = x.reshape(len(positions), -1, config.d_head)
+        even, odd = heads[..., 0::2], heads[..., 1::2]
+        expected = np.empty_like(heads)
+        expected[..., 0::2] = even * c - odd * s
+        expected[..., 1::2] = even * s + odd * c
+        assert got.tobytes() == expected.reshape(x.shape).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(position=st.integers(min_value=0, max_value=10000),
@@ -270,39 +291,99 @@ class TestRunBoundaries:
     bits (OpenBLAS 0.3.31, f32 and f64), so a wrong kernel anywhere in a run
     shows as a bit difference."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_segment_equals_token_by_token(self, toy_config, toy_weights, dtype):
-        weights = toy_weights.astype(dtype)
-        n = 150
-        # Runs: [0, 64) and [64, 96) base, cut by the cap and by t_invoke;
-        # [96, 150) adapted.
-        t_invoke = RUN_ROWS + RUN_ROWS // 2
-        assert 2 * RUN_ROWS < n
-        tokens = np.random.default_rng(7).integers(
-            8, toy_config.vocab_size, size=n).tolist()
-        spec = random_adapter(toy_config.d_model, toy_config.n_layers, rank=8,
-                              alpha=32.0, mode=MODE_ALORA, adapter_id="runs",
-                              seed=11, invocation_sequence=(2, 3))
-        policy = build_policy(spec, ActivationPoint(t_invoke))
+    @staticmethod
+    def _segment_then_rows(weights, config, policy, tokens, decode, dtype):
+        """``tokens`` as one segment, then ``decode`` one-row runs, against
+        every token run alone; both must agree bitwise."""
+        n = len(tokens) + len(decode)
+        run_cache, run_ledger = CacheStore(config, dtype), CostLedger()
+        run_logits = [forward_segment(tokens, 0, weights, config, policy,
+                                      run_cache, run_ledger)]
+        for i, token in enumerate(decode, start=len(tokens)):
+            run_logits.append(forward_position(token, i, weights, config, policy,
+                                               run_cache, run_ledger, True))
+        row_cache, row_ledger = CacheStore(config, dtype), CostLedger()
+        row_logits = []
+        for i, token in enumerate(list(tokens) + list(decode)):
+            logits = forward_position(token, i, weights, config, policy,
+                                      row_cache, row_ledger,
+                                      want_logits=(i >= len(tokens) - 1))
+            if logits is not None:
+                row_logits.append(logits)
 
-        run_cache, run_ledger = CacheStore(toy_config, dtype), CostLedger()
-        run_logits = forward_segment(tokens, 0, weights, toy_config, policy,
-                                     run_cache, run_ledger)
-        row_cache, row_ledger = CacheStore(toy_config, dtype), CostLedger()
-        for i, token in enumerate(tokens):
-            row_logits = forward_position(token, i, weights, toy_config, policy,
-                                          row_cache, row_ledger,
-                                          want_logits=(i == n - 1))
-
-        assert np.array_equal(run_logits, row_logits)
-        for layer in range(toy_config.n_layers):
-            assert np.array_equal(run_cache.k_matrix(layer, n),
-                                  row_cache.k_matrix(layer, n))
-            assert np.array_equal(run_cache.v_matrix(layer, n),
-                                  row_cache.v_matrix(layer, n))
+        assert len(run_logits) == len(row_logits) == len(decode) + 1
+        for a, b in zip(run_logits, row_logits):
+            assert a.tobytes() == b.tobytes()
+        for layer in range(config.n_layers):
+            assert (run_cache.k_matrix(layer, n).tobytes()
+                    == row_cache.k_matrix(layer, n).tobytes())
+            assert (run_cache.v_matrix(layer, n).tobytes()
+                    == row_cache.v_matrix(layer, n).tobytes())
         assert run_cache.provenance == row_cache.provenance
         assert run_ledger == row_ledger
         assert run_ledger.rows_projected_fresh == n
+        return run_cache
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_equals_token_by_token(self, toy_config, toy_weights, dtype):
+        # Runs [0, 64), [64, 128) and [128, 150), then three one-row decode
+        # runs. t_invoke falls 0, 1 or 63 rows into the second run, or at
+        # the start of the third, so a run holds base and adapted rows.
+        weights = toy_weights.astype(dtype)
+        n = 150
+        assert 2 * RUN_ROWS < n
+        tokens = np.random.default_rng(7).integers(
+            8, toy_config.vocab_size, size=n + 3).tolist()
+        spec = random_adapter(toy_config.d_model, toy_config.n_layers, rank=8,
+                              alpha=32.0, mode=MODE_ALORA, adapter_id="runs",
+                              seed=11, invocation_sequence=(2, 3))
+        for offset in (0, 1, RUN_ROWS - 1, RUN_ROWS):
+            t_invoke = RUN_ROWS + offset
+            policy = build_policy(spec, ActivationPoint(t_invoke))
+            cache = self._segment_then_rows(weights, toy_config, policy,
+                                            tokens[:n], tokens[n:], dtype)
+            adapted = [p for p, prov in enumerate(cache.provenance)
+                       if not prov.is_base]
+            assert adapted == list(range(t_invoke, n + 3)), offset
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stray_adapted_row_inside_a_run(self, toy_config, toy_weights, dtype):
+        # A policy that adapts one position well before t_invoke, in the
+        # middle of a run: only that row, and the rows from t_invoke on,
+        # take the deltas and the adapter's provenance.
+        from alora.verify import _CorruptedPolicy
+        weights = toy_weights.astype(dtype)
+        spec = random_adapter(toy_config.d_model, toy_config.n_layers, rank=8,
+                              alpha=32.0, mode=MODE_ALORA, adapter_id="stray",
+                              seed=12, invocation_sequence=(2, 3))
+        policy = _CorruptedPolicy(spec, t_invoke=40, corrupt_position=17)
+        tokens = np.random.default_rng(8).integers(
+            8, toy_config.vocab_size, size=50).tolist()
+        cache = self._segment_then_rows(weights, toy_config, policy,
+                                        tokens[:48], tokens[48:], dtype)
+        adapted = [p for p, prov in enumerate(cache.provenance) if not prov.is_base]
+        assert adapted == [17] + list(range(40, 50))
+
+
+class TestFusedQKV:
+    """The engine projects q, k and v in one product per row against
+    [W_Q | W_K | W_V]. The recorded token digests hold only while its column
+    slices equal the separate products bitwise, a property of the BLAS."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_model", [16, 64])
+    def test_column_slices_equal_separate_products(self, dtype, d_model):
+        from alora.model import _row_matmul
+        config, weights = make_micro_model(d_model, d_model // 16 or 1, 16,
+                                           seed=d_model)
+        layer = weights.astype(dtype).layers[0]
+        rng = np.random.default_rng(d_model)
+        for t in (1, 2, 5, RUN_ROWS):
+            x = rng.standard_normal((t, d_model)).astype(dtype)
+            fused = _row_matmul(x, layer.w_qkv)
+            for j, w in enumerate((layer.w_q, layer.w_k, layer.w_v)):
+                part = fused[:, j * d_model:(j + 1) * d_model]
+                assert part.tobytes() == _row_matmul(x, w).tobytes(), (t, j)
 
 
 class TestGreedyPick:

@@ -390,3 +390,10 @@ class TestSyntheticTasks:
         path = tmp_path / "data.jsonl"
         write_dataset(path, data)
         assert read_dataset(path) == data
+
+    def test_float_token_in_dataset_refused(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"context": [5, 7.5], "invocation": [2, 3], '
+                        '"target": [9]}\n')
+        with pytest.raises(ContractViolationError, match="integers"):
+            read_dataset(path)
