@@ -9,11 +9,22 @@ forks draw on the same pool. Every cache holds a block table, the ids of the
 blocks holding its positions in order. ``fork_shared(L)`` shares the
 parent's full blocks below L (their refcounts go up) and copies the rows of
 the partial block, at most BLOCK_ROWS - 1, into a fresh block. Nothing walks
-a chain of parents: rows in the table's leading run of consecutive blocks,
-all of a root cache's, are read as a view; rows past it are copied with the
-run into one new array (attention on exact prefixes needs contiguous keys),
-by joining two slices when the blocks past the run are consecutive too, as a
-fork's own blocks usually are, and otherwise by one gather of the blocks.
+a chain of parents. Attention on exact prefixes needs contiguous keys, so a
+read takes one of three forms:
+
+- rows in the table's leading run of consecutive blocks, all of a root
+  cache's, are read as a view of the pool;
+- a cache being extended keeps one contiguous K and one contiguous V read
+  buffer per layer. The first read that reaches past the sealed length and
+  the leading run fills it with one copy of the layer's rows; each append
+  then writes its rows into the pool and into the buffer, and later reads
+  are views of the buffer. It is sized to the rows plus a few blocks and
+  doubles when outgrown;
+- any other read past the leading run is a one-off copy: two slices joined
+  when the blocks past the run are consecutive too, as a fork's own blocks
+  usually are, otherwise one gather of the blocks. The buffer's fill is
+  this same copy.
+
 When the last table holding a block is collected, the block returns to the
 pool's free list; the pool grows only when its live blocks run out. A fork
 keeps a ``ForkParent`` record of its ancestry, not its parent: dropping a
@@ -21,12 +32,15 @@ parent frees what only it held.
 
 Byte accounting is logical: a fork owns the positions it appended, and its
 aliased prefix, copied rows included, is counted once, in the cache that
-appended it.
+appended it. Read buffers are reported as allocated bytes, never as owned.
 
 Concurrency contract: sealed prefixes are immutable and may be read from any
-number of threads; extending a fork is single-writer. Allocation, freeing,
-growth and block writes hold the pool's lock, so forks of one pool may be
-extended in different threads.
+number of threads; extending a fork is single-writer. Only a read past the
+sealed length, which is the writer's, builds a read buffer; the buffer's
+rows below the sealed length never change, and ``seal()`` drops it, so a
+sealed cache reads as before. Allocation, freeing, growth and block writes
+hold the pool's lock, so forks of one pool may be extended in different
+threads.
 """
 
 from __future__ import annotations
@@ -49,6 +63,9 @@ BYTES_PER_ELEMENT = 4
 
 # Rows per K/V block.
 BLOCK_ROWS = 16
+
+# Blocks a read buffer holds past the rows it is filled with.
+SPARE_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,8 @@ class CacheStats:
     rows_copied_at_fork: int
     pool_live_blocks: int
     pool_free_blocks: int
+    # Allocated, not owned: the rows are the pool's, copied for reading.
+    read_buffer_bytes: int
 
 
 class BlockPool:
@@ -218,6 +237,12 @@ class CacheStore:
         # segment boundaries (integrity_check enforces it).
         self._layer_len = [aliased] * config.n_layers
         self.sealed_length = aliased
+        self._drop_buffers()
+
+    def _drop_buffers(self) -> None:
+        """Per-layer K and V read buffers; ``None`` until a read builds one."""
+        self._k_buf = [None] * self.config.n_layers
+        self._v_buf = [None] * self.config.n_layers
 
     # ------------------------------------------------------------------ #
     # growth
@@ -279,6 +304,14 @@ class CacheStore:
                     k[at:at + rows] = k_rows[done:done + rows]
                     v[at:at + rows] = v_rows[done:done + rows]
                     done += rows
+        for buffers, new in ((self._k_buf, k_rows), (self._v_buf, v_rows)):
+            buf = buffers[layer]
+            if buf is not None:
+                if end > len(buf):
+                    grown = self._new_buffer(max(2 * len(buf), end))
+                    grown[:pos] = buf[:pos]
+                    buf = buffers[layer] = grown
+                buf[pos:end] = new
         self._layer_len[layer] = end
         if layer == 0:
             self.provenance.extend(provenance)
@@ -288,31 +321,59 @@ class CacheStore:
 
     def k_matrix(self, layer: int, upto: int) -> np.ndarray:
         """Contiguous K rows for positions [0, upto). Aliased prefix included.
-        A view into the pool stays valid while this cache lives."""
-        return self._matrix(self._pool.k_rows, self._pool.k, layer, upto)
+        A view stays valid, and its rows unchanged, while this cache lives."""
+        return self._matrix(self._pool.k_rows, self._pool.k, self._k_buf,
+                            layer, upto)
 
     def v_matrix(self, layer: int, upto: int) -> np.ndarray:
-        return self._matrix(self._pool.v_rows, self._pool.v, layer, upto)
+        return self._matrix(self._pool.v_rows, self._pool.v, self._v_buf,
+                            layer, upto)
 
-    def _matrix(self, rows, blocks, layer, upto):
+    def _matrix(self, rows, blocks, buffers, layer, upto):
         """A view when the rows lie in the table's leading run of
-        consecutive blocks; a join of two slices when one more stretch
-        follows it; otherwise one gather of the blocks."""
-        if upto > self._layer_len[layer]:
+        consecutive blocks; else a view of the layer's read buffer, which the
+        first read past the sealed length fills; else a one-off copy."""
+        length = self._layer_len[layer]
+        if upto > length:
             raise ContractViolationError(
-                f"requested {upto} positions, layer {layer} holds "
-                f"{self._layer_len[layer]}")
-        table, rows = self._table, rows[layer]
-        run = table.run * BLOCK_ROWS
-        if upto <= run:
+                f"requested {upto} positions, layer {layer} holds {length}")
+        table, rows, blocks = self._table, rows[layer], blocks[layer]
+        if upto <= table.run * BLOCK_ROWS:
             return rows[table.start:table.start + upto]
+        buf = buffers[layer]
+        if buf is None:
+            if upto <= self.sealed_length:
+                return self._copy(rows, blocks, upto)
+            buf = self._new_buffer(length + SPARE_BLOCKS * BLOCK_ROWS)
+            self._copy(rows, blocks, length, buf)
+            buffers[layer] = buf
+        return buf[:upto]
+
+    def _copy(self, rows, blocks, upto, out=None):
+        """Rows [0, upto), which reach past the leading run, in one copy: two
+        slices joined when the blocks past the run are consecutive too,
+        otherwise one gather of the blocks. Into ``out`` when given."""
+        table = self._table
+        run = table.run * BLOCK_ROWS
         if table.last == table.run:
             at = table.ids[table.run] * BLOCK_ROWS
-            return np.concatenate((rows[table.start:table.start + run],
-                                   rows[at:at + upto - run]))
+            return np.concatenate(
+                (rows[table.start:table.start + run], rows[at:at + upto - run]),
+                out=None if out is None else out[:upto])
         n = -(-upto // BLOCK_ROWS)
-        gathered = blocks[layer].take(table.ids[:n], axis=0)
+        if out is not None:
+            out = out[:n * BLOCK_ROWS].reshape(n, BLOCK_ROWS, -1)
+        # The ids are in range; mode "raise" would fill ``out`` through a
+        # temporary.
+        gathered = blocks.take(table.ids[:n], axis=0, out=out, mode="clip")
         return gathered.reshape(-1, self.config.d_model)[:upto]
+
+    def _new_buffer(self, rows: int) -> np.ndarray:
+        """An uninitialised read buffer of at least ``rows`` rows, in whole
+        blocks, never more than the table can hold."""
+        blocks = min(-(-rows // BLOCK_ROWS), len(self._table.ids))
+        return np.empty((blocks * BLOCK_ROWS, self.config.d_model),
+                        dtype=self.dtype)
 
     # ------------------------------------------------------------------ #
     # sharing and accounting
@@ -320,6 +381,7 @@ class CacheStore:
     def seal(self) -> None:
         """Freeze all current positions; they become shareable via forks."""
         self.sealed_length = self.length
+        self._drop_buffers()
 
     def fork_shared(self, length: int) -> "CacheStore":
         """New cache aliasing the first ``length`` sealed positions: it shares
@@ -378,7 +440,9 @@ class CacheStore:
                 blocks=self._table.n,
                 rows_copied_at_fork=self.rows_copied_at_fork,
                 pool_live_blocks=pool.live_blocks,
-                pool_free_blocks=pool.free_blocks)
+                pool_free_blocks=pool.free_blocks,
+                read_buffer_bytes=sum(b.nbytes for b in self._k_buf + self._v_buf
+                                      if b is not None))
 
     def integrity_check(self) -> None:
         """All layers must cover the same positions; provenance must match."""

@@ -18,8 +18,9 @@ policy verdict. Every row takes its own gemv and attention calls, so a
 row's bits do not depend on how the rows were grouped, and a cache-reusing
 run and a from-scratch run over the same tokens produce bitwise-identical
 logits. ``Engine`` probes that property of numpy and the BLAS for the base
-projections when it is built, and for an adapter's delta products on each
-request that names the adapter. The engine is reentrant:
+projections when it is built, and for an adapter's delta products the
+first time a request names a delta of that rank and those dtypes; the
+verdict is kept for later requests. The engine is reentrant:
 requests may share sealed caches read-only; each request owns its fork and
 its cost ledger.
 """
@@ -101,6 +102,9 @@ class Engine:
             raise ConfigurationError(f"row-invariance probe failed: {failure}")
         self.weights = weights
         self.config = config
+        # Probe verdicts (None or the failure) by (rank, a.dtype, b.dtype).
+        # Two requests may race to probe one kind; their verdicts agree.
+        self._delta_probes = {}
 
     # ------------------------------------------------------------------ #
     # policy resolution
@@ -128,10 +132,13 @@ class Engine:
 
     def _probe_adapter(self, adapter: AdapterSpec) -> None:
         """Run the row-invariance probe once for each rank and dtype pair
-        among the adapter's deltas, whose products have their own shapes."""
+        among the adapter's deltas, whose products have their own shapes,
+        unless an earlier request already probed it."""
         kinds = {(d.rank, d.a.dtype, d.b.dtype): d for d in adapter.deltas.values()}
-        for delta in kinds.values():
-            failure = row_invariance_probe(self.weights, delta)
+        for kind, delta in kinds.items():
+            if kind not in self._delta_probes:
+                self._delta_probes[kind] = row_invariance_probe(self.weights, delta)
+            failure = self._delta_probes[kind]
             if failure:
                 raise ConfigurationError(
                     f"row-invariance probe failed for adapter "

@@ -253,7 +253,8 @@ def assert_reads(cache, expected):
 
 class TestBlockTable:
     @settings(max_examples=60, deadline=None)
-    @given(ops=st.lists(st.tuples(st.sampled_from(["append", "seal", "fork", "drop"]),
+    @given(ops=st.lists(st.tuples(st.sampled_from(["append", "decode", "seal",
+                                                   "fork", "drop"]),
                                   st.integers(0, 63), st.integers(0, 40)),
                         max_size=30),
            seed=st.integers(0, 2**16))
@@ -273,6 +274,18 @@ class TestBlockTable:
                                   config)
                 put(cache, new)
                 live[i] = (cache, np.concatenate([rows, new]))
+            elif kind == "decode":
+                # one row at a time, each followed by a whole read of every
+                # layer, as a decoding fork reads
+                for _ in range(min(amount % 8, config.max_positions - cache.length)):
+                    rows = np.concatenate([rows, random_rows(rng, 1, config)])
+                    put(cache, rows[-1:])
+                    for layer in range(config.n_layers):
+                        assert np.array_equal(cache.k_matrix(layer, len(rows)),
+                                              rows[:, layer, 0])
+                        assert np.array_equal(cache.v_matrix(layer, len(rows)),
+                                              rows[:, layer, 1])
+                live[i] = (cache, rows)
             elif kind == "seal":
                 cache.seal()
             elif kind == "fork":
@@ -285,6 +298,8 @@ class TestBlockTable:
                 stats = cache.stats()
                 assert stats.owned_positions + stats.aliased_positions == cache.length
                 assert stats.blocks == -(-cache.length // BLOCK_ROWS)
+                if cache.length == cache.sealed_length:
+                    assert stats.read_buffer_bytes == 0
         live = cache = None
         gc.collect()
         assert all(pool.live_blocks == 0 for pool in pools)
@@ -418,13 +433,20 @@ class TestBlockTable:
             put(root, prefix)
             root.seal()
             forks = [root.fork_shared(37) for _ in tails]
+            wrong = []
             start = threading.Barrier(len(forks) if threaded else 1, timeout=60)
 
             def extend(cache, rows):
                 start.wait()
+                want = np.concatenate([prefix, rows])
                 for i in range(len(rows)):
                     put(cache, rows[i:i + 1])
-                    cache.k_matrix(0, cache.length)
+                    n = cache.length
+                    for l in range(config.n_layers):
+                        if not (np.array_equal(cache.k_matrix(l, n), want[:n, l, 0])
+                                and np.array_equal(cache.v_matrix(l, n),
+                                                   want[:n, l, 1])):
+                            wrong.append((n, l))
 
             if threaded:
                 threads = [threading.Thread(target=extend, args=pair)
@@ -438,6 +460,7 @@ class TestBlockTable:
                 list(map(extend, forks, tails))
             # the two forks together outgrow the pool while they extend
             assert len(pool.refs) > 256 // BLOCK_ROWS
+            assert wrong == []
             reads = [np.stack([np.stack([f.k_matrix(l, f.length),
                                          f.v_matrix(l, f.length)], axis=1)
                                for l in range(config.n_layers)], axis=1)
@@ -459,3 +482,82 @@ class TestBlockTable:
                     assert np.array_equal(got, want)
         finally:
             sys.setswitchinterval(switch)
+
+
+class TestReadBuffer:
+    def test_fork_reads_views_of_one_buffer_until_sealed(self, config, rng):
+        root = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(root, rows)
+        root.seal()
+        fork = root.fork_shared(20)
+        assert fork.stats().read_buffer_bytes == 0
+        own = random_rows(rng, 6, config)
+        put(fork, own[:1])
+        first = fork.k_matrix(0, 21)
+        assert fork.stats().read_buffer_bytes > 0
+        for i in range(1, 6):
+            put(fork, own[i:i + 1])
+            read = fork.k_matrix(0, 21 + i)
+            # the same buffer, extended in place; earlier reads keep their rows
+            assert np.shares_memory(read, first)
+            assert not np.shares_memory(read, fork.pool.k[0])
+        want = np.concatenate([rows, own])
+        assert_reads(fork, want)
+        assert np.array_equal(first, want[:21, 0, 0])
+        fork.seal()
+        assert fork.stats().read_buffer_bytes == 0
+        sealed = fork.k_matrix(0, 26)
+        assert not np.shares_memory(sealed, first)
+        assert np.array_equal(sealed, want[:, 0, 0])
+        assert_reads(fork, want)
+        assert fork.stats().read_buffer_bytes == 0
+
+    def test_reads_within_the_sealed_length_build_no_buffer(self, config, rng):
+        root = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(root, rows)
+        root.seal()
+        fork = root.fork_shared(18)
+        own = random_rows(rng, 3, config)
+        put(fork, own)
+        assert np.array_equal(fork.k_matrix(1, 18), rows[:18, 1, 0])
+        assert fork.stats().read_buffer_bytes == 0
+        assert np.array_equal(fork.v_matrix(1, 21),
+                              np.concatenate([rows[:18], own])[:, 1, 1])
+        # one buffer: only the layer and the side read past the seal
+        one = fork.stats().read_buffer_bytes
+        assert one > 0
+        fork.k_matrix(1, 21)
+        assert fork.stats().read_buffer_bytes == 2 * one
+
+    def test_buffer_doubles_and_outlives_pool_growth(self, rng):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
+                             vocab_size=16, max_positions=256)
+        root = CacheStore(config)
+        pool = root.pool
+        rows = random_rows(rng, 20, config)
+        put(root, rows)
+        root.seal()
+        fork = root.fork_shared(20)
+        other = root.fork_shared(20)
+        own, others = random_rows(rng, 200, config), random_rows(rng, 236, config)
+        sizes = set()
+        for i in range(200):
+            put(fork, own[i:i + 1])
+            n = fork.length
+            for layer in range(config.n_layers):
+                assert np.array_equal(fork.k_matrix(layer, n),
+                                      np.concatenate([rows, own[:i + 1]])[:, layer, 0])
+            sizes.add(fork.stats().read_buffer_bytes)
+            if i == 100:
+                # the other fork outgrows the pool while the buffers are live
+                reserved = len(pool.refs)
+                put(other, others)
+                assert len(pool.refs) > reserved
+        # sized to the rows plus a few blocks, then doubled, never past
+        # the table's capacity
+        assert len(sizes) > 2
+        assert max(sizes) <= 2 * 2 * 256 * config.d_model * 4
+        assert_reads(fork, np.concatenate([rows, own]))
+        assert_reads(other, np.concatenate([rows, others]))

@@ -241,6 +241,37 @@ class TestInvokeIntrinsic:
         assert res.first_token_cost.rows_projected_fresh == 5
         assert res.first_token_cost.rows_reused == 64
 
+    def test_decoding_fork_copies_its_prefix_once(self, toy_engine, rng,
+                                                  monkeypatch):
+        from alora import cache as cache_module
+        copied = []
+
+        class CountingNumpy:
+            """numpy, with the bytes of every concatenated result counted."""
+
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def concatenate(self, *args, **kwargs):
+                out = np.concatenate(*args, **kwargs)
+                copied.append(out.nbytes)
+                return out
+
+        config = toy_engine.config
+        # 37 rows: the fork shares two blocks and copies 5 rows into its
+        # own third, so its reads past the shared run join two slices
+        base = toy_engine.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=37).tolist()))
+        monkeypatch.setattr(cache_module, "np", CountingNumpy())
+        k = 12
+        res = toy_engine.invoke_intrinsic(base, [2, 3], _alora_spec(config),
+                                          max_new_tokens=k, min_new_tokens=k)
+        assert res.cache.length == 37 + 2 + k
+        # one K and one V fill per layer, of the 39 prompt rows; no decode
+        # step copies the prefix again
+        assert len(copied) == 2 * config.n_layers
+        assert sum(copied) == 2 * config.n_layers * 39 * config.d_model * 4
+
     def test_invocation_appended_when_absent(self, toy_engine, rng):
         base_prompt = rng.integers(8, 256, size=10).tolist()
         base_cache = toy_engine.prefill(GenerationRequest(prompt_tokens=base_prompt))
@@ -354,6 +385,31 @@ class TestFanout:
         law_blocks = -(-length // BLOCK_ROWS) + n * -(-new_rows // BLOCK_ROWS)
         assert -(-law_rows // BLOCK_ROWS) <= live <= law_blocks + n
         assert live + stats.pool_free_blocks == len(base.pool.refs)
+
+    def test_read_buffers_live_while_a_fork_decodes(self, toy_engine, rng,
+                                                    monkeypatch):
+        base = toy_engine.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=43).tolist()))
+        step = engine_module.forward_position
+        seen = []
+
+        def traced(token, position, weights, config, policy, cache, *args,
+                   **kwargs):
+            seen.append(cache.stats().read_buffer_bytes)
+            return step(token, position, weights, config, policy, cache,
+                        *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "forward_position", traced)
+        results = toy_engine.fanout(
+            base, [_alora_spec(toy_engine.config, seed=i, adapter_id=f"a{i}")
+                   for i in range(2)], max_new_tokens=6, min_new_tokens=6)
+        # a K and a V buffer per layer, at least the fork's rows each
+        rows = 2 * toy_engine.config.n_layers * (base.length + 2)
+        assert len(seen) == 12
+        assert min(seen) >= rows * toy_engine.config.d_model * 4
+        # sealed caches hold none; the base cache, a root, never had any
+        assert [r.cache.stats().read_buffer_bytes for r in results] == [0, 0]
+        assert base.stats().read_buffer_bytes == 0
 
     def test_single_adapter_reduces_to_invoke(self, toy_engine, rng):
         base_cache = toy_engine.prefill(GenerationRequest(
@@ -531,13 +587,40 @@ class TestRowInvarianceProbe:
         with pytest.raises(ConfigurationError, match="row-invariance"):
             Engine(toy_weights, toy_config)
 
-    def test_row_dependent_adapter_product_refused(self, toy_engine, rng,
-                                                   monkeypatch):
+    def test_row_dependent_adapter_product_refused(self, toy_config, toy_weights,
+                                                   rng, monkeypatch):
         from alora import model
-        spec = _alora_spec(toy_engine.config, inv=(2, 3))
+        # A fresh engine: the shared one may hold a verdict for this rank.
+        engine = Engine(toy_weights, toy_config)
+        spec = _alora_spec(toy_config, inv=(2, 3))
         monkeypatch.setattr(model, "delta_apply",
                             _skew_later_rows(model.delta_apply))
         with pytest.raises(ConfigurationError, match="row-invariance"):
-            toy_engine.generate(GenerationRequest(
+            engine.generate(GenerationRequest(
                 prompt_tokens=rng.integers(8, 256, size=6).tolist(),
                 adapter=spec, max_new_tokens=2))
+
+    def test_adapter_probed_once_per_rank_and_dtypes(self, toy_config, toy_weights,
+                                                     rng, monkeypatch):
+        engine = Engine(toy_weights, toy_config)
+        probes = []
+
+        def counted(weights, delta=None):
+            probes.append(delta)
+            return None
+
+        monkeypatch.setattr(engine_module, "row_invariance_probe", counted)
+        spec = _alora_spec(toy_config, inv=(2, 3))
+
+        def request(adapter):
+            engine.generate(GenerationRequest(
+                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
+                adapter=adapter, max_new_tokens=1))
+
+        request(spec)
+        assert len(probes) == 1  # every delta of the spec has rank 8 in f32
+        request(spec)
+        request(_alora_spec(toy_config, inv=(2, 3), seed=1, adapter_id="b"))
+        assert len(probes) == 1
+        request(_alora_spec(toy_config, inv=(2, 3), rank=4, adapter_id="c"))
+        assert len(probes) == 2 and probes[1].rank == 4
