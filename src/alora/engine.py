@@ -14,13 +14,16 @@ model.RUN_ROWS rows and each decode step through model.forward_position as
 a one-row run. A run does not split at t_invoke: an activated adapter's
 fresh prompt (its base-projected first invocation token and the adapted
 rows after it) takes one pass through the layers, each row under its own
-policy verdict. Every row takes its own gemv and attention calls, so a
-row's bits do not depend on how the rows were grouped, and a cache-reusing
-run and a from-scratch run over the same tokens produce bitwise-identical
-logits. ``Engine`` probes that property of numpy and the BLAS for the base
-projections when it is built, and for an adapter's delta products the
-first time a request names a delta of that rank and those dtypes; the
-verdict is kept for later requests. The engine is reentrant:
+policy verdict. Every row takes its own projection gemvs, and its own
+attention products and softmax normaliser (the rest of a prefill run's
+softmax runs over a block of rows), so a row's bits do not depend on how
+the rows were grouped, and a cache-reusing run and a from-scratch run over
+the same tokens produce bitwise-identical logits. ``Engine`` probes that
+property of numpy and the BLAS for the base projections when it is built,
+for run attention the first time a request prefills two or more rows, and
+for an adapter's delta products the first time a request names a delta of
+that rank and those dtypes; each verdict is kept for later requests. The
+engine is reentrant:
 requests may share sealed caches read-only; each request owns its fork and
 its cost ledger.
 """
@@ -38,8 +41,9 @@ from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterSpec,
 from .cache import BASE, CacheStore
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
-from .model import (ModelConfig, ModelWeights, forward_position, forward_segment,
-                    greedy_pick, row_invariance_probe)
+from .model import (ModelConfig, ModelWeights, attention_run_probe,
+                    forward_position, forward_segment, greedy_pick,
+                    row_invariance_probe)
 
 EOS_TOKEN = 0
 
@@ -102,9 +106,11 @@ class Engine:
             raise ConfigurationError(f"row-invariance probe failed: {failure}")
         self.weights = weights
         self.config = config
-        # Probe verdicts (None or the failure) by (rank, a.dtype, b.dtype).
-        # Two requests may race to probe one kind; their verdicts agree.
+        # Probe verdicts (None or the failure): by (rank, a.dtype, b.dtype)
+        # for adapter deltas, by dtype for run attention. Two requests may
+        # race to probe one kind; their verdicts agree.
         self._delta_probes = {}
+        self._attention_probes = {}
 
     # ------------------------------------------------------------------ #
     # policy resolution
@@ -143,6 +149,17 @@ class Engine:
                 raise ConfigurationError(
                     f"row-invariance probe failed for adapter "
                     f"{adapter.adapter_id!r}: {failure}")
+
+    def _probe_attention(self) -> None:
+        """Run the attention probe for multi-row runs once per dtype. Not
+        at construction, whose cost it would about double; requests that
+        never prefill two rows do not need it."""
+        dtype = self.weights.dtype
+        if dtype not in self._attention_probes:
+            self._attention_probes[dtype] = attention_run_probe(self.config, dtype)
+        failure = self._attention_probes[dtype]
+        if failure:
+            raise ConfigurationError(f"row-invariance probe failed: {failure}")
 
     # ------------------------------------------------------------------ #
     # prefill
@@ -190,6 +207,8 @@ class Engine:
             usable = 0
             cache = CacheStore(self.config, dtype=self.weights.dtype)
         ledger._add("rows_reused", usable)
+        if len(prompt) - usable > 1:
+            self._probe_attention()
         logits = forward_segment(prompt[usable:], usable, self.weights,
                                  self.config, policy, cache, ledger)
         # Prefill snapshot: the additional cache this request must maintain

@@ -3,16 +3,19 @@
 The forward is layer-major: a run of up to RUN_ROWS consecutive rows goes
 through each layer together, whatever the policy's verdict on each row, and
 decode is a run of one row through the same code. Every row still takes its
-own calls: each product is a (T, 1, d) @ W batched matmul, which numpy sends
+own projections: each is a (T, 1, d) @ W batched matmul, which numpy sends
 row by row to one gemv each (never one gemm, whose rows differ from gemv's
 at these widths). q, k and v come from one such product against
 [W_Q | W_K | W_V], and the rows the policy adapts then add their low-rank
-deltas, again row by row. Each query row attends over its exact prefix, all
-heads in one call. So a row's result does not depend on how many rows come
-with it, nor on their verdicts, and cached-vs-uncached and
+deltas, again row by row. A run of two or more rows attends in
+``attend_run``: each row's QK product, softmax normaliser and P·V product
+stay its own calls over its exact prefix, all heads in one call, while the
+rest of the softmax runs once over a block of rows; a one-row run (decode)
+calls ``attend_single``. So a row's result does not depend on how many rows
+come with it, nor on their verdicts, and cached-vs-uncached and
 batch-vs-incremental comparisons need no tolerances.
-``row_invariance_probe`` checks that property of numpy and the BLAS, and the
-engine refuses to run without it.
+``row_invariance_probe`` and ``attention_run_probe`` check that property of
+numpy and the BLAS, and the engine refuses to run without it.
 
 The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
 the last axis. The trainer's batched tape calls the same functions on whole
@@ -257,6 +260,65 @@ def attend_single(q_row: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return (probs.reshape(h, 1, c) @ v_heads).reshape(-1)
 
 
+# Rows per softmax block of ``attend_run``. A block holds rows * n_heads *
+# keys scores, so its size sets the kernel's memory, not its speed: with
+# 4,096-token contexts, 16-row blocks put classic-reprefill's peak RSS up
+# 2%, and 8-row blocks kept it within 1% of the one-row-at-a-time kernel's.
+ATTEND_BLOCK = 8
+
+
+def attend_run(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
+               start: int, config: ModelConfig) -> np.ndarray:
+    """Causal attention of the query rows ``q`` (t, d) at positions
+    [start, start + t) over the first start + t rows of ``keys``/``values``;
+    returns the (t, d) head-concatenated mixes, pre-W_O, each row with the
+    bits ``attend_single`` gives it alone.
+
+    A row at position p attends over c = p + 1 keys. Its QK product, the sum
+    that normalises its softmax and its P·V product stay its own calls over
+    exactly those c keys, all heads in one batched call, as in
+    ``attend_single``: a longer gemv or a padded sum gives other bits. The
+    rest of the softmax (scale, max, subtraction, exp and division) runs
+    once over a block of up to ATTEND_BLOCK rows whose scores are padded
+    with -inf past each row's c: the max ignores the padding, and exp turns
+    it into exact zeros.
+    """
+    t = len(q)
+    h, d_head = config.n_heads, config.d_head
+    end = start + t
+    k_heads = keys[:end].reshape(end, h, d_head).transpose(1, 0, 2)
+    v_heads = values[:end].reshape(end, h, d_head).transpose(1, 0, 2)
+    q_heads = q.reshape(t, h, d_head, 1)
+    mixed = np.empty((t, h, 1, d_head), dtype=q.dtype)
+    # One buffer for every block's scores: fresh blocks of growing sizes
+    # grew the heap.
+    buffer = np.empty(min(t, ATTEND_BLOCK) * h * end, dtype=q.dtype)
+    for a in range(0, t, ATTEND_BLOCK):
+        rows = min(ATTEND_BLOCK, t - a)
+        top = start + a + rows
+        scores = buffer[:rows * h * top].reshape(rows, h, top, 1)
+        # Padding lies only in the block's last rows - 1 keys: fill them
+        # with -inf, and each row's scores overwrite the ones it sees.
+        scores[:, :, top - rows + 1:] = -np.inf
+        for j in range(rows):
+            c = start + a + j + 1
+            np.matmul(k_heads[:, :c], q_heads[a + j], out=scores[j, :, :c])
+        scores = scores.reshape(rows, h, top)
+        scores /= math.sqrt(d_head)
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        norms = np.empty((rows, h, 1), dtype=q.dtype)
+        for j in range(rows):
+            c = start + a + j + 1
+            np.add.reduce(scores[j, :, :c], axis=-1, keepdims=True, out=norms[j])
+        scores /= norms
+        probs = scores[:, :, None, :]
+        for j in range(rows):
+            c = start + a + j + 1
+            np.matmul(probs[j, :, :, :c], v_heads[:, :c], out=mixed[a + j])
+    return mixed.reshape(t, h * d_head)
+
+
 # A run is at most this many rows. Longer runs are no faster, and their
 # MLP temporaries grow with the run.
 RUN_ROWS = 64
@@ -292,10 +354,11 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
         cache.append_rows(li, qk[:, d:], qkv[:, 2 * d:], provenance)
         keys = cache.k_matrix(li, end)
         vals = cache.v_matrix(li, end)
-        mixed = np.empty((t, d), dtype=x.dtype)
-        for i in range(t):
-            c = start + i + 1
-            mixed[i] = attend_single(q[i], keys[:c], vals[:c], config)
+        if t == 1:
+            # Decode: the run form costs more for one row.
+            mixed = attend_single(q[0], keys, vals, config)[None]
+        else:
+            mixed = attend_run(q, keys, vals, start, config)
         x = x + _row_matmul(mixed, layer.w_o)
         n2, _ = rms_norm_row(x, layer.norm_mlp)
         up, _ = gelu(_row_matmul(n2, layer.mlp_up))
@@ -367,8 +430,8 @@ def row_invariance_probe(weights: ModelWeights, delta=None) -> Optional[str]:
     their dtype, rather than assumed, for the products the forward makes:
     [W_Q | W_K | W_V], MLP up and MLP down, or, given an adapter's low-rank
     ``delta``, ``project_row`` with that delta on q (deltas on k and v have
-    the same shapes). (Attention runs one query row at a time, so it
-    batches no rows.) Returns the first product that breaks it, or None.
+    the same shapes). Attention has its own probe, ``attention_run_probe``.
+    Returns the first product that breaks it, or None.
     """
     layer = weights.layers[0]
     x = layer.mlp_down[:2]
@@ -387,6 +450,30 @@ def row_invariance_probe(weights: ModelWeights, delta=None) -> Optional[str]:
         for i in range(len(rows)):
             if block[i].tobytes() != product(rows[i:i + 1])[0].tobytes():
                 return f"{name}: a 2-row block differs from its rows alone"
+    return None
+
+
+def attention_run_probe(config: ModelConfig, dtype) -> Optional[str]:
+    """Check that each row of a 2-row ``attend_run`` has the bits of
+    ``attend_single`` on that row alone, at this model's head shapes in
+    ``dtype``; returns the failure or None.
+
+    Prefill attends in runs and decode one row at a time, so cached and
+    fresh passes agree bitwise only if they match. Whether numpy's exp,
+    reductions and batched matmuls give a row the same bits inside a block
+    as alone is a property of numpy and the BLAS, so it is checked rather
+    than assumed.
+    """
+    start = 37  # rows over 38 and 39 keys: no multiple of a SIMD width
+    rng = np.random.default_rng(0)
+    keys, values = rng.standard_normal((2, start + 2, config.d_model)).astype(dtype)
+    q = rng.standard_normal((2, config.d_model)).astype(dtype)
+    run = attend_run(q, keys, values, start, config)
+    for i in range(2):
+        c = start + i + 1
+        alone = attend_single(q[i], keys[:c], values[:c], config)
+        if run[i].tobytes() != alone.tobytes():
+            return "attention: a 2-row run differs from its rows alone"
     return None
 
 

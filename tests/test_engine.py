@@ -572,9 +572,10 @@ def _skew_later_rows(call):
 class TestRowInvarianceProbe:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_passes_in_f32_and_f64(self, toy_config, toy_weights, dtype):
-        from alora.model import row_invariance_probe
+        from alora.model import attention_run_probe, row_invariance_probe
         weights = toy_weights.astype(dtype)
         assert row_invariance_probe(weights) is None
+        assert attention_run_probe(toy_config, dtype) is None
         spec = _alora_spec(toy_config, inv=(2, 3))
         for delta in spec.deltas.values():
             assert row_invariance_probe(weights, delta) is None
@@ -624,3 +625,37 @@ class TestRowInvarianceProbe:
         assert len(probes) == 1
         request(_alora_spec(toy_config, inv=(2, 3), rank=4, adapter_id="c"))
         assert len(probes) == 2 and probes[1].rank == 4
+
+    def test_row_dependent_attention_refused(self, toy_config, toy_weights,
+                                             rng, monkeypatch):
+        from alora import model
+        monkeypatch.setattr(model, "attend_run", _skew_later_rows(model.attend_run))
+        engine = Engine(toy_weights, toy_config)  # no attention probe yet
+        with pytest.raises(ConfigurationError, match="row-invariance"):
+            engine.generate(GenerationRequest(
+                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
+                max_new_tokens=2))
+
+    def test_attention_probed_at_first_multi_row_run(self, toy_config, toy_weights,
+                                                     rng, monkeypatch):
+        probes = []
+
+        def counted(config, dtype):
+            probes.append(dtype)
+            return None
+
+        monkeypatch.setattr(engine_module, "attention_run_probe", counted)
+        engine = Engine(toy_weights, toy_config)
+        assert probes == []
+        first = engine.generate(GenerationRequest(prompt_tokens=[9],
+                                                  max_new_tokens=3))
+        assert probes == []  # a one-row prompt and decode: no run to probe
+        engine.generate(GenerationRequest(
+            prompt_tokens=first.cache.token_ids + [12], reuse_cache=first.cache,
+            max_new_tokens=1))
+        assert probes == []  # one fresh row past the reused prefix
+        for _ in range(2):
+            engine.generate(GenerationRequest(
+                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
+                max_new_tokens=1))
+        assert probes == [np.dtype(np.float32)]

@@ -1,5 +1,6 @@
 """Model-core: projections, rotary rotation, attention, forward equivalences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ from alora import (AdapterSpec, BASE_POLICY, CostLedger, LowRankDelta,
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
 from alora.errors import ConfigurationError, ContractViolationError
-from alora.model import (RUN_ROWS, LayerWeights, adapted_rows, attend_single,
-                         forward_position, project_row, rope_rotate_heads,
-                         rope_tables)
+from alora.model import (ATTEND_BLOCK, RUN_ROWS, LayerWeights, adapted_rows,
+                         attend_run, attend_single, forward_position,
+                         project_row, rope_rotate_heads, rope_tables)
 
 
 def project_rows(x, weights, policy):
@@ -214,6 +215,38 @@ class TestAttend:
             assert np.abs(got - expected).max() == 0.0
 
 
+class TestAttendRun:
+    """A run's attention must give each row the bits of ``attend_single``
+    on that row alone, whatever the run's start and length."""
+
+    EDGE_STARTS = (0, 1, ATTEND_BLOCK - 1, ATTEND_BLOCK, ATTEND_BLOCK + 1,
+                   RUN_ROWS - 1, RUN_ROWS, RUN_ROWS + 1, 1023, 1024, 1100)
+    EDGE_ROWS = (2, ATTEND_BLOCK - 1, ATTEND_BLOCK, ATTEND_BLOCK + 1,
+                 2 * ATTEND_BLOCK, RUN_ROWS - 1, RUN_ROWS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.one_of(st.sampled_from(EDGE_STARTS), st.integers(0, 1100)),
+           t=st.one_of(st.sampled_from(EDGE_ROWS), st.integers(2, RUN_ROWS)),
+           heads=st.sampled_from([(4, 16), (2, 8)]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**31))
+    def test_rows_equal_attend_single(self, start, t, heads, dtype, seed):
+        n_heads, d_head = heads
+        d = n_heads * d_head
+        config = ModelConfig(n_layers=1, n_heads=n_heads, d_model=d,
+                             d_head=d_head, vocab_size=8, max_positions=2048)
+        rng = np.random.default_rng(seed)
+        end = start + t
+        # q as the engine passes it: the left half of a rotated q|k block
+        q = rng.standard_normal((t, 2 * d)).astype(dtype)[:, :d]
+        keys, values = rng.standard_normal((2, end, d)).astype(dtype)
+        got = attend_run(q, keys, values, start, config)
+        expected = np.stack([attend_single(q[i], keys[:start + i + 1],
+                                           values[:start + i + 1], config)
+                             for i in range(t)])
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestForwardSegment:
     def test_smallest_prefill(self, toy_config, toy_weights):
         cache = CacheStore(toy_config)
@@ -292,22 +325,30 @@ class TestRunBoundaries:
     shows as a bit difference."""
 
     @staticmethod
-    def _segment_then_rows(weights, config, policy, tokens, decode, dtype):
-        """``tokens`` as one segment, then ``decode`` one-row runs, against
-        every token run alone; both must agree bitwise."""
-        n = len(tokens) + len(decode)
-        run_cache, run_ledger = CacheStore(config, dtype), CostLedger()
-        run_logits = [forward_segment(tokens, 0, weights, config, policy,
+    def _segment_then_rows(weights, config, policy, tokens, decode, dtype,
+                           prefix=()):
+        """After ``prefix`` as one segment, ``tokens`` as one segment, then
+        ``decode`` one-row runs, against every token after ``prefix`` run
+        alone; both must agree bitwise."""
+        p = len(prefix)
+        n = p + len(tokens) + len(decode)
+        caches = []
+        for _ in range(2):
+            cache, ledger = CacheStore(config, dtype), CostLedger()
+            if prefix:
+                forward_segment(prefix, 0, weights, config, policy, cache, ledger)
+            caches.append((cache, ledger))
+        (run_cache, run_ledger), (row_cache, row_ledger) = caches
+        run_logits = [forward_segment(tokens, p, weights, config, policy,
                                       run_cache, run_ledger)]
-        for i, token in enumerate(decode, start=len(tokens)):
+        for i, token in enumerate(decode, start=p + len(tokens)):
             run_logits.append(forward_position(token, i, weights, config, policy,
                                                run_cache, run_ledger, True))
-        row_cache, row_ledger = CacheStore(config, dtype), CostLedger()
         row_logits = []
-        for i, token in enumerate(list(tokens) + list(decode)):
+        for i, token in enumerate(list(tokens) + list(decode), start=p):
             logits = forward_position(token, i, weights, config, policy,
                                       row_cache, row_ledger,
-                                      want_logits=(i >= len(tokens) - 1))
+                                      want_logits=(i >= p + len(tokens) - 1))
             if logits is not None:
                 row_logits.append(logits)
 
@@ -345,6 +386,26 @@ class TestRunBoundaries:
             adapted = [p for p, prov in enumerate(cache.provenance)
                        if not prov.is_base]
             assert adapted == list(range(t_invoke, n + 3)), offset
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_past_a_long_prefix(self, toy_config, toy_weights, dtype):
+        # After 1,010 positions, runs [1010, 1074) and [1074, 1110) attend in
+        # blocks of ATTEND_BLOCK rows over more than 1,000 keys; t_invoke
+        # 1,030 falls 20 rows into the first run.
+        config = dataclasses.replace(toy_config, max_positions=2048)
+        weights = toy_weights.astype(dtype)
+        p, n = 1010, 100
+        tokens = np.random.default_rng(9).integers(
+            8, config.vocab_size, size=p + n + 3).tolist()
+        spec = random_adapter(config.d_model, config.n_layers, rank=8,
+                              alpha=32.0, mode=MODE_ALORA, adapter_id="long",
+                              seed=13, invocation_sequence=(2, 3))
+        policy = build_policy(spec, ActivationPoint(p + 20))
+        cache = self._segment_then_rows(weights, config, policy,
+                                        tokens[p:p + n], tokens[p + n:], dtype,
+                                        prefix=tokens[:p])
+        adapted = [q for q, prov in enumerate(cache.provenance) if not prov.is_base]
+        assert adapted == list(range(p + 20, p + n + 3))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stray_adapted_row_inside_a_run(self, toy_config, toy_weights, dtype):
