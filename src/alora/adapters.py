@@ -1,9 +1,12 @@
-"""Low-rank adapter deltas, projection policies, and invocation handling.
+"""Low-rank adapter deltas, the projection policy, and invocation handling.
 
 Two adapter modes exist. A classic adapter ("lora") applies its deltas to
 every position. An activated adapter ("alora") applies them only from the
 activation point t_invoke onward; positions before it are projected with
 base weights, which is what makes the base model's cache rows reusable.
+One ``AdapterPolicy`` holds that rule for a request: the first adapted
+position, 0 or t_invoke, or none for the base model. Which cached rows a
+request may reuse follows from it, and ``Engine`` alone decides that.
 
 The activation point is one token after the START of the invocation
 sequence, so the first invocation token itself is still base-projected.
@@ -26,9 +29,6 @@ ADAPTER_MAGIC = b"ALAD"
 
 MODE_LORA = "lora"
 MODE_ALORA = "alora"
-
-VERDICT_BASE = "base"
-VERDICT_ADAPTED = "adapted"
 
 PROJECTIONS = ("q", "k", "v")
 
@@ -165,54 +165,31 @@ def find_invocation(tokens, spec: AdapterSpec) -> ActivationPoint:
     raise NotInvokedError(seq)
 
 
-class BasePolicy:
-    """Projection policy of the unadapted model: base verdict everywhere."""
-
-    spec = None
-    first_adapted = None  # no position is adapted
-
-    def verdict(self, position: int) -> str:
-        return VERDICT_BASE
-
-    def delta(self, layer: int, proj: str):
-        return None
-
-    def provenance_at(self, position: int) -> Provenance:
-        return BASE
-
-    def __repr__(self):
-        return "BasePolicy()"
-
-
-BASE_POLICY = BasePolicy()
-
-
-@dataclass
+@dataclass(frozen=True)
 class AdapterPolicy:
-    """Per-position verdicts for one adapter.
+    """The activation rule of one request: positions from ``first_adapted``
+    on are projected with ``spec``'s deltas, every earlier one with the
+    base weights.
 
-    For lora mode every position is adapted; for alora mode positions are
-    adapted from t_invoke onward.
+    ``first_adapted`` is 0 for a classic adapter and t_invoke for an
+    activated one (``build_policy``); the base model's policy,
+    ``BASE_POLICY``, has neither a spec nor an adapted position.
     """
 
-    spec: AdapterSpec
-    t_invoke: Optional[int] = None
+    spec: Optional[AdapterSpec] = None
+    first_adapted: Optional[int] = None
 
-    @property
-    def first_adapted(self) -> int:
-        """First adapted position; every later one is adapted too."""
-        return 0 if self.spec.mode == MODE_LORA else self.t_invoke
-
-    def verdict(self, position: int) -> str:
-        return VERDICT_ADAPTED if position >= self.first_adapted else VERDICT_BASE
+    def adapted(self, position: int) -> bool:
+        return self.first_adapted is not None and position >= self.first_adapted
 
     def delta(self, layer: int, proj: str):
         return self.spec.deltas.get((layer, proj))
 
     def provenance_at(self, position: int) -> Provenance:
-        if self.verdict(position) == VERDICT_ADAPTED:
-            return self.spec.provenance
-        return BASE
+        return self.spec.provenance if self.adapted(position) else BASE
+
+
+BASE_POLICY = AdapterPolicy()
 
 
 def build_policy(spec: AdapterSpec, activation: Optional[ActivationPoint]) -> AdapterPolicy:
@@ -220,22 +197,20 @@ def build_policy(spec: AdapterSpec, activation: Optional[ActivationPoint]) -> Ad
     if spec.mode == MODE_ALORA:
         if activation is None:
             raise ContractViolationError("alora policy requires an activation point")
-        return AdapterPolicy(spec, t_invoke=activation.t_invoke)
+        return AdapterPolicy(spec, activation.t_invoke)
     if activation is not None:
         raise ContractViolationError("lora policy must not carry an activation point")
-    return AdapterPolicy(spec, t_invoke=None)
+    return AdapterPolicy(spec, 0)
 
 
 def random_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
                    mode: str, adapter_id: str, seed: int,
-                   invocation_sequence=None,
-                   targets: Tuple[str, ...] = PROJECTIONS,
-                   std: float = 0.02) -> AdapterSpec:
+                   invocation_sequence=None, std: float = 0.02) -> AdapterSpec:
     """Adapter with Gaussian A and B factors (both non-zero), for benchmarks."""
     rng = np.random.default_rng(seed)
     deltas = {}
     for layer in range(n_layers):
-        for proj in targets:
+        for proj in PROJECTIONS:
             a = (std * rng.standard_normal((d_model, rank))).astype(np.float32)
             b = (std * rng.standard_normal((rank, d_model))).astype(np.float32)
             deltas[(layer, proj)] = LowRankDelta(a=a, b=b, rank=rank, alpha=alpha)
@@ -245,13 +220,12 @@ def random_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
 
 def zero_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
                  mode: str, adapter_id: str, seed: int = 0,
-                 invocation_sequence=None,
-                 targets: Tuple[str, ...] = PROJECTIONS) -> AdapterSpec:
+                 invocation_sequence=None) -> AdapterSpec:
     """Adapter whose B factors are zero: behaves exactly like the base model."""
     rng = np.random.default_rng(seed)
     deltas = {}
     for layer in range(n_layers):
-        for proj in targets:
+        for proj in PROJECTIONS:
             a = (0.02 * rng.standard_normal((d_model, rank))).astype(np.float32)
             b = np.zeros((rank, d_model), dtype=np.float32)
             deltas[(layer, proj)] = LowRankDelta(a=a, b=b, rank=rank, alpha=alpha)

@@ -72,7 +72,9 @@ SPARE_BLOCKS = 4
 class Provenance:
     """Identity of the weights that produced a cached position's K/V rows.
 
-    ``adapter_id is None`` means the base model produced the rows.
+    ``adapter_id is None`` means the base model produced the rows. The
+    engine reuses a row only for a request whose policy would write this
+    provenance at that position (``Engine._usable_prefix``).
     """
 
     adapter_id: Optional[str] = None
@@ -408,20 +410,6 @@ class CacheStore:
                         a[fresh, :partial] = a[source, :partial]
         child.rows_copied_at_fork = partial
         return child
-
-    def reusable_prefix(self, consumer: Provenance) -> int:
-        """Longest prefix whose every position the consumer may reuse.
-
-        Base-produced positions are reusable by everyone; adapter-produced
-        positions only by the same adapter.
-        """
-        n = 0
-        for p in self.provenance:
-            if p.is_base or p == consumer:
-                n += 1
-            else:
-                break
-        return n
 
     def incremental_bytes(self) -> int:
         """Bytes owned exclusively by this cache (aliased prefix excluded)."""

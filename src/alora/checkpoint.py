@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -9,6 +11,9 @@ from .fileio import read_tensor_file, write_tensor_file
 from .model import LayerWeights, ModelConfig, ModelWeights
 
 CHECKPOINT_MAGIC = b"ALRE"
+
+# Per-layer tensors, in file order.
+_LAYER_TENSORS = tuple(f.name for f in fields(LayerWeights))
 
 DEFAULT_CONFIG = ModelConfig(n_layers=4, n_heads=4, d_model=64, d_head=16,
                              vocab_size=256, max_positions=8192)
@@ -53,8 +58,7 @@ def random_weights(config: ModelConfig, seed: int) -> ModelWeights:
 def _tensor_list(config: ModelConfig, weights: ModelWeights):
     tensors = [("token_embedding", weights.token_embedding)]
     for i, layer in enumerate(weights.layers):
-        for name in ("w_q", "w_k", "w_v", "w_o", "mlp_up", "mlp_down",
-                     "norm_attn", "norm_mlp"):
+        for name in _LAYER_TENSORS:
             tensors.append((f"layers.{i}.{name}", getattr(layer, name)))
     tensors.append(("norm_final", weights.norm_final))
     tensors.append(("unembedding", weights.unembedding))
@@ -81,8 +85,7 @@ def load_checkpoint(path):
 
     layers = tuple(
         LayerWeights(**{name: take(f"layers.{i}.{name}")
-                        for name in ("w_q", "w_k", "w_v", "w_o", "mlp_up",
-                                     "mlp_down", "norm_attn", "norm_mlp")})
+                        for name in _LAYER_TENSORS})
         for i in range(config.n_layers))
     weights = ModelWeights(token_embedding=take("token_embedding"),
                            layers=layers,

@@ -9,23 +9,28 @@ Three reuse patterns are supported:
 3. Several activated adapters fork one sealed base cache and each extend
    their fork privately (``fanout``).
 
+All three rest on one rule, and the engine owns it (``_usable_prefix``): a
+request reuses the longest cached prefix whose provenance, position by
+position, is what the request's ``AdapterPolicy`` would write there, that
+is, base rows before the policy's first adapted position and the adapter's
+own rows from there on.
+
 Prefill goes through model.forward_segment in layer-major runs of up to
 model.RUN_ROWS rows and each decode step through model.forward_position as
 a one-row run. A run does not split at t_invoke: an activated adapter's
 fresh prompt (its base-projected first invocation token and the adapted
-rows after it) takes one pass through the layers, each row under its own
-policy verdict. Every row takes its own projection gemvs, and its own
-attention products and softmax normaliser (the rest of a prefill run's
-softmax runs over a block of rows), so a row's bits do not depend on how
-the rows were grouped, and a cache-reusing run and a from-scratch run over
-the same tokens produce bitwise-identical logits. ``Engine`` probes that
-property of numpy and the BLAS for the base projections when it is built,
-for run attention the first time a request prefills two or more rows, and
-for an adapter's delta products the first time a request names a delta of
-that rank and those dtypes; each verdict is kept for later requests. The
-engine is reentrant:
-requests may share sealed caches read-only; each request owns its fork and
-its cost ledger.
+rows after it) takes one pass through the layers, the policy deciding row
+by row whether to adapt it. Every row takes its own projection gemvs, and
+its own attention products and softmax normaliser (the rest of a prefill
+run's softmax runs over a block of rows), so a row's bits do not depend on
+how the rows were grouped, and a cache-reusing run and a from-scratch run
+over the same tokens produce bitwise-identical logits. ``Engine`` probes
+that property of numpy and the BLAS for the base projections when it is
+built, for run attention the first time a request prefills two or more
+rows, and for an adapter's delta products the first time a request names a
+delta of that rank and those dtypes; each result is kept for later
+requests. The engine is reentrant: requests may share sealed caches
+read-only; each request owns its fork and its cost ledger.
 """
 
 from __future__ import annotations
@@ -106,11 +111,11 @@ class Engine:
             raise ConfigurationError(f"row-invariance probe failed: {failure}")
         self.weights = weights
         self.config = config
-        # Probe verdicts (None or the failure): by (rank, a.dtype, b.dtype)
-        # for adapter deltas, by dtype for run attention. Two requests may
-        # race to probe one kind; their verdicts agree.
-        self._delta_probes = {}
-        self._attention_probes = {}
+        # Probe results (None or the failure), keyed ("delta", rank,
+        # a.dtype, b.dtype) for adapter deltas and ("attention", dtype) for
+        # run attention. Two requests may race to probe one kind; their
+        # results agree.
+        self._probes = {}
 
     # ------------------------------------------------------------------ #
     # policy resolution
@@ -123,7 +128,11 @@ class Engine:
                 raise ContractViolationError("activation given without an adapter")
             return prompt, BASE_POLICY, None
         adapter.check_fits(self.config)
-        self._probe_adapter(adapter)
+        # Each rank and dtype pair of deltas has products of its own shapes.
+        for delta in adapter.deltas.values():
+            self._probed(("delta", delta.rank, delta.a.dtype, delta.b.dtype),
+                         lambda: row_invariance_probe(self.weights, delta),
+                         f" for adapter {adapter.adapter_id!r}")
         if adapter.mode == MODE_LORA:
             return prompt, build_policy(adapter, activation), None
         if activation is None:
@@ -136,30 +145,15 @@ class Engine:
                 activation = find_invocation(prompt, adapter)
         return prompt, build_policy(adapter, activation), activation.t_invoke
 
-    def _probe_adapter(self, adapter: AdapterSpec) -> None:
-        """Run the row-invariance probe once for each rank and dtype pair
-        among the adapter's deltas, whose products have their own shapes,
-        unless an earlier request already probed it."""
-        kinds = {(d.rank, d.a.dtype, d.b.dtype): d for d in adapter.deltas.values()}
-        for kind, delta in kinds.items():
-            if kind not in self._delta_probes:
-                self._delta_probes[kind] = row_invariance_probe(self.weights, delta)
-            failure = self._delta_probes[kind]
-            if failure:
-                raise ConfigurationError(
-                    f"row-invariance probe failed for adapter "
-                    f"{adapter.adapter_id!r}: {failure}")
-
-    def _probe_attention(self) -> None:
-        """Run the attention probe for multi-row runs once per dtype. Not
-        at construction, whose cost it would about double; requests that
-        never prefill two rows do not need it."""
-        dtype = self.weights.dtype
-        if dtype not in self._attention_probes:
-            self._attention_probes[dtype] = attention_run_probe(self.config, dtype)
-        failure = self._attention_probes[dtype]
+    def _probed(self, kind: tuple, probe, subject: str = "") -> None:
+        """Raise ConfigurationError if the probe of this kind failed,
+        running ``probe()`` only when no earlier request ran it."""
+        if kind not in self._probes:
+            self._probes[kind] = probe()
+        failure = self._probes[kind]
         if failure:
-            raise ConfigurationError(f"row-invariance probe failed: {failure}")
+            raise ConfigurationError(
+                f"row-invariance probe failed{subject}: {failure}")
 
     # ------------------------------------------------------------------ #
     # prefill
@@ -179,7 +173,8 @@ class Engine:
                 f"(cached {cached[i]}, prompt {wanted[i]})")
 
     def _usable_prefix(self, reuse: CacheStore, policy, prompt_len: int) -> int:
-        """Longest cached prefix whose producer matches the policy per position."""
+        """Longest cached prefix whose producer matches the policy per
+        position: the engine's one reuse rule."""
         n = min(reuse.length, prompt_len)
         # The policy's provenance is two runs: base before its first adapted
         # position, its own from there on.
@@ -208,7 +203,11 @@ class Engine:
             cache = CacheStore(self.config, dtype=self.weights.dtype)
         ledger._add("rows_reused", usable)
         if len(prompt) - usable > 1:
-            self._probe_attention()
+            # Not at construction, whose cost it would about double;
+            # requests that never prefill two rows do not need it.
+            dtype = self.weights.dtype
+            self._probed(("attention", dtype),
+                         lambda: attention_run_probe(self.config, dtype))
         logits = forward_segment(prompt[usable:], usable, self.weights,
                                  self.config, policy, cache, ledger)
         # Prefill snapshot: the additional cache this request must maintain

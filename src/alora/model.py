@@ -1,7 +1,7 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
 The forward is layer-major: a run of up to RUN_ROWS consecutive rows goes
-through each layer together, whatever the policy's verdict on each row, and
+through each layer together, whether the policy adapts each row or not, and
 decode is a run of one row through the same code. Every row still takes its
 own projections: each is a (T, 1, d) @ W batched matmul, which numpy sends
 row by row to one gemv each (never one gemm, whose rows differ from gemv's
@@ -12,7 +12,7 @@ deltas, again row by row. A run of two or more rows attends in
 stay its own calls over its exact prefix, all heads in one call, while the
 rest of the softmax runs once over a block of rows; a one-row run (decode)
 calls ``attend_single``. So a row's result does not depend on how many rows
-come with it, nor on their verdicts, and cached-vs-uncached and
+come with it, nor on which of them are adapted, and cached-vs-uncached and
 batch-vs-incremental comparisons need no tolerances.
 ``row_invariance_probe`` and ``attention_run_probe`` check that property of
 numpy and the BLAS, and the engine refuses to run without it.
@@ -21,9 +21,11 @@ The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
 the last axis. The trainer's batched tape calls the same functions on whole
 sequences, so it trains the model the engine serves.
 
-Adapters plug in through a projection policy (see adapters.py): the model
-never inspects adapter state, it only asks the policy for a per-position
-verdict and the delta factors to apply.
+Adapters plug in through the projection policy (``AdapterPolicy`` in
+adapters.py): the model never inspects adapter state, it only asks the
+policy whether a position is adapted, which provenance its rows carry, and
+the delta factors to apply. Which cached rows may be reused is the engine's
+decision, not the model's.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .adapters import (MODE_LORA, PROJECTIONS, VERDICT_ADAPTED, AdapterSpec,
-                       as_token_ids, build_policy, delta_apply)
+from .adapters import (MODE_LORA, PROJECTIONS, AdapterSpec, as_token_ids,
+                       build_policy, delta_apply)
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
 
@@ -209,7 +211,7 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
 def adapted_rows(policy, start: int, t: int):
     """Which rows of the run [start, start + t) the policy adapts, asked
     row by row: None for none, a full slice for all, else their indices."""
-    flags = [policy.verdict(p) == VERDICT_ADAPTED for p in range(start, start + t)]
+    flags = [policy.adapted(p) for p in range(start, start + t)]
     if all(flags):
         return slice(None)
     return np.flatnonzero(flags) if any(flags) else None
@@ -327,8 +329,8 @@ RUN_ROWS = 64
 def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
                  policy, cache, ledger: CostLedger, want_logits: bool):
     """Run ``tokens`` through all layers, layer by layer, appending their
-    K/V rows, each row under its own policy verdict and provenance; returns
-    the last row's logits if wanted.
+    K/V rows, each row adapted or not as the policy says and with its own
+    provenance; returns the last row's logits if wanted.
 
     The cache must already hold exactly positions [0, start).
     """
@@ -403,8 +405,8 @@ def forward_segment(tokens, start_position: int, weights: ModelWeights,
     """Process a segment of tokens; returns the last row's logits.
 
     The tokens go through the layers in runs of RUN_ROWS rows (the last run
-    may be shorter). A run may hold base and adapted rows: each row takes
-    its own verdict, so the run does not split where the verdict changes.
+    may be shorter). A run may hold base and adapted rows: the policy is
+    asked row by row, so the run does not split at the first adapted row.
     """
     if ledger is None:
         ledger = CostLedger()

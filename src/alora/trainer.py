@@ -35,6 +35,10 @@ from .errors import (ConfigurationError, ContractViolationError,
 from .model import (GELU_C, GELU_K, ModelConfig, ModelWeights, gelu,
                     rms_norm_row, rope_rotate_heads, rope_tables)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class SftExample:
@@ -72,9 +76,6 @@ class TrainConfig:
     seed: int = 0
     precision: str = "f32"
     eval_every: int = 250
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -111,14 +112,14 @@ class AdapterParams:
 
     @classmethod
     def initialize(cls, config: ModelConfig, rank: int, alpha: float, seed: int,
-                   dtype=np.float32, targets: Sequence[str] = PROJECTIONS,
-                   init_std: float = 0.02) -> "AdapterParams":
-        """Standard init: Gaussian A, zero B, so step 0 is exactly the base model."""
+                   dtype=np.float32) -> "AdapterParams":
+        """Standard init: Gaussian A (std 0.02), zero B, so step 0 is
+        exactly the base model."""
         rng = np.random.default_rng(seed)
         a, b = {}, {}
         for layer in range(config.n_layers):
-            for proj in targets:
-                a[(layer, proj)] = (init_std * rng.standard_normal(
+            for proj in PROJECTIONS:
+                a[(layer, proj)] = (0.02 * rng.standard_normal(
                     (config.d_model, rank))).astype(dtype)
                 b[(layer, proj)] = np.zeros((rank, config.d_model), dtype=dtype)
         return cls(a=a, b=b, rank=rank, alpha=alpha)
@@ -371,8 +372,8 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, params: AdapterParams, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: AdapterParams, learning_rate: float):
+        self.learning_rate = learning_rate
         self.t = 0
         self.m = {(which, k): np.zeros_like(t)
                   for which, tensors in (("a", params.a), ("b", params.b))
@@ -380,18 +381,17 @@ class _Adam:
         self.v = {slot: np.zeros_like(m) for slot, m in self.m.items()}
 
     def step(self, params: AdapterParams, grads_a, grads_b):
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.adam_beta1 ** self.t
-        bc2 = 1.0 - cfg.adam_beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for which, tensors, grads in (("a", params.a, grads_a),
                                       ("b", params.b, grads_b)):
             for key, g in grads.items():
                 slot = (which, key)
-                self.m[slot] = cfg.adam_beta1 * self.m[slot] + (1 - cfg.adam_beta1) * g
-                self.v[slot] = cfg.adam_beta2 * self.v[slot] + (1 - cfg.adam_beta2) * g * g
-                update = (self.m[slot] / bc1) / (np.sqrt(self.v[slot] / bc2) + cfg.adam_eps)
-                tensors[key] -= cfg.learning_rate * update
+                self.m[slot] = ADAM_BETA1 * self.m[slot] + (1 - ADAM_BETA1) * g
+                self.v[slot] = ADAM_BETA2 * self.v[slot] + (1 - ADAM_BETA2) * g * g
+                update = (self.m[slot] / bc1) / (np.sqrt(self.v[slot] / bc2) + ADAM_EPS)
+                tensors[key] -= self.learning_rate * update
 
 
 def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeights,
@@ -414,7 +414,7 @@ def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeight
                                           train_config.alpha, train_config.seed,
                                           dtype=dtype)
     rng = np.random.default_rng(train_config.seed)
-    adam = _Adam(params, train_config)
+    adam = _Adam(params, train_config.learning_rate)
     engine = Engine(weights, model_config) if eval_dataset else None
     history: List[dict] = []
     rate = train_config.dropout_rate

@@ -7,7 +7,8 @@ on how many rows are computed with it; ``Engine`` probes this property of
 numpy and the BLAS when it is built. The mutation check runs the adapter
 under a corrupted policy that adapts one pre-activation position, and
 requires the equivalence check to fail, proving the suite can actually
-detect violations.
+detect violations. The provenance check reads the engine's own reuse rule
+through requests that reuse a cache, so it tests the rule that serves.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .adapters import (MODE_ALORA, MODE_LORA, VERDICT_ADAPTED, ActivationPoint,
-                       AdapterPolicy, AdapterSpec, BASE_POLICY, build_policy,
-                       find_invocation, random_adapter, zero_adapter)
-from .cache import BASE, CacheStore, Provenance
+from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterPolicy,
+                       AdapterSpec, BASE_POLICY, build_policy, find_invocation,
+                       random_adapter, zero_adapter)
+from .cache import CacheStore
 from .costs import CostLedger
-from .engine import Engine, GenerationRequest
+from .engine import Engine, GenerationRequest, GenerationResult
 from .model import forward_segment
 
 
@@ -33,33 +34,43 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CorruptedPolicy(AdapterPolicy):
     """An activated adapter's policy that also adapts one position before
     t_invoke: the violation the mutation check must detect."""
 
     corrupt_position: int = 0
 
-    def verdict(self, position: int) -> str:
-        if position == self.corrupt_position:
-            return VERDICT_ADAPTED
-        return super().verdict(position)
+    def adapted(self, position: int) -> bool:
+        return position == self.corrupt_position or super().adapted(position)
 
 
-def _random_invocation(rng, length: Optional[int] = None) -> Tuple[int, ...]:
-    n = int(rng.integers(2, 5)) if length is None else length
+def _random_invocation(rng) -> Tuple[int, ...]:
+    n = int(rng.integers(2, 5))
     return tuple(int(t) for t in rng.integers(2, 8, size=n))
 
 
-def _planted_prompt(rng, config, inv: Tuple[int, ...],
-                    min_len: int = 16, max_len: int = 128):
-    """Prompt with exactly one invocation occurrence (token ranges disjoint)."""
-    length = int(rng.integers(min_len, max_len + 1))
-    length = max(length, len(inv) + 2)
+def _planted_prompt(rng, config, inv: Tuple[int, ...]) -> List[int]:
+    """Prompt of 16 to 128 tokens with exactly one invocation occurrence
+    (token ranges disjoint)."""
+    length = max(int(rng.integers(16, 129)), len(inv) + 2)
     prompt = rng.integers(8, config.vocab_size, size=length).tolist()
     start = int(rng.integers(0, length - len(inv) + 1))
     prompt[start:start + len(inv)] = list(inv)
-    return [int(t) for t in prompt], start
+    return [int(t) for t in prompt]
+
+
+def _decode_mismatch(a: GenerationResult, b: GenerationResult,
+                     what: str) -> Optional[str]:
+    """Where the decodes of the two requests that ``what`` names part:
+    their tokens, or else the first decode step whose logits differ in any
+    bit; None when they agree."""
+    if a.new_tokens != b.new_tokens:
+        return f"{what}: tokens diverge: {a.new_tokens[:8]} vs {b.new_tokens[:8]}"
+    for i, (x, y) in enumerate(zip(a.logits_trace, b.logits_trace)):
+        if not np.array_equal(x, y):
+            return f"{what}: logits diverge at decode step {i}"
+    return None
 
 
 def _kv_rows_equal(cache_a: CacheStore, cache_b: CacheStore, upto: int,
@@ -93,7 +104,7 @@ def kv_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
                               invocation_sequence=inv)
     else:
         inv = spec.invocation_sequence
-    prompt, start = _planted_prompt(rng, config, inv)
+    prompt = _planted_prompt(rng, config, inv)
     activation = find_invocation(prompt, spec)
     t_invoke = activation.t_invoke
 
@@ -103,7 +114,7 @@ def kv_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
 
     policy = build_policy(spec, activation)
     if corrupt:
-        policy = _CorruptedPolicy(spec, t_invoke=t_invoke,
+        policy = _CorruptedPolicy(spec, t_invoke,
                                   corrupt_position=int(rng.integers(0, t_invoke)))
     adapted_cache = CacheStore(config, dtype=engine.weights.dtype)
     forward_segment(prompt, 0, engine.weights, config, policy,
@@ -134,13 +145,7 @@ def oracle_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
     scratch = engine.generate(GenerationRequest(
         prompt_tokens=full_prompt, adapter=spec, max_new_tokens=new_tokens,
         min_new_tokens=new_tokens))
-    if reused.new_tokens != scratch.new_tokens:
-        return (f"tokens diverge: reuse {reused.new_tokens[:8]} vs "
-                f"scratch {scratch.new_tokens[:8]}")
-    for i, (a, b) in enumerate(zip(reused.logits_trace, scratch.logits_trace)):
-        if not np.array_equal(a, b):
-            return f"logits diverge at decode step {i}"
-    return None
+    return _decode_mismatch(reused, scratch, "cache reuse vs from scratch")
 
 
 def reduction_trial(engine: Engine, rng, *, rank: int = 8,
@@ -159,12 +164,7 @@ def reduction_trial(engine: Engine, rng, *, rank: int = 8,
                           max_new_tokens=new_tokens),
         activation=ActivationPoint(0))
     res_l = engine.lora_invoke(prompt, lora, max_new_tokens=new_tokens)
-    if res_a.new_tokens != res_l.new_tokens:
-        return "tokens diverge between t_invoke=0 and classic adapter"
-    for i, (a, b) in enumerate(zip(res_a.logits_trace, res_l.logits_trace)):
-        if not np.array_equal(a, b):
-            return f"logits diverge at decode step {i}"
-    return None
+    return _decode_mismatch(res_a, res_l, "t_invoke=0 vs classic adapter")
 
 
 def zero_delta_trial(engine: Engine, rng, *, mode: str = MODE_ALORA,
@@ -185,13 +185,7 @@ def zero_delta_trial(engine: Engine, rng, *, mode: str = MODE_ALORA,
         else engine.lora_invoke(full, spec, max_new_tokens=new_tokens))
     res_base = engine.generate(GenerationRequest(
         prompt_tokens=full, max_new_tokens=new_tokens))
-    if res_adapter.new_tokens != res_base.new_tokens:
-        return f"zero-delta {mode} tokens diverge from base"
-    for i, (a, b) in enumerate(zip(res_adapter.logits_trace,
-                                   res_base.logits_trace)):
-        if not np.array_equal(a, b):
-            return f"zero-delta {mode} logits diverge at step {i}"
-    return None
+    return _decode_mismatch(res_adapter, res_base, f"zero-delta {mode} vs base")
 
 
 def _sealed_prefill(engine: Engine, prompt) -> CacheStore:
@@ -199,7 +193,10 @@ def _sealed_prefill(engine: Engine, prompt) -> CacheStore:
 
 
 def provenance_trial(engine: Engine, rng, *, rank: int = 8) -> Optional[str]:
-    """Provenance must track the generating policy position by position."""
+    """Provenance must track the generating policy position by position,
+    and the engine's reuse rule must honour it: past an activated adapter's
+    request, the base model reuses only the rows before t_invoke and the
+    same adapter, activated at the same point, reuses every row."""
     config = engine.config
     inv = _random_invocation(rng)
     prompt = rng.integers(8, config.vocab_size,
@@ -218,12 +215,17 @@ def provenance_trial(engine: Engine, rng, *, rank: int = 8) -> Optional[str]:
         want_base = p < t_invoke
         if want_base != prov.is_base:
             return f"provenance at position {p} is {prov}, t_invoke={t_invoke}"
-    reuse_base = res.cache.reusable_prefix(BASE)
-    if reuse_base != t_invoke:
-        return (f"base-reusable prefix {reuse_base} != t_invoke {t_invoke}")
-    reuse_self = res.cache.reusable_prefix(Provenance(spec.adapter_id))
-    if reuse_self != res.cache.length:
-        return "adapter cannot reuse its own full cache"
+    # One more token, so that every cached row may be reused, and no decode.
+    prompt = res.cache.token_ids + [8]
+    for who, adapter, activation, want in (
+            ("base model", None, None, t_invoke),
+            ("adapter", spec, ActivationPoint(t_invoke), res.cache.length)):
+        reused = engine.generate(GenerationRequest(
+            prompt_tokens=prompt, adapter=adapter, reuse_cache=res.cache,
+            max_new_tokens=0), activation=activation).cost.rows_reused
+        if reused != want:
+            return (f"{who} reused {reused} of {res.cache.length} rows, "
+                    f"expected {want} (t_invoke {t_invoke})")
     return None
 
 

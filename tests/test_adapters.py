@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from alora import (AdapterSpec, LowRankDelta, build_policy, delta_apply,
                    find_invocation, load_adapter, random_adapter, save_adapter)
-from alora.adapters import (ActivationPoint, MODE_ALORA, MODE_LORA,
-                            VERDICT_ADAPTED, VERDICT_BASE)
+from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA
 from alora.errors import (ConfigurationError, ContractViolationError,
                           FormatError, NotInvokedError)
 
@@ -124,19 +123,19 @@ class TestBuildPolicy:
         lora = AdapterSpec(adapter_id="l", mode=MODE_LORA, deltas=spec.deltas)
         classic = build_policy(lora, None)
         for p in range(10):
-            assert policy.verdict(p) == classic.verdict(p) == VERDICT_ADAPTED
+            assert policy.adapted(p) and classic.adapted(p)
 
     def test_activation_at_sequence_end(self):
         spec = _alora((7,))
         policy = build_policy(spec, ActivationPoint(6))
-        assert [policy.verdict(p) for p in range(6)] == [VERDICT_BASE] * 6
-        assert policy.verdict(6) == VERDICT_ADAPTED
+        assert [policy.adapted(p) for p in range(6)] == [False] * 6
+        assert policy.adapted(6)
 
     def test_verdict_pattern(self):
         spec = _alora((7,))
         policy = build_policy(spec, ActivationPoint(5))
-        verdicts = [policy.verdict(p) for p in range(8)]
-        assert verdicts == [VERDICT_BASE] * 5 + [VERDICT_ADAPTED] * 3
+        adapted = [policy.adapted(p) for p in range(8)]
+        assert adapted == [False] * 5 + [True] * 3
 
     def test_activation_rule_property(self, rng):
         spec = _alora((7,))
@@ -144,7 +143,7 @@ class TestBuildPolicy:
             t = int(rng.integers(0, 40))
             policy = build_policy(spec, ActivationPoint(t))
             for p in rng.integers(0, 60, size=10):
-                assert (policy.verdict(int(p)) == VERDICT_ADAPTED) == (p >= t)
+                assert policy.adapted(int(p)) == (p >= t)
 
     def test_alora_requires_activation(self):
         with pytest.raises(ContractViolationError):

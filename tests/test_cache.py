@@ -1,4 +1,4 @@
-"""Cache store: append/read, provenance reuse, forks, block tables, byte
+"""Cache store: append/read, provenance, forks, block tables, byte
 accounting."""
 
 import gc
@@ -57,51 +57,6 @@ class TestAppend:
         # layer 1 never written: integrity scan must name it
         with pytest.raises(ContractViolationError, match="layer 1"):
             cache.integrity_check()
-
-
-class TestReusablePrefix:
-    def test_base_rows_reusable_by_adapter(self, config):
-        cache = CacheStore(config)
-        fill(cache, 3, BASE)
-        assert cache.reusable_prefix(Provenance("1")) == 3
-
-    def test_adapter_rows_not_reusable_by_base(self, config):
-        cache = CacheStore(config)
-        fill(cache, 2, BASE)
-        fill(cache, 2, Provenance("1"))
-        assert cache.reusable_prefix(BASE) == 2
-
-    def test_foreign_block_hides_trailing_base(self, config):
-        cache = CacheStore(config)
-        fill(cache, 1, BASE)
-        fill(cache, 1, Provenance("2"))
-        fill(cache, 1, BASE)
-        assert cache.reusable_prefix(Provenance("1")) == 1
-
-    def test_base_prefix_never_exceeds_owner_prefix(self, config):
-        # a cache built by one adapter atop a base prefix is fully reusable
-        # by that adapter but only up to the boundary by the base model
-        cache = CacheStore(config)
-        fill(cache, 4, BASE)
-        fill(cache, 3, Provenance("a"))
-        assert cache.reusable_prefix(BASE) <= cache.reusable_prefix(Provenance("a"))
-        assert cache.reusable_prefix(Provenance("a")) == cache.length
-
-    @settings(max_examples=60, deadline=None)
-    @given(tags=st.lists(st.sampled_from([None, "a", "b"]), max_size=12),
-           consumer=st.sampled_from([None, "a", "b"]))
-    def test_matches_scan_oracle(self, config, tags, consumer):
-        cache = CacheStore(config)
-        for tag in tags:
-            fill(cache, 1, Provenance(tag))
-        consumer_p = Provenance(consumer)
-        # oracle: first incompatible index, derived independently
-        expected = len(tags)
-        for i, tag in enumerate(tags):
-            if not (tag is None or tag == consumer):
-                expected = i
-                break
-        assert cache.reusable_prefix(consumer_p) == expected
 
 
 class TestFork:

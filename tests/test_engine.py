@@ -90,6 +90,19 @@ class TestPrefill:
         assert res.cache.length == 128
 
 
+def _reuse_ignoring_provenance(engine, reuse, policy, prompt_len):
+    return min(reuse.length, prompt_len - 1)
+
+
+def _reuse_of_base_rows_only(engine, reuse, policy, prompt_len):
+    usable = 0
+    for prov in reuse.provenance[:prompt_len - 1]:
+        if not prov.is_base:
+            break
+        usable += 1
+    return usable
+
+
 class TestReuseChecks:
     """The whole-list reuse checks against the per-position loops they replaced."""
 
@@ -124,6 +137,20 @@ class TestReuseChecks:
                                    cache.length + 3):
                     assert tiny_engine._usable_prefix(cache, policy, prompt_len) \
                         == self.usable_per_position(cache, policy, prompt_len)
+
+    @pytest.mark.parametrize("rule, who", [
+        (_reuse_ignoring_provenance, "base model"),
+        (_reuse_of_base_rows_only, "adapter")])
+    def test_provenance_check_reads_the_engine_rule(self, tiny_engine,
+                                                    monkeypatch, rule, who):
+        # verify's provenance-rules check must fail on an engine whose reuse
+        # ignores provenance, or refuses an adapter its own rows.
+        from alora.verify import provenance_trial
+        assert provenance_trial(tiny_engine, np.random.default_rng(5)) is None
+        monkeypatch.setattr(Engine, "_usable_prefix", rule)
+        for seed in range(3):
+            failure = provenance_trial(tiny_engine, np.random.default_rng(seed))
+            assert failure is not None and failure.startswith(f"{who} reused")
 
     @pytest.mark.parametrize("position", [0, 1, 17, 18, 19])
     def test_divergence_names_first_position(self, tiny_engine, rng, position):

@@ -417,7 +417,7 @@ class TestRunBoundaries:
         spec = random_adapter(toy_config.d_model, toy_config.n_layers, rank=8,
                               alpha=32.0, mode=MODE_ALORA, adapter_id="stray",
                               seed=12, invocation_sequence=(2, 3))
-        policy = _CorruptedPolicy(spec, t_invoke=40, corrupt_position=17)
+        policy = _CorruptedPolicy(spec, 40, corrupt_position=17)
         tokens = np.random.default_rng(8).integers(
             8, toy_config.vocab_size, size=50).tolist()
         cache = self._segment_then_rows(weights, toy_config, policy,
