@@ -21,9 +21,8 @@ from .errors import (AloraError, ConfigurationError, ContractViolationError,
                      FormatError, NotInvokedError, TrainingDivergedError,
                      VerificationError)
 from .model import ModelConfig, ModelWeights, forward_segment, greedy_pick
-from .trainer import (AdapterParams, SftExample, TrainConfig, TrainResult,
-                      backward_adapter, evaluate_exact_match, example_loss,
-                      sft_loss, train)
+from .trainer import (SftExample, TrainConfig, TrainResult, backward_adapter,
+                      evaluate_exact_match, example_loss, sft_loss, train)
 from .tasks import (INVOCATION_SEQUENCE, TASK_CLASSIFY_MARKER, TASK_COPY_KEY,
                     make_synthetic_task, read_dataset, write_dataset)
 

@@ -114,8 +114,8 @@ class AdapterSpec:
 
     @cached_property
     def provenance(self) -> Provenance:
-        # One object per spec: cache rows then compare by identity, which
-        # list comparison checks before calling __eq__.
+        # One object per spec: cache rows compare by identity, so another
+        # spec with this id never reuses them.
         return Provenance(self.adapter_id)
 
     def check_fits(self, config) -> None:
@@ -220,14 +220,16 @@ def random_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
 
 def zero_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
                  mode: str, adapter_id: str, seed: int = 0,
-                 invocation_sequence=None) -> AdapterSpec:
-    """Adapter whose B factors are zero: behaves exactly like the base model."""
+                 invocation_sequence=None, dtype=np.float32) -> AdapterSpec:
+    """Adapter whose B factors are zero: behaves exactly like the base model.
+    A is 0.02 * N(0, 1) per (layer, projection), in ``dtype``; the trainer
+    starts a fresh adapter from it."""
     rng = np.random.default_rng(seed)
     deltas = {}
     for layer in range(n_layers):
         for proj in PROJECTIONS:
-            a = (0.02 * rng.standard_normal((d_model, rank))).astype(np.float32)
-            b = np.zeros((rank, d_model), dtype=np.float32)
+            a = (0.02 * rng.standard_normal((d_model, rank))).astype(dtype)
+            b = np.zeros((rank, d_model), dtype=dtype)
             deltas[(layer, proj)] = LowRankDelta(a=a, b=b, rank=rank, alpha=alpha)
     return AdapterSpec(adapter_id=adapter_id, mode=mode, deltas=deltas,
                        invocation_sequence=invocation_sequence)
@@ -238,10 +240,12 @@ def zero_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
 
 
 def save_adapter(spec: AdapterSpec, path) -> None:
-    layers = sorted({layer for layer, _ in spec.deltas})
-    n_layers = (max(layers) + 1) if layers else 0
-    d_model = next(iter(spec.deltas.values())).a.shape[0] if spec.deltas else 0
-    first = next(iter(spec.deltas.values())) if spec.deltas else None
+    """Write ``spec``; the header holds one rank and one alpha, so deltas
+    that differ in either are refused."""
+    if len({(d.rank, d.alpha) for d in spec.deltas.values()}) > 1:
+        raise ConfigurationError(
+            f"adapter {spec.adapter_id!r} mixes ranks or alphas; files hold one")
+    first = next(iter(spec.deltas.values()), None)
     header = {
         "adapter_id": spec.adapter_id,
         "mode": spec.mode,
@@ -251,8 +255,8 @@ def save_adapter(spec: AdapterSpec, path) -> None:
         "invocation_sequence": (list(spec.invocation_sequence)
                                 if spec.invocation_sequence else None),
         "max_new_tokens": spec.max_new_tokens,
-        "n_layers": n_layers,
-        "d_model": d_model,
+        "n_layers": max((layer + 1 for layer, _ in spec.deltas), default=0),
+        "d_model": first.a.shape[0] if first else 0,
     }
     tensors = []
     for (layer, proj) in sorted(spec.deltas):

@@ -68,13 +68,14 @@ BLOCK_ROWS = 16
 SPARE_BLOCKS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Provenance:
     """Identity of the weights that produced a cached position's K/V rows.
 
-    ``adapter_id is None`` means the base model produced the rows. The
-    engine reuses a row only for a request whose policy would write this
-    provenance at that position (``Engine._usable_prefix``).
+    ``adapter_id is None`` means the base model produced the rows.
+    Provenances compare by identity, so two specs sharing an id never share
+    rows. The engine reuses a row only for a request whose policy would
+    write this provenance at that position (``Engine._usable_prefix``).
     """
 
     adapter_id: Optional[str] = None
@@ -336,7 +337,7 @@ class CacheStore:
         consecutive blocks; else a view of the layer's read buffer, which the
         first read past the sealed length fills; else a one-off copy."""
         length = self._layer_len[layer]
-        if upto > length:
+        if not 0 <= upto <= length:
             raise ContractViolationError(
                 f"requested {upto} positions, layer {layer} holds {length}")
         table, rows, blocks = self._table, rows[layer], blocks[layer]
@@ -388,9 +389,9 @@ class CacheStore:
     def fork_shared(self, length: int) -> "CacheStore":
         """New cache aliasing the first ``length`` sealed positions: it shares
         their full blocks and copies the rows of a partial last block."""
-        if length > self.sealed_length:
+        if not 0 <= length <= self.sealed_length:
             raise ContractViolationError(
-                f"fork at {length} exceeds sealed_length {self.sealed_length}")
+                f"fork at {length} outside sealed_length {self.sealed_length}")
         child = CacheStore.__new__(CacheStore)
         child._attach(self.config, self._pool, length,
                       ForkParent(length, self.parent))

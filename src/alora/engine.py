@@ -36,7 +36,7 @@ read-only; each request owns its fork and its cost ledger.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,10 +190,6 @@ class Engine:
                  reuse: Optional[CacheStore], ledger: CostLedger):
         if not prompt:
             raise ContractViolationError("empty prompt rejected at the engine layer")
-        if len(prompt) > self.config.max_positions:
-            raise ConfigurationError(
-                f"prompt of {len(prompt)} tokens exceeds max_positions "
-                f"{self.config.max_positions}")
         if reuse is not None:
             self._check_reuse(reuse, prompt)
             usable = self._usable_prefix(reuse, policy, len(prompt))
@@ -217,11 +213,8 @@ class Engine:
 
     def prefill(self, request: GenerationRequest) -> CacheStore:
         """Prefill only; returns the sealed cache covering the prompt."""
-        prompt, policy, _ = self._resolve(request.prompt_tokens, request.adapter, None)
-        cache, _ = self._prefill(prompt, policy, request.reuse_cache, CostLedger())
-        cache.seal()
-        cache.integrity_check()
-        return cache
+        return self.generate(replace(request, min_new_tokens=0,
+                                     max_new_tokens=0)).cache
 
     # ------------------------------------------------------------------ #
     # generation

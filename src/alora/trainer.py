@@ -1,11 +1,13 @@
 """Supervised finetuning of adapter deltas with hand-written backprop.
 
-Only the low-rank factors receive gradients; base weights are frozen. A
-training step stacks the examples of each shape (length, activation point,
-target start) on a batch axis and runs one forward/backward pair per shape,
-unpadded. The activation point comes from the example structure (one token
-after the invocation sequence starts, i.e. len(context) + 1), and the loss
-covers target positions only: the logit row at position p-1 predicts token p.
+The trainer optimises copies of the spec's own ``LowRankDelta`` factors in
+the training dtype, each delta keeping its rank, alpha and scale; only
+these receive gradients, and base weights are frozen. A training step
+stacks the examples of each shape (length, activation point, target start)
+on a batch axis and runs one forward/backward pair per shape, unpadded.
+The activation point comes from the example structure (one token after the
+invocation sequence starts, i.e. len(context) + 1), and the loss covers
+target positions only: the logit row at position p-1 predicts token p.
 
 Training batches are reduced by summation (per-example losses are target
 means, and gradients are summed over examples in batch order), so
@@ -22,13 +24,13 @@ attention and the backward helpers live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adapters import (MODE_ALORA, AdapterSpec, LowRankDelta, PROJECTIONS,
-                       as_token_ids)
+from .adapters import (MODE_ALORA, AdapterSpec, LowRankDelta, as_token_ids,
+                       zero_adapter)
 from .engine import Engine, GenerationRequest
 from .errors import (ConfigurationError, ContractViolationError,
                      TrainingDivergedError)
@@ -89,60 +91,17 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------- #
-# adapter parameter block
+# the trained factors: the engine's own deltas, in the training dtype
 
 ParamKey = Tuple[int, str]
+Deltas = Dict[ParamKey, LowRankDelta]
 
 
-@dataclass
-class AdapterParams:
-    """Mutable training view of the low-rank factors."""
-
-    a: Dict[ParamKey, np.ndarray]
-    b: Dict[ParamKey, np.ndarray]
-    rank: int
-    alpha: float
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
-    def keys(self):
-        return sorted(self.a)
-
-    @classmethod
-    def initialize(cls, config: ModelConfig, rank: int, alpha: float, seed: int,
-                   dtype=np.float32) -> "AdapterParams":
-        """Standard init: Gaussian A (std 0.02), zero B, so step 0 is
-        exactly the base model."""
-        rng = np.random.default_rng(seed)
-        a, b = {}, {}
-        for layer in range(config.n_layers):
-            for proj in PROJECTIONS:
-                a[(layer, proj)] = (0.02 * rng.standard_normal(
-                    (config.d_model, rank))).astype(dtype)
-                b[(layer, proj)] = np.zeros((rank, config.d_model), dtype=dtype)
-        return cls(a=a, b=b, rank=rank, alpha=alpha)
-
-    @classmethod
-    def from_spec(cls, spec: AdapterSpec, dtype=np.float32) -> "AdapterParams":
-        if not spec.deltas:
-            raise ConfigurationError("adapter spec carries no deltas")
-        first = next(iter(spec.deltas.values()))
-        a = {key: delta.a.astype(dtype) for key, delta in spec.deltas.items()}
-        b = {key: delta.b.astype(dtype) for key, delta in spec.deltas.items()}
-        return cls(a=a, b=b, rank=first.rank, alpha=first.alpha)
-
-    def to_spec(self, template: AdapterSpec) -> AdapterSpec:
-        deltas = {
-            key: LowRankDelta(a=self.a[key].astype(np.float32),
-                              b=self.b[key].astype(np.float32),
-                              rank=self.rank, alpha=self.alpha)
-            for key in self.a}
-        return AdapterSpec(adapter_id=template.adapter_id, mode=template.mode,
-                           deltas=deltas,
-                           invocation_sequence=template.invocation_sequence,
-                           max_new_tokens=template.max_new_tokens)
+def _cast(deltas: Deltas, dtype) -> Deltas:
+    """Copies of ``deltas`` with their factors in ``dtype``."""
+    return {key: LowRankDelta(a=d.a.astype(dtype), b=d.b.astype(dtype),
+                              rank=d.rank, alpha=d.alpha)
+            for key, d in deltas.items()}
 
 
 # ---------------------------------------------------------------------- #
@@ -211,19 +170,19 @@ def _batch_sum(g: np.ndarray) -> np.ndarray:
 
 
 def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
-                  config: ModelConfig, params: Optional[AdapterParams],
+                  config: ModelConfig, deltas: Optional[Deltas],
                   dropout: Optional[Dict[ParamKey, np.ndarray]] = None):
     """Forward over ``tokens``, (T,) or (B, T) with one t_invoke; returns
     (logits, tape) for the backward pass. Dropout masks are (..., rows
     from t_invoke, rank) per adapted projection."""
     tokens = np.asarray(tokens)
+    deltas = deltas or {}
     T = tokens.shape[-1]
     heads = tokens.shape + (config.n_heads, config.d_head)
     cos, sin = rope_tables(np.arange(T), config, weights.dtype)
     causal = np.tril(np.ones((T, T), dtype=bool))
     inv_sqrt = 1.0 / math.sqrt(config.d_head)
     x = weights.token_embedding[tokens]
-    scale = params.scale if params is not None else 0.0
     tape = {"cos": cos, "sin": sin, "layers": [], "t_invoke": t_invoke}
     for li, layer in enumerate(weights.layers):
         n1, root1 = rms_norm_row(x, layer.norm_attn)
@@ -231,12 +190,12 @@ def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
         projections = []
         for proj, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)):
             out = n1 @ w
-            key = (li, proj)
-            if params is not None and key in params.a and t_invoke < T:
-                u = n1[..., t_invoke:, :] @ params.a[key]
-                mask = dropout.get(key) if dropout else None
+            delta = deltas.get((li, proj))
+            if delta is not None and t_invoke < T:
+                u = n1[..., t_invoke:, :] @ delta.a
+                mask = dropout.get((li, proj)) if dropout else None
                 ud = u * mask if mask is not None else u
-                out[..., t_invoke:, :] += scale * (ud @ params.b[key])
+                out[..., t_invoke:, :] += delta.scale * (ud @ delta.b)
                 rec[f"ud_{proj}"] = ud
             projections.append(out)
         q, k, v = projections
@@ -261,17 +220,16 @@ def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
 
 
 def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
-              config: ModelConfig, params: AdapterParams,
+              config: ModelConfig, deltas: Deltas,
               dropout: Optional[Dict[ParamKey, np.ndarray]] = None):
     """Gradients of the loss w.r.t. every A and B factor, summed over the
     tape's examples; base weights frozen."""
     t_invoke = tape["t_invoke"]
     # the transpose of the rotation turns back by -angle
     cos, back = tape["cos"], -tape["sin"]
-    scale = params.scale
     inv_sqrt = 1.0 / math.sqrt(config.d_head)
-    grads_a = {k: np.zeros_like(v) for k, v in params.a.items()}
-    grads_b = {k: np.zeros_like(v) for k, v in params.b.items()}
+    grads_a = {k: np.zeros_like(d.a) for k, d in deltas.items()}
+    grads_b = {k: np.zeros_like(d.b) for k, d in deltas.items()}
 
     dnf = dlogits @ weights.unembedding.T
     dx = _rms_backward(dnf, tape["x_out"], tape["rootf"], weights.norm_final)
@@ -299,16 +257,17 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
             n1a_t = np.swapaxes(rec["n1"][..., t_invoke:, :], -1, -2)
             for proj, dproj in (("q", dq), ("k", dk), ("v", dvf)):
                 key = (li, proj)
-                if key not in params.a:
+                delta = deltas.get(key)
+                if delta is None:
                     continue
                 da = dproj[..., t_invoke:, :]
                 grads_b[key] += _batch_sum(
-                    scale * (np.swapaxes(rec[f"ud_{proj}"], -1, -2) @ da))
-                dud = scale * (da @ params.b[key].T)
+                    delta.scale * (np.swapaxes(rec[f"ud_{proj}"], -1, -2) @ da))
+                dud = delta.scale * (da @ delta.b.T)
                 mask = dropout.get(key) if dropout else None
                 du = dud * mask if mask is not None else dud
                 grads_a[key] += _batch_sum(n1a_t @ du)
-                dn1[..., t_invoke:, :] += du @ params.a[key].T
+                dn1[..., t_invoke:, :] += du @ delta.a.T
         dx = dx + _rms_backward(dn1, rec["x_in"], rec["root1"], layer.norm_attn)
     return grads_a, grads_b
 
@@ -318,26 +277,33 @@ def _first_adapted(example: SftExample, mode: str) -> int:
 
 
 def _batch_loss_and_grads(batch: Sequence[SftExample], weights: ModelWeights,
-                          config: ModelConfig, params: AdapterParams,
+                          config: ModelConfig, deltas: Deltas,
                           mode: str, masks=None):
     """Per-example losses, in batch order, and the A/B gradients summed
-    over the batch. Each example's dropout ``masks``, if given, are one
-    (n_keys, rows from the activation point, rank) array."""
+    over the batch. Each example's dropout mask, if ``masks`` is given, is
+    one array holding a (rows from the activation point, rank) block per
+    delta, in sorted key order, in C order."""
     groups: Dict[Tuple[int, int, int], List[int]] = {}
     for i, ex in enumerate(batch):
         shape = (len(ex.tokens), _first_adapted(ex, mode), ex.target_start)
         groups.setdefault(shape, []).append(i)
     losses = np.empty(len(batch))
-    grads_a = {k: np.zeros_like(v) for k, v in params.a.items()}
-    grads_b = {k: np.zeros_like(v) for k, v in params.b.items()}
+    grads_a = {k: np.zeros_like(d.a) for k, d in deltas.items()}
+    grads_b = {k: np.zeros_like(d.b) for k, d in deltas.items()}
     for (_, t_invoke, _), members in groups.items():
         group = [batch[i] for i in members]
-        dropout = None if masks is None else dict(zip(
-            params.keys(), np.stack([masks[i] for i in members], axis=1)))
+        dropout = None
+        if masks is not None:
+            flat = np.stack([masks[i] for i in members]).reshape(len(members), -1)
+            rows, at, dropout = len(group[0].tokens) - t_invoke, 0, {}
+            for key in sorted(deltas):
+                size = rows * deltas[key].rank
+                dropout[key] = flat[:, at:at + size].reshape(len(members), rows, -1)
+                at += size
         logits, tape = _forward_tape([ex.tokens for ex in group], t_invoke,
-                                     weights, config, params, dropout)
+                                     weights, config, deltas, dropout)
         losses[members], dlogits = _loss_and_grad_logits(logits, *group)
-        ga, gb = _backward(tape, dlogits, weights, config, params, dropout)
+        ga, gb = _backward(tape, dlogits, weights, config, deltas, dropout)
         for key in grads_a:
             grads_a[key] += ga[key]
             grads_b[key] += gb[key]
@@ -345,19 +311,18 @@ def _batch_loss_and_grads(batch: Sequence[SftExample], weights: ModelWeights,
 
 
 def example_loss(example: SftExample, weights: ModelWeights, config: ModelConfig,
-                 params: Optional[AdapterParams], mode: str = MODE_ALORA) -> float:
+                 deltas: Optional[Deltas], mode: str = MODE_ALORA) -> float:
     """Forward-only loss; the quantity the finite-difference oracle probes."""
     logits, _ = _forward_tape(example.tokens, _first_adapted(example, mode),
-                              weights, config, params)
+                              weights, config, deltas)
     return sft_loss(logits, example)
 
 
 def backward_adapter(example: SftExample, spec: AdapterSpec,
                      weights: ModelWeights, config: ModelConfig):
     """Exact reverse-mode gradients of sft_loss for every A and B factor."""
-    params = AdapterParams.from_spec(spec, dtype=weights.dtype)
-    _, grads_a, grads_b = _batch_loss_and_grads([example], weights, config,
-                                                params, spec.mode)
+    _, grads_a, grads_b = _batch_loss_and_grads(
+        [example], weights, config, _cast(spec.deltas, weights.dtype), spec.mode)
     return grads_a, grads_b
 
 
@@ -372,26 +337,27 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, params: AdapterParams, learning_rate: float):
+    """Adam over every A and B factor of ``deltas``, updated in place."""
+
+    def __init__(self, deltas: Deltas, learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m = {(which, k): np.zeros_like(t)
-                  for which, tensors in (("a", params.a), ("b", params.b))
-                  for k, t in tensors.items()}
+        self.m = {(which, k): np.zeros_like(getattr(d, which))
+                  for which in "ab" for k, d in deltas.items()}
         self.v = {slot: np.zeros_like(m) for slot, m in self.m.items()}
 
-    def step(self, params: AdapterParams, grads_a, grads_b):
+    def step(self, deltas: Deltas, grads_a, grads_b):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for which, tensors, grads in (("a", params.a, grads_a),
-                                      ("b", params.b, grads_b)):
+        for which, grads in (("a", grads_a), ("b", grads_b)):
             for key, g in grads.items():
                 slot = (which, key)
                 self.m[slot] = ADAM_BETA1 * self.m[slot] + (1 - ADAM_BETA1) * g
                 self.v[slot] = ADAM_BETA2 * self.v[slot] + (1 - ADAM_BETA2) * g * g
                 update = (self.m[slot] / bc1) / (np.sqrt(self.v[slot] / bc2) + ADAM_EPS)
-                tensors[key] -= self.learning_rate * update
+                factor = getattr(deltas[key], which)
+                factor -= self.learning_rate * update
 
 
 def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeights,
@@ -400,21 +366,26 @@ def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeight
     """Adam on the low-rank factors only; deterministic under the seed.
 
     ``spec`` is the adapter template (id, mode, invocation sequence). When it
-    already carries deltas, training continues from them; otherwise factors
-    are initialized fresh (Gaussian A, zero B) from the train config.
+    carries deltas, training continues from them, each keeping its rank and
+    alpha; otherwise they start from ``zero_adapter`` (Gaussian A, zero B)
+    under the train config. Returns ``spec`` with the trained deltas in f32.
     """
     if not dataset:
         raise ContractViolationError("training dataset is empty")
     dtype = train_config.dtype
     w = weights if weights.dtype == dtype else weights.astype(dtype)
     if spec.deltas:
-        params = AdapterParams.from_spec(spec, dtype=dtype)
+        deltas = _cast(spec.deltas, dtype)
     else:
-        params = AdapterParams.initialize(model_config, train_config.rank,
-                                          train_config.alpha, train_config.seed,
-                                          dtype=dtype)
+        deltas = zero_adapter(
+            model_config.d_model, model_config.n_layers, rank=train_config.rank,
+            alpha=train_config.alpha, mode=spec.mode, adapter_id=spec.adapter_id,
+            seed=train_config.seed, invocation_sequence=spec.invocation_sequence,
+            dtype=dtype).deltas
+    total_rank = sum(d.rank for d in deltas.values())
+    trained = lambda: replace(spec, deltas=_cast(deltas, np.float32))
     rng = np.random.default_rng(train_config.seed)
-    adam = _Adam(params, train_config.learning_rate)
+    adam = _Adam(deltas, train_config.learning_rate)
     engine = Engine(weights, model_config) if eval_dataset else None
     history: List[dict] = []
     rate = train_config.dropout_rate
@@ -424,31 +395,30 @@ def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeight
                  rng.integers(0, len(dataset), size=train_config.batch_size)]
         masks = None
         if rate > 0.0:
-            shapes = [(len(params.a), len(ex.tokens) - _first_adapted(ex, spec.mode),
-                       params.rank) for ex in batch]
-            masks = [(rng.random(shape) >= rate).astype(dtype) / dtype(1.0 - rate)
-                     for shape in shapes]
+            masks = [(rng.random(
+                (len(ex.tokens) - _first_adapted(ex, spec.mode)) * total_rank)
+                >= rate).astype(dtype) / dtype(1.0 - rate) for ex in batch]
         losses, grads_a, grads_b = _batch_loss_and_grads(
-            batch, w, model_config, params, spec.mode, masks)
+            batch, w, model_config, deltas, spec.mode, masks)
         # left to right in batch order
         total_loss = float(np.add.accumulate(losses)[-1])
         if not math.isfinite(total_loss):
             raise TrainingDivergedError(step)
-        adam.step(params, grads_a, grads_b)
+        adam.step(deltas, grads_a, grads_b)
         row = {"step": step, "loss": total_loss / train_config.batch_size,
                "eval_exact_match": None}
         if eval_dataset and (step % train_config.eval_every == 0
                              or step == train_config.steps):
             row["eval_exact_match"] = evaluate_exact_match(
-                engine, params.to_spec(spec), eval_dataset)
+                engine, trained(), eval_dataset)
         history.append(row)
 
     final = None
     if history and history[-1]["eval_exact_match"] is not None:
         final = history[-1]["eval_exact_match"]
     elif eval_dataset:
-        final = evaluate_exact_match(engine, params.to_spec(spec), eval_dataset)
-    return TrainResult(spec=params.to_spec(spec), history=history,
+        final = evaluate_exact_match(engine, trained(), eval_dataset)
+    return TrainResult(spec=trained(), history=history,
                        final_exact_match=final)
 
 

@@ -13,14 +13,14 @@ from alora import (BASE_POLICY, CostQuery, Engine, GenerationRequest,
                    ModelConfig, TrainConfig, predict_first_token,
                    random_adapter, random_weights, row_bytes, train)
 from alora.adapters import (MODE_ALORA, MODE_LORA, AdapterSpec, build_policy,
-                            find_invocation)
+                            find_invocation, zero_adapter)
 from alora.cache import CacheStore
 from alora.cli import main as cli_main
 from alora.costs import CostLedger
 from alora.model import forward_segment
 from alora.tasks import INVOCATION_SEQUENCE, TASK_COPY_KEY, make_synthetic_task
-from alora.trainer import AdapterParams, _backward, _forward_tape, \
-    _loss_and_grad_logits, example_loss
+from alora.trainer import _backward, _forward_tape, _loss_and_grad_logits, \
+    example_loss
 from alora.verify import (kv_equivalence_trial, oracle_equivalence_trial,
                           reduction_trial, zero_delta_trial)
 
@@ -158,11 +158,12 @@ def test_criterion_6_gradient_correctness():
     config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8,
                          vocab_size=32, max_positions=64)
     weights = random_weights(config, seed=6).astype(np.float64)
-    params = AdapterParams.initialize(config, rank=3, alpha=6.0, seed=7,
-                                      dtype=np.float64)
+    deltas = zero_adapter(config.d_model, config.n_layers, rank=3, alpha=6.0,
+                          mode=MODE_LORA, adapter_id="fd", seed=7,
+                          dtype=np.float64).deltas
     gen = np.random.default_rng(8)
-    for key in params.keys():
-        params.b[key] = 0.02 * gen.standard_normal(params.b[key].shape)
+    for key in sorted(deltas):
+        deltas[key].b = 0.02 * gen.standard_normal(deltas[key].b.shape)
     rng = np.random.default_rng(9)
     from alora.trainer import SftExample
     example = SftExample(
@@ -170,21 +171,21 @@ def test_criterion_6_gradient_correctness():
         invocation_tokens=(2, 3),
         target_tokens=tuple(rng.integers(8, 32, size=2).tolist()) + (0,))
     logits, tape = _forward_tape(example.tokens, example.t_invoke, weights,
-                                 config, params)
+                                 config, deltas)
     _, dlogits = _loss_and_grad_logits(logits, example)
-    grads_a, grads_b = _backward(tape, dlogits, weights, config, params)
+    grads_a, grads_b = _backward(tape, dlogits, weights, config, deltas)
 
     eps, worst, checked = 1e-5, 0.0, 0
-    for tensors, grads in ((params.a, grads_a), (params.b, grads_b)):
-        for key in params.keys():
-            flat = tensors[key].reshape(-1)
+    for which, grads in (("a", grads_a), ("b", grads_b)):
+        for key in sorted(deltas):
+            flat = getattr(deltas[key], which).reshape(-1)
             gflat = grads[key].reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                up = example_loss(example, weights, config, params)
+                up = example_loss(example, weights, config, deltas)
                 flat[idx] = orig - eps
-                down = example_loss(example, weights, config, params)
+                down = example_loss(example, weights, config, deltas)
                 flat[idx] = orig
                 fd = (up - down) / (2 * eps)
                 worst = max(worst, abs(fd - gflat[idx])

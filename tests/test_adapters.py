@@ -178,6 +178,19 @@ class TestAdapterFiles:
             assert np.array_equal(loaded.deltas[key].a, delta.a)
             assert np.array_equal(loaded.deltas[key].b, delta.b)
 
+    @pytest.mark.parametrize("rank,alpha", [(2, 64.0), (3, 4.0)])
+    def test_mixed_ranks_or_alphas_refused(self, tmp_path, rank, alpha):
+        # the header holds one rank and one alpha for every delta
+        spec = random_adapter(16, 2, rank=2, alpha=4.0, mode=MODE_LORA,
+                              adapter_id="m", seed=4)
+        gen = np.random.default_rng(5)
+        spec.deltas[(1, "v")] = LowRankDelta(
+            a=gen.standard_normal((16, rank)).astype(np.float32),
+            b=gen.standard_normal((rank, 16)).astype(np.float32),
+            rank=rank, alpha=alpha)
+        with pytest.raises(ConfigurationError, match="mixes ranks or alphas"):
+            save_adapter(spec, tmp_path / "mixed.alad")
+
     def test_truncated_file_rejected(self, tmp_path):
         spec = random_adapter(16, 1, rank=2, alpha=8.0, mode=MODE_LORA,
                               adapter_id="x", seed=1)

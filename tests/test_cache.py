@@ -59,6 +59,15 @@ class TestAppend:
             cache.integrity_check()
 
 
+class TestRead:
+    def test_negative_count_rejected(self, config):
+        cache = CacheStore(config)
+        fill(cache, 40)
+        for read in (cache.k_matrix, cache.v_matrix):
+            with pytest.raises(ContractViolationError):
+                read(0, -1)
+
+
 class TestFork:
     def test_fork_full_then_extend(self, config, rng):
         parent = CacheStore(config)
@@ -128,6 +137,13 @@ class TestFork:
         fill(parent, 1)  # unsealed tail
         with pytest.raises(ContractViolationError):
             parent.fork_shared(4)
+
+    def test_negative_fork_rejected(self, config):
+        parent = CacheStore(config)
+        fill(parent, 40)
+        parent.seal()
+        with pytest.raises(ContractViolationError):
+            parent.fork_shared(-1)
 
     def test_sealed_prefix_rows_immutable_after_fork(self, config, rng):
         parent = CacheStore(config)

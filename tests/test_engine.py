@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from alora import (BASE, Engine, GenerationRequest, ModelConfig, Provenance,
+from alora import (BASE, Engine, GenerationRequest, ModelConfig,
                    random_adapter, random_weights, row_bytes)
 from alora import engine as engine_module
 from alora.cache import BLOCK_ROWS
@@ -82,6 +82,20 @@ class TestPrefill:
             tiny_engine.generate(GenerationRequest(
                 prompt_tokens=prompt, min_new_tokens=min_new,
                 max_new_tokens=max_new))
+
+    def test_prefill_beyond_positions_refused_before_forward(
+            self, tiny_engine, rng, monkeypatch):
+        prompt = rng.integers(8, 32, size=129).tolist()
+        # a prompt that fits exactly prefills; it generates no token
+        assert tiny_engine.prefill(GenerationRequest(
+            prompt_tokens=prompt[:128])).length == 128
+
+        def no_prefill(*args, **kwargs):
+            raise AssertionError("prefill ran")
+
+        monkeypatch.setattr(engine_module, "forward_segment", no_prefill)
+        with pytest.raises(ConfigurationError, match="exceed max_positions 128"):
+            tiny_engine.prefill(GenerationRequest(prompt_tokens=prompt))
 
     def test_request_that_fits_exactly_runs(self, tiny_engine, rng):
         res = tiny_engine.generate(GenerationRequest(
@@ -332,11 +346,11 @@ class TestInvokeIntrinsic:
 class TestLoraInvoke:
     def test_prefill_recomputes_every_position(self, toy_engine, rng):
         full = rng.integers(8, 256, size=20).tolist()
-        res = toy_engine.lora_invoke(full, _lora_spec(toy_engine.config),
-                                     max_new_tokens=0)
+        spec = _lora_spec(toy_engine.config)
+        res = toy_engine.lora_invoke(full, spec, max_new_tokens=0)
         assert res.cost.rows_projected_fresh == 20
         assert res.cost.rows_reused == 0
-        assert all(p == Provenance("l") for p in res.cache.provenance)
+        assert all(p == spec.provenance for p in res.cache.provenance)
 
     def test_requests_by_one_spec_share_one_provenance_object(self, toy_engine,
                                                              rng):
@@ -535,7 +549,29 @@ class TestResumeBase:
             if position < res.t_invoke:
                 assert provenance == BASE
             else:
-                assert provenance == Provenance("mine")
+                assert provenance == spec.provenance
+
+    def test_specs_sharing_an_id_share_no_rows(self, toy_engine, rng):
+        # Two adapters named "x": the second may reuse the base rows of the
+        # first one's cache, never the rows the first one produced.
+        config = toy_engine.config
+        first = _alora_spec(config, seed=1, adapter_id="x")
+        second = _alora_spec(config, seed=2, adapter_id="x")
+        base_cache = toy_engine.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=44).tolist()))
+        res = toy_engine.invoke_intrinsic(base_cache, [2, 3], first,
+                                          max_new_tokens=8, min_new_tokens=8)
+        assert res.t_invoke == 45 and res.cache.length == 54
+        reused = toy_engine.invoke_intrinsic(res.cache, [9], second,
+                                             max_new_tokens=4, min_new_tokens=4)
+        scratch = toy_engine.generate(GenerationRequest(
+            prompt_tokens=res.cache.token_ids + [9], adapter=second,
+            min_new_tokens=4, max_new_tokens=4))
+        assert reused.t_invoke == scratch.t_invoke == 45
+        assert reused.cost.rows_reused == 45
+        assert reused.new_tokens == scratch.new_tokens
+        for a, b in zip(reused.logits_trace, scratch.logits_trace):
+            assert np.array_equal(a, b)
 
 
 class TestAdapterFit:

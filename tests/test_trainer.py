@@ -10,13 +10,14 @@ from alora import (BASE_POLICY, AdapterSpec, CacheStore, ModelConfig,
                    forward_segment, make_synthetic_task, random_adapter,
                    random_weights, read_dataset, sft_loss, train,
                    write_dataset)
-from alora.adapters import MODE_ALORA, MODE_LORA, ActivationPoint
+from alora.adapters import (MODE_ALORA, MODE_LORA, ActivationPoint,
+                            LowRankDelta, zero_adapter)
 from alora import trainer as trainer_module
 from alora.errors import ContractViolationError, TrainingDivergedError
 from alora.model import GELU_C, GELU_K
 from alora.tasks import (EOS_ID, INVOCATION_SEQUENCE, MARKER_ID, NO_ID,
                          TASK_CLASSIFY_MARKER, TASK_COPY_KEY, YES_ID)
-from alora.trainer import (AdapterParams, _backward, _batch_loss_and_grads,
+from alora.trainer import (_backward, _batch_loss_and_grads, _cast,
                            _forward_tape, _loss_and_grad_logits, example_loss)
 
 
@@ -41,6 +42,29 @@ def small_example(rng, n_ctx=6, n_target=2, vocab=32):
 
 def template_spec():
     return AdapterSpec(adapter_id="t", mode=MODE_ALORA, deltas={},
+                       invocation_sequence=INVOCATION_SEQUENCE)
+
+
+def zero_spec(config, rank, alpha, seed, dtype=np.float32):
+    """The trainer's fresh start: Gaussian A, zero B."""
+    return zero_adapter(config.d_model, config.n_layers, rank=rank,
+                        alpha=alpha, mode=MODE_ALORA, adapter_id="t",
+                        seed=seed, invocation_sequence=INVOCATION_SEQUENCE,
+                        dtype=dtype)
+
+
+def mixed_spec(config):
+    """Deltas whose ranks and alphas differ from one projection to the next."""
+    gen = np.random.default_rng(21)
+    deltas = {}
+    for i, key in enumerate((layer, proj) for layer in range(config.n_layers)
+                            for proj in ("q", "k", "v")):
+        rank, alpha = (2, 4.0) if i % 2 else (3, 64.0)
+        deltas[key] = LowRankDelta(
+            a=(0.3 * gen.standard_normal((config.d_model, rank))).astype(np.float32),
+            b=(0.3 * gen.standard_normal((rank, config.d_model))).astype(np.float32),
+            rank=rank, alpha=alpha)
+    return AdapterSpec(adapter_id="mixed", mode=MODE_ALORA, deltas=deltas,
                        invocation_sequence=INVOCATION_SEQUENCE)
 
 
@@ -79,9 +103,9 @@ class TestSftLoss:
 
     def test_loss_ignores_non_target_rows(self, rng, grad_config, grad_weights):
         ex = small_example(rng)
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0, seed=0)
+        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=0).deltas
         logits, _ = _forward_tape(ex.tokens, ex.t_invoke, grad_weights,
-                                  grad_config, params)
+                                  grad_config, deltas)
         base = sft_loss(logits, ex)
         perturbed = logits.copy()
         perturbed[:ex.target_start - 1] += rng.standard_normal(
@@ -92,26 +116,25 @@ class TestSftLoss:
 class TestBackward:
     def test_zero_b_gives_zero_a_gradient(self, rng, grad_config, grad_weights):
         ex = small_example(rng)
-        params = AdapterParams.initialize(grad_config, rank=3, alpha=6.0, seed=1)
-        spec = params.to_spec(template_spec())
+        spec = zero_spec(grad_config, rank=3, alpha=6.0, seed=1)
         grads_a, grads_b = backward_adapter(ex, spec, grad_weights, grad_config)
-        for key in params.keys():
+        for key in sorted(spec.deltas):
             assert np.all(grads_a[key] == 0.0)
         assert any(np.abs(g).max() > 0 for g in grads_b.values())
 
     def test_duplicate_example_doubles_batch_gradient(self, rng, grad_config,
                                                       grad_weights):
         ex = small_example(rng)
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0, seed=2)
-        for key in params.keys():
-            params.b[key] = (0.05 * np.random.default_rng(3).standard_normal(
-                params.b[key].shape)).astype(np.float32)
+        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=2).deltas
+        for key in sorted(deltas):
+            deltas[key].b = (0.05 * np.random.default_rng(3).standard_normal(
+                deltas[key].b.shape)).astype(np.float32)
         loss1, ga1, gb1 = _batch_loss_and_grads([ex], grad_weights, grad_config,
-                                                params, MODE_ALORA)
+                                                deltas, MODE_ALORA)
         loss2, ga2, gb2 = _batch_loss_and_grads([ex, ex], grad_weights,
-                                                grad_config, params, MODE_ALORA)
+                                                grad_config, deltas, MODE_ALORA)
         assert loss2.tolist() == [loss1[0], loss1[0]]
-        for key in params.keys():
+        for key in sorted(deltas):
             assert np.abs(ga1[key]).max() > 0 and np.abs(gb1[key]).max() > 0
             assert np.array_equal(ga2[key], 2.0 * ga1[key])
             assert np.array_equal(gb2[key], 2.0 * gb1[key])
@@ -123,11 +146,11 @@ class TestBackward:
         # run in another order than the sum over single examples, so the
         # two agree to rounding; the bound is fixed by the dtype.
         weights = random_weights(grad_config, seed=5).astype(np.float64)
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0,
-                                          seed=4, dtype=np.float64)
+        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
+                           dtype=np.float64).deltas
         gen = np.random.default_rng(6)
-        for key in params.keys():
-            params.b[key] = 0.05 * gen.standard_normal(params.b[key].shape)
+        for key in sorted(deltas):
+            deltas[key].b = 0.05 * gen.standard_normal(deltas[key].b.shape)
         batch = [SftExample(context_tokens=tuple(gen.integers(8, 32, size=n_ctx)),
                             invocation_tokens=invocation,
                             target_tokens=tuple(gen.integers(8, 32, size=2)) + (0,))
@@ -135,19 +158,19 @@ class TestBackward:
                                            (7, (2, 3)), (4, (2, 3)), (7, (2,)))]
         assert len({(len(ex.tokens), ex.t_invoke) for ex in batch}) == 4
         # a dropout mask per example, which must follow its example
-        masks = [(gen.random((len(params.a), len(ex.tokens) - first, 2)) >= 0.3)
+        masks = [(gen.random((len(deltas), len(ex.tokens) - first, 2)) >= 0.3)
                  / 0.7 for ex in batch
                  for first in [ex.t_invoke if mode == MODE_ALORA else 0]]
         losses, grads_a, grads_b = _batch_loss_and_grads(
-            batch, weights, grad_config, params, mode, masks)
-        singles = [_batch_loss_and_grads([ex], weights, grad_config, params,
+            batch, weights, grad_config, deltas, mode, masks)
+        singles = [_batch_loss_and_grads([ex], weights, grad_config, deltas,
                                          mode, [mask])
                    for ex, mask in zip(batch, masks)]
         tol = 2 * len(batch) * np.finfo(np.float64).eps
         single_losses = np.concatenate([loss for loss, _, _ in singles])
         assert np.abs(losses - single_losses).max() <= tol * single_losses.max()
         for which, grads in ((1, grads_a), (2, grads_b)):
-            for key in params.keys():
+            for key in sorted(deltas):
                 parts = np.stack([single[which][key] for single in singles])
                 assert np.abs(parts).max() > 0
                 bound = tol * np.abs(parts).sum(axis=0)
@@ -155,29 +178,29 @@ class TestBackward:
 
     def test_finite_differences_f64(self, rng, grad_config):
         weights = random_weights(grad_config, seed=5).astype(np.float64)
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0,
-                                          seed=4, dtype=np.float64)
+        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
+                           dtype=np.float64).deltas
         gen = np.random.default_rng(6)
-        for key in params.keys():
-            params.b[key] = 0.02 * gen.standard_normal(params.b[key].shape)
+        for key in sorted(deltas):
+            deltas[key].b = 0.02 * gen.standard_normal(deltas[key].b.shape)
         ex = small_example(rng, n_ctx=5, n_target=2)
         logits, tape = _forward_tape(ex.tokens, ex.t_invoke, weights,
-                                     grad_config, params)
+                                     grad_config, deltas)
         _, dlogits = _loss_and_grad_logits(logits, ex)
-        grads_a, grads_b = _backward(tape, dlogits, weights, grad_config, params)
+        grads_a, grads_b = _backward(tape, dlogits, weights, grad_config, deltas)
 
         eps = 1e-5
         worst = 0.0
-        for tensors, grads in ((params.a, grads_a), (params.b, grads_b)):
-            for key in params.keys():
-                tensor = tensors[key]
+        for which, grads in (("a", grads_a), ("b", grads_b)):
+            for key in sorted(deltas):
+                tensor = getattr(deltas[key], which)
                 flat = tensor.reshape(-1)
                 for idx in range(0, flat.size, 7):  # probe a spread of entries
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    up = example_loss(ex, weights, grad_config, params)
+                    up = example_loss(ex, weights, grad_config, deltas)
                     flat[idx] = orig - eps
-                    down = example_loss(ex, weights, grad_config, params)
+                    down = example_loss(ex, weights, grad_config, deltas)
                     flat[idx] = orig
                     fd = (up - down) / (2 * eps)
                     bp = grads.get(key).reshape(-1)[idx]
@@ -189,21 +212,21 @@ class TestBackward:
         # a fixed dropout mask makes the loss a deterministic function of
         # the factors, so its gradients take the same check
         weights = random_weights(grad_config, seed=5).astype(np.float64)
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0,
-                                          seed=4, dtype=np.float64)
+        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
+                           dtype=np.float64).deltas
         gen = np.random.default_rng(7)
-        for key in params.keys():
-            params.b[key] = 0.02 * gen.standard_normal(params.b[key].shape)
+        for key in sorted(deltas):
+            deltas[key].b = 0.02 * gen.standard_normal(deltas[key].b.shape)
         ex = small_example(rng, n_ctx=5, n_target=2)
-        mask = [(gen.random((len(params.a), len(ex.tokens) - ex.t_invoke, 2))
+        mask = [(gen.random((len(deltas), len(ex.tokens) - ex.t_invoke, 2))
                  >= 0.5) / 0.5]
-        step = lambda: _batch_loss_and_grads([ex], weights, grad_config, params,
+        step = lambda: _batch_loss_and_grads([ex], weights, grad_config, deltas,
                                              MODE_ALORA, mask)
         _, grads_a, grads_b = step()
         eps, worst = 1e-5, 0.0
-        for tensors, grads in ((params.a, grads_a), (params.b, grads_b)):
-            for key in params.keys():
-                flat = tensors[key].reshape(-1)
+        for which, grads in (("a", grads_a), ("b", grads_b)):
+            for key in sorted(deltas):
+                flat = getattr(deltas[key], which).reshape(-1)
                 for idx in range(0, flat.size, 5):
                     orig = flat[idx]
                     flat[idx] = orig + eps
@@ -228,12 +251,12 @@ class TestForwardTape:
                               alpha=4.0, mode=MODE_ALORA, adapter_id="t",
                               seed=12, invocation_sequence=(2, 3), std=0.3)
         ex = small_example(rng)
-        for params, policy in (
+        for deltas, policy in (
                 (None, BASE_POLICY),
-                (AdapterParams.from_spec(spec, dtype=np.float64),
+                (_cast(spec.deltas, np.float64),
                  build_policy(spec, ActivationPoint(ex.t_invoke)))):
             tape_logits, _ = _forward_tape(ex.tokens, ex.t_invoke, weights,
-                                           grad_config, params)
+                                           grad_config, deltas)
             cache = CacheStore(grad_config, dtype=np.float64)
             engine_logits = np.stack([
                 forward_segment([token], i, weights, grad_config, policy, cache)
@@ -245,11 +268,26 @@ class TestForwardTape:
             ex.tokens, ex.t_invoke, weights, grad_config, None)[0]).max() \
             > 1e6 * tol * scale
 
+    def test_mixed_ranks_and_alphas_match_engine_f64(self, rng, grad_config):
+        # each delta is scaled by its own alpha / rank, as in the engine
+        tol = 1e3 * np.finfo(np.float64).eps
+        weights = random_weights(grad_config, seed=5).astype(np.float64)
+        spec = mixed_spec(grad_config)
+        ex = small_example(rng)
+        tape_logits, _ = _forward_tape(ex.tokens, ex.t_invoke, weights,
+                                       grad_config, _cast(spec.deltas, np.float64))
+        policy = build_policy(spec, ActivationPoint(ex.t_invoke))
+        cache = CacheStore(grad_config, dtype=np.float64)
+        engine_logits = np.stack([
+            forward_segment([token], i, weights, grad_config, policy, cache)
+            for i, token in enumerate(ex.tokens)])
+        scale = np.abs(engine_logits).max()
+        assert np.abs(tape_logits - engine_logits).max() <= tol * scale
+
 
 class TestTrainLoop:
     def test_zero_steps_leaves_adapter_unchanged(self, grad_config, grad_weights):
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0, seed=7)
-        spec = params.to_spec(template_spec())
+        spec = zero_spec(grad_config, rank=2, alpha=4.0, seed=7)
         data = make_synthetic_task(TASK_COPY_KEY, 8, seed=0, vocab_size=32,
                                    n_distractors=1, n_values=2)
         result = train(data, spec, grad_weights, grad_config,
@@ -257,6 +295,25 @@ class TestTrainLoop:
         for key, delta in spec.deltas.items():
             assert np.array_equal(result.spec.deltas[key].a, delta.a)
             assert np.array_equal(result.spec.deltas[key].b, delta.b)
+
+    def test_mixed_ranks_and_alphas_kept_and_trained(self, grad_config,
+                                                     grad_weights):
+        spec = mixed_spec(grad_config)
+        data = make_synthetic_task(TASK_COPY_KEY, 8, seed=0, vocab_size=32,
+                                   n_distractors=1, n_values=2)
+        unchanged = train(data, spec, grad_weights, grad_config,
+                          TrainConfig(steps=0)).spec
+        trained = train(data, spec, grad_weights, grad_config,
+                        TrainConfig(steps=3, batch_size=4, dropout_rate=0.1,
+                                    seed=3))
+        assert all(math.isfinite(row["loss"]) for row in trained.history)
+        for key, delta in spec.deltas.items():
+            same, moved = unchanged.deltas[key], trained.spec.deltas[key]
+            assert (same.rank, same.alpha) == (delta.rank, delta.alpha)
+            assert np.array_equal(same.a, delta.a)
+            assert np.array_equal(same.b, delta.b)
+            assert (moved.rank, moved.alpha) == (delta.rank, delta.alpha)
+            assert not np.array_equal(moved.b, delta.b)
 
     def test_base_weights_frozen(self, grad_config, grad_weights):
         snapshot = grad_weights.token_embedding.copy()
@@ -342,13 +399,13 @@ class TestTrainLoop:
         # training forward with adapted weights must keep pre-activation K/V
         # rows identical to the same forward under no adapter
         ex = small_example(rng)
-        params = AdapterParams.initialize(grad_config, rank=2, alpha=4.0, seed=9)
+        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=9).deltas
         gen = np.random.default_rng(10)
-        for key in params.keys():
-            params.b[key] = (0.1 * gen.standard_normal(
-                params.b[key].shape)).astype(np.float32)
+        for key in sorted(deltas):
+            deltas[key].b = (0.1 * gen.standard_normal(
+                deltas[key].b.shape)).astype(np.float32)
         _, tape_adapted = _forward_tape(ex.tokens, ex.t_invoke, grad_weights,
-                                        grad_config, params)
+                                        grad_config, deltas)
         _, tape_base = _forward_tape(ex.tokens, ex.t_invoke, grad_weights,
                                      grad_config, None)
         t = ex.t_invoke
