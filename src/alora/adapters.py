@@ -15,9 +15,10 @@ sequence, so the first invocation token itself is still base-projected.
 from __future__ import annotations
 
 import operator
+import types
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ MODE_ALORA = "alora"
 PROJECTIONS = ("q", "k", "v")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowRankDelta:
     """Rank-r additive correction: effective delta is (alpha/r) * A @ B."""
 
@@ -65,6 +66,18 @@ class LowRankDelta:
         return self.alpha / self.rank
 
 
+def _read_only(delta: LowRankDelta) -> LowRankDelta:
+    """``delta`` with read-only copies of its factors. Its checks passed
+    for these values already and are not run again: they cost more than
+    the copies."""
+    a, b = delta.a.copy(), delta.b.copy()
+    a.setflags(write=False)
+    b.setflags(write=False)
+    frozen = object.__new__(type(delta))
+    frozen.__dict__.update(delta.__dict__, a=a, b=b)
+    return frozen
+
+
 def delta_apply(x_row: np.ndarray, xw: np.ndarray, delta: LowRankDelta) -> np.ndarray:
     """``xw`` (x @ W, already computed) + (alpha/r) * ((x @ A) @ B), low-rank
     first; A@B never materialized."""
@@ -88,13 +101,20 @@ def as_token_ids(tokens) -> list:
             f"token ids must be integers: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterSpec:
-    """An adapter: per-layer per-projection deltas plus invocation metadata."""
+    """An adapter: per-layer per-projection deltas plus invocation metadata.
+
+    A spec cannot change once built. It keeps read-only copies of the
+    factors in a read-only mapping, so the cache rows it has produced,
+    which its ``provenance`` vouches for, stay valid for it; a changed
+    adapter is a new spec (``dataclasses.replace``) with a provenance of
+    its own.
+    """
 
     adapter_id: str
     mode: str
-    deltas: Dict[Tuple[int, str], LowRankDelta]
+    deltas: Mapping[Tuple[int, str], LowRankDelta]
     invocation_sequence: Optional[Tuple[int, ...]] = None
     max_new_tokens: int = 16
 
@@ -105,12 +125,16 @@ class AdapterSpec:
             if not self.invocation_sequence:
                 raise ConfigurationError(
                     "alora adapters require a non-empty invocation sequence")
-            self.invocation_sequence = tuple(as_token_ids(self.invocation_sequence))
-        for (layer, proj) in self.deltas:
+            object.__setattr__(self, "invocation_sequence",
+                               tuple(as_token_ids(self.invocation_sequence)))
+        deltas = {}
+        for (layer, proj), delta in self.deltas.items():
             if proj not in PROJECTIONS:
                 raise ConfigurationError(f"unknown projection target {proj!r}")
             if layer < 0:
                 raise ConfigurationError(f"negative layer index {layer}")
+            deltas[(layer, proj)] = _read_only(delta)
+        object.__setattr__(self, "deltas", types.MappingProxyType(deltas))
 
     @cached_property
     def provenance(self) -> Provenance:

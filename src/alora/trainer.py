@@ -19,6 +19,11 @@ verification; real runs default to f32.
 The forward tape runs the engine's own primitives from model.py (RMS norm,
 GELU, rotary tables and rotation) on whole sequences; only the masked
 attention and the backward helpers live here.
+
+The backward runs only the rows from the activation point on (all rows for
+a classic adapter). That is exact: a row before the activation point is
+made from base weights and earlier tokens alone, so no gradient to an A or
+B factor passes through it, and such a row's loss term has none either.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ class SftExample:
             object.__setattr__(self, name, tuple(as_token_ids(getattr(self, name))))
         if not self.invocation_tokens:
             raise ConfigurationError("examples need a non-empty invocation")
+        if not self.target_tokens:
+            raise ContractViolationError("example has an empty target")
 
     @property
     def tokens(self) -> List[int]:
@@ -80,6 +87,16 @@ class TrainConfig:
     eval_every: int = 250
 
     def __post_init__(self):
+        for name, least in (("steps", 0), ("batch_size", 1), ("rank", 1),
+                            ("eval_every", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(
+                    f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("learning_rate", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError("dropout_rate must be in [0, 1)")
         if self.precision not in ("f32", "f64"):
@@ -113,8 +130,6 @@ def sft_loss(logits: np.ndarray, example: SftExample) -> float:
     if logits.shape[0] < n:
         raise ContractViolationError(
             f"logits cover {logits.shape[0]} rows, example has {n} tokens")
-    if not example.target_tokens:
-        raise ContractViolationError("example has an empty target")
     return float(_loss_and_grad_logits(logits[:n], example)[0])
 
 
@@ -223,52 +238,60 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
               config: ModelConfig, deltas: Deltas,
               dropout: Optional[Dict[ParamKey, np.ndarray]] = None):
     """Gradients of the loss w.r.t. every A and B factor, summed over the
-    tape's examples; base weights frozen."""
-    t_invoke = tape["t_invoke"]
+    tape's examples; base weights frozen.
+
+    Only rows from the activation point t0 on are run back (see the module
+    docstring). Query rows t0 on keep all their keys; key rows t0 on get
+    dk and dv from those query rows alone, as probs[i, j] is 0 for j > i."""
+    t0 = tape["t_invoke"]
+    rows = (Ellipsis, slice(t0, None), slice(None))
     # the transpose of the rotation turns back by -angle
-    cos, back = tape["cos"], -tape["sin"]
+    cos, back = tape["cos"][t0:], -tape["sin"][t0:]
     inv_sqrt = 1.0 / math.sqrt(config.d_head)
     grads_a = {k: np.zeros_like(d.a) for k, d in deltas.items()}
     grads_b = {k: np.zeros_like(d.b) for k, d in deltas.items()}
 
-    dnf = dlogits @ weights.unembedding.T
-    dx = _rms_backward(dnf, tape["x_out"], tape["rootf"], weights.norm_final)
+    dnf = dlogits[rows] @ weights.unembedding.T
+    dx = _rms_backward(dnf, tape["x_out"][rows], tape["rootf"][rows],
+                       weights.norm_final)
     for li in range(config.n_layers - 1, -1, -1):
         layer = weights.layers[li]
         rec = tape["layers"][li]
-        # MLP block (residual): x_out = x_mid + gelu(n2 @ up) @ down
-        dg = dx @ layer.mlp_down.T
-        duff = dg * _gelu_grad(rec["uff"], rec["tanh"])
+        # MLP block (residual): x_out = x_mid + gelu(n2 @ up) @ down; a
+        # C-ordered down.T gives each row the bits it gets among all T rows
+        dg = dx @ np.ascontiguousarray(layer.mlp_down.T)
+        duff = dg * _gelu_grad(rec["uff"][rows], rec["tanh"][rows])
         dn2 = duff @ layer.mlp_up.T
-        dx = dx + _rms_backward(dn2, rec["x_mid"], rec["root2"], layer.norm_mlp)
+        dx = dx + _rms_backward(dn2, rec["x_mid"][rows], rec["root2"][rows],
+                                layer.norm_mlp)
         # attention block (residual): x_mid = x_in + mix @ w_o
-        dmix = _heads((dx @ layer.w_o.T).reshape(rec["qr"].shape))
-        p, qh, kh, vh = rec["probs"], _heads(rec["qr"]), _heads(rec["kr"]), _heads(rec["v"])
+        q = rec["qr"][..., t0:, :, :]
+        dmix = _heads((dx @ layer.w_o.T).reshape(q.shape))
+        p, qh, kh, vh = rec["probs"][rows], _heads(q), _heads(rec["kr"]), _heads(rec["v"])
         dp = dmix @ np.swapaxes(vh, -1, -2)
-        dv = np.swapaxes(p, -1, -2) @ dmix
+        dv = np.swapaxes(p[..., t0:], -1, -2) @ dmix
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
         dqr = (ds @ kh) * inv_sqrt
-        dkr = (np.swapaxes(ds, -1, -2) @ qh) * inv_sqrt
+        dkr = (np.swapaxes(ds[..., t0:], -1, -2) @ qh) * inv_sqrt
         dq = rope_rotate_heads(_heads(dqr).reshape(dx.shape), cos, back)
         dk = rope_rotate_heads(_heads(dkr).reshape(dx.shape), cos, back)
         dvf = _heads(dv).reshape(dx.shape)
         dn1 = dq @ layer.w_q.T + dk @ layer.w_k.T + dvf @ layer.w_v.T
-        if t_invoke < dx.shape[-2]:
-            n1a_t = np.swapaxes(rec["n1"][..., t_invoke:, :], -1, -2)
-            for proj, dproj in (("q", dq), ("k", dk), ("v", dvf)):
-                key = (li, proj)
-                delta = deltas.get(key)
-                if delta is None:
-                    continue
-                da = dproj[..., t_invoke:, :]
-                grads_b[key] += _batch_sum(
-                    delta.scale * (np.swapaxes(rec[f"ud_{proj}"], -1, -2) @ da))
-                dud = delta.scale * (da @ delta.b.T)
-                mask = dropout.get(key) if dropout else None
-                du = dud * mask if mask is not None else dud
-                grads_a[key] += _batch_sum(n1a_t @ du)
-                dn1[..., t_invoke:, :] += du @ delta.a.T
-        dx = dx + _rms_backward(dn1, rec["x_in"], rec["root1"], layer.norm_attn)
+        n1_t = np.swapaxes(rec["n1"][rows], -1, -2)
+        for proj, dproj in (("q", dq), ("k", dk), ("v", dvf)):
+            key = (li, proj)
+            delta = deltas.get(key)
+            if delta is None:
+                continue
+            grads_b[key] += _batch_sum(
+                delta.scale * (np.swapaxes(rec[f"ud_{proj}"], -1, -2) @ dproj))
+            dud = delta.scale * (dproj @ delta.b.T)
+            mask = dropout.get(key) if dropout else None
+            du = dud * mask if mask is not None else dud
+            grads_a[key] += _batch_sum(n1_t @ du)
+            dn1 += du @ delta.a.T
+        dx = dx + _rms_backward(dn1, rec["x_in"][rows], rec["root1"][rows],
+                                layer.norm_attn)
     return grads_a, grads_b
 
 
@@ -372,16 +395,15 @@ def train(dataset: Sequence[SftExample], spec: AdapterSpec, weights: ModelWeight
     """
     if not dataset:
         raise ContractViolationError("training dataset is empty")
+    spec.check_fits(model_config)
     dtype = train_config.dtype
     w = weights if weights.dtype == dtype else weights.astype(dtype)
-    if spec.deltas:
-        deltas = _cast(spec.deltas, dtype)
-    else:
-        deltas = zero_adapter(
-            model_config.d_model, model_config.n_layers, rank=train_config.rank,
-            alpha=train_config.alpha, mode=spec.mode, adapter_id=spec.adapter_id,
-            seed=train_config.seed, invocation_sequence=spec.invocation_sequence,
-            dtype=dtype).deltas
+    # writable copies: Adam updates them in place
+    deltas = _cast(spec.deltas or zero_adapter(
+        model_config.d_model, model_config.n_layers, rank=train_config.rank,
+        alpha=train_config.alpha, mode=spec.mode, adapter_id=spec.adapter_id,
+        seed=train_config.seed, invocation_sequence=spec.invocation_sequence,
+        dtype=dtype).deltas, dtype)
     total_rank = sum(d.rank for d in deltas.values())
     trained = lambda: replace(spec, deltas=_cast(deltas, np.float32))
     rng = np.random.default_rng(train_config.seed)

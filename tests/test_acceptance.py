@@ -6,6 +6,8 @@ are exact (bitwise), cost checks are exact integer equalities, the gradient
 check is <= 1e-4 relative in f64, and trainability is >= 0.95 exact match.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ from alora.cli import main as cli_main
 from alora.costs import CostLedger
 from alora.model import forward_segment
 from alora.tasks import INVOCATION_SEQUENCE, TASK_COPY_KEY, make_synthetic_task
-from alora.trainer import _backward, _forward_tape, _loss_and_grad_logits, \
-    example_loss
+from alora.trainer import _backward, _cast, _forward_tape, \
+    _loss_and_grad_logits, example_loss
 from alora.verify import (kv_equivalence_trial, oracle_equivalence_trial,
                           reduction_trial, zero_delta_trial)
 
@@ -158,12 +160,14 @@ def test_criterion_6_gradient_correctness():
     config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8,
                          vocab_size=32, max_positions=64)
     weights = random_weights(config, seed=6).astype(np.float64)
-    deltas = zero_adapter(config.d_model, config.n_layers, rank=3, alpha=6.0,
-                          mode=MODE_LORA, adapter_id="fd", seed=7,
-                          dtype=np.float64).deltas
+    # writable copies, as the probes below perturb factors in place
+    deltas = _cast(zero_adapter(config.d_model, config.n_layers, rank=3,
+                                alpha=6.0, mode=MODE_LORA, adapter_id="fd",
+                                seed=7, dtype=np.float64).deltas, np.float64)
     gen = np.random.default_rng(8)
     for key in sorted(deltas):
-        deltas[key].b = 0.02 * gen.standard_normal(deltas[key].b.shape)
+        deltas[key] = replace(
+            deltas[key], b=0.02 * gen.standard_normal(deltas[key].b.shape))
     rng = np.random.default_rng(9)
     from alora.trainer import SftExample
     example = SftExample(

@@ -1,5 +1,7 @@
 """Adapters: delta math, invocation location, policies, file round-trips."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,33 @@ class TestFindInvocation:
                 find_invocation(tokens, spec)
 
 
+class TestFrozenSpec:
+    def test_factors_and_deltas_cannot_change(self):
+        spec = random_adapter(16, 1, rank=2, alpha=4.0, mode=MODE_LORA,
+                              adapter_id="f", seed=1)
+        delta = spec.deltas[(0, "q")]
+        with pytest.raises(ValueError, match="read-only"):
+            delta.b[...] *= 3
+        with pytest.raises(ValueError, match="read-only"):
+            delta.a[0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            delta.b = np.zeros_like(delta.b)
+        with pytest.raises(TypeError):
+            spec.deltas[(0, "q")] = delta
+        with pytest.raises(FrozenInstanceError):
+            spec.deltas = {}
+
+    def test_spec_keeps_copies_of_the_callers_factors(self):
+        a = np.full((16, 2), 0.1, dtype=np.float32)
+        b = np.full((2, 16), 0.2, dtype=np.float32)
+        spec = AdapterSpec(adapter_id="c", mode=MODE_LORA, deltas={
+            (0, "q"): LowRankDelta(a=a, b=b, rank=2, alpha=4.0)})
+        a *= 2
+        b[0, 0] = 9.0
+        assert np.all(spec.deltas[(0, "q")].a == np.float32(0.1))
+        assert np.all(spec.deltas[(0, "q")].b == np.float32(0.2))
+
+
 class TestBuildPolicy:
     def test_activation_zero_equals_classic_everywhere(self):
         spec = _alora((7,))
@@ -184,10 +213,10 @@ class TestAdapterFiles:
         spec = random_adapter(16, 2, rank=2, alpha=4.0, mode=MODE_LORA,
                               adapter_id="m", seed=4)
         gen = np.random.default_rng(5)
-        spec.deltas[(1, "v")] = LowRankDelta(
+        spec = replace(spec, deltas={**spec.deltas, (1, "v"): LowRankDelta(
             a=gen.standard_normal((16, rank)).astype(np.float32),
             b=gen.standard_normal((rank, 16)).astype(np.float32),
-            rank=rank, alpha=alpha)
+            rank=rank, alpha=alpha)})
         with pytest.raises(ConfigurationError, match="mixes ranks or alphas"):
             save_adapter(spec, tmp_path / "mixed.alad")
 

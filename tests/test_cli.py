@@ -220,6 +220,14 @@ class TestTrainCommand:
         assert adapter_path.exists()
 
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--eval-every"])
+    def test_zero_count_exit_code_two(self, checkpoint, tmp_path, flag):
+        assert main(["train", "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "adapter.alad"),
+                     "--steps", "2", "--train-examples", "8",
+                     "--eval-examples", "2", flag, "0"]) == 2
+
+
 class TestPrecisionEnv:
     def test_f64_precision_accepted(self, checkpoint, monkeypatch, capsys):
         monkeypatch.setenv("ALORA_PRECISION", "f64")

@@ -1,10 +1,12 @@
 """Engine: prefill reuse semantics, decode loop, and the three regimes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from alora import (BASE, Engine, GenerationRequest, ModelConfig,
-                   random_adapter, random_weights, row_bytes)
+from alora import (BASE, AdapterSpec, Engine, GenerationRequest, LowRankDelta,
+                   ModelConfig, random_adapter, random_weights, row_bytes)
 from alora import engine as engine_module
 from alora.cache import BLOCK_ROWS
 from alora.adapters import MODE_ALORA, MODE_LORA, zero_adapter
@@ -572,6 +574,39 @@ class TestResumeBase:
         assert reused.new_tokens == scratch.new_tokens
         for a, b in zip(reused.logits_trace, scratch.logits_trace):
             assert np.array_equal(a, b)
+
+    def test_factors_changed_after_serving_leave_no_stale_rows(self, toy_engine,
+                                                                rng):
+        # The caller triples its own b arrays after the spec has served a
+        # request: the spec holds copies, so the rows it made stay its own.
+        # A tripled adapter is a new spec and reuses only the base rows.
+        config = toy_engine.config
+        held = {key: LowRankDelta(a=d.a.copy(), b=d.b.copy(), rank=d.rank,
+                                  alpha=d.alpha)
+                for key, d in _alora_spec(config, seed=1).deltas.items()}
+        spec = AdapterSpec(adapter_id="x", mode=MODE_ALORA, deltas=held,
+                           invocation_sequence=(2, 3))
+        base_cache = toy_engine.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=44).tolist()))
+        res = toy_engine.invoke_intrinsic(base_cache, [2, 3], spec,
+                                          max_new_tokens=8, min_new_tokens=8)
+        assert res.cache.length == 54
+        for delta in held.values():
+            delta.b[...] *= 3
+        with pytest.raises(ValueError, match="read-only"):
+            spec.deltas[(0, "q")].b[...] *= 3
+        tripled = replace(spec, deltas=held)
+        for adapter, rows in ((spec, 54), (tripled, 45)):
+            reused = toy_engine.invoke_intrinsic(res.cache, [9], adapter,
+                                                 max_new_tokens=4,
+                                                 min_new_tokens=4)
+            scratch = toy_engine.generate(GenerationRequest(
+                prompt_tokens=res.cache.token_ids + [9], adapter=adapter,
+                min_new_tokens=4, max_new_tokens=4))
+            assert reused.cost.rows_reused == rows
+            assert reused.new_tokens == scratch.new_tokens
+            for a, b in zip(reused.logits_trace, scratch.logits_trace):
+                assert np.array_equal(a, b)
 
 
 class TestAdapterFit:

@@ -1,6 +1,7 @@
 """Trainer: loss, masking, gradients vs finite differences, training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from alora import (BASE_POLICY, AdapterSpec, CacheStore, ModelConfig,
 from alora.adapters import (MODE_ALORA, MODE_LORA, ActivationPoint,
                             LowRankDelta, zero_adapter)
 from alora import trainer as trainer_module
-from alora.errors import ContractViolationError, TrainingDivergedError
+from alora.errors import (ConfigurationError, ContractViolationError,
+                          TrainingDivergedError)
 from alora.model import GELU_C, GELU_K
 from alora.tasks import (EOS_ID, INVOCATION_SEQUENCE, MARKER_ID, NO_ID,
                          TASK_CLASSIFY_MARKER, TASK_COPY_KEY, YES_ID)
@@ -66,6 +68,41 @@ def mixed_spec(config):
             rank=rank, alpha=alpha)
     return AdapterSpec(adapter_id="mixed", mode=MODE_ALORA, deltas=deltas,
                        invocation_sequence=INVOCATION_SEQUENCE)
+
+
+def finite_difference_worst(ex, grad_config):
+    """Worst relative error of the backward's f64 gradients for ``ex``
+    against central differences, over a spread of factor entries."""
+    weights = random_weights(grad_config, seed=5).astype(np.float64)
+    # writable copies, as the probes below perturb factors in place
+    deltas = _cast(zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
+                             dtype=np.float64).deltas, np.float64)
+    gen = np.random.default_rng(6)
+    for key in sorted(deltas):
+        deltas[key] = replace(
+            deltas[key], b=0.02 * gen.standard_normal(deltas[key].b.shape))
+    logits, tape = _forward_tape(ex.tokens, ex.t_invoke, weights,
+                                 grad_config, deltas)
+    _, dlogits = _loss_and_grad_logits(logits, ex)
+    grads_a, grads_b = _backward(tape, dlogits, weights, grad_config, deltas)
+
+    eps = 1e-5
+    worst = 0.0
+    for which, grads in (("a", grads_a), ("b", grads_b)):
+        for key in sorted(deltas):
+            tensor = getattr(deltas[key], which)
+            flat = tensor.reshape(-1)
+            for idx in range(0, flat.size, 7):  # probe a spread of entries
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                up = example_loss(ex, weights, grad_config, deltas)
+                flat[idx] = orig - eps
+                down = example_loss(ex, weights, grad_config, deltas)
+                flat[idx] = orig
+                fd = (up - down) / (2 * eps)
+                bp = grads.get(key).reshape(-1)[idx]
+                worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-6))
+    return worst
 
 
 class TestSftLoss:
@@ -125,10 +162,11 @@ class TestBackward:
     def test_duplicate_example_doubles_batch_gradient(self, rng, grad_config,
                                                       grad_weights):
         ex = small_example(rng)
-        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=2).deltas
+        deltas = dict(zero_spec(grad_config, rank=2, alpha=4.0, seed=2).deltas)
         for key in sorted(deltas):
-            deltas[key].b = (0.05 * np.random.default_rng(3).standard_normal(
-                deltas[key].b.shape)).astype(np.float32)
+            deltas[key] = replace(deltas[key], b=(
+                0.05 * np.random.default_rng(3).standard_normal(
+                    deltas[key].b.shape)).astype(np.float32))
         loss1, ga1, gb1 = _batch_loss_and_grads([ex], grad_weights, grad_config,
                                                 deltas, MODE_ALORA)
         loss2, ga2, gb2 = _batch_loss_and_grads([ex, ex], grad_weights,
@@ -146,11 +184,12 @@ class TestBackward:
         # run in another order than the sum over single examples, so the
         # two agree to rounding; the bound is fixed by the dtype.
         weights = random_weights(grad_config, seed=5).astype(np.float64)
-        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
-                           dtype=np.float64).deltas
+        deltas = dict(zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
+                                dtype=np.float64).deltas)
         gen = np.random.default_rng(6)
         for key in sorted(deltas):
-            deltas[key].b = 0.05 * gen.standard_normal(deltas[key].b.shape)
+            deltas[key] = replace(
+                deltas[key], b=0.05 * gen.standard_normal(deltas[key].b.shape))
         batch = [SftExample(context_tokens=tuple(gen.integers(8, 32, size=n_ctx)),
                             invocation_tokens=invocation,
                             target_tokens=tuple(gen.integers(8, 32, size=2)) + (0,))
@@ -177,46 +216,36 @@ class TestBackward:
                 assert np.all(np.abs(grads[key] - parts.sum(axis=0)) <= bound)
 
     def test_finite_differences_f64(self, rng, grad_config):
-        weights = random_weights(grad_config, seed=5).astype(np.float64)
-        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
-                           dtype=np.float64).deltas
-        gen = np.random.default_rng(6)
-        for key in sorted(deltas):
-            deltas[key].b = 0.02 * gen.standard_normal(deltas[key].b.shape)
         ex = small_example(rng, n_ctx=5, n_target=2)
-        logits, tape = _forward_tape(ex.tokens, ex.t_invoke, weights,
-                                     grad_config, deltas)
-        _, dlogits = _loss_and_grad_logits(logits, ex)
-        grads_a, grads_b = _backward(tape, dlogits, weights, grad_config, deltas)
+        assert finite_difference_worst(ex, grad_config) <= 1e-4
 
-        eps = 1e-5
-        worst = 0.0
-        for which, grads in (("a", grads_a), ("b", grads_b)):
-            for key in sorted(deltas):
-                tensor = getattr(deltas[key], which)
-                flat = tensor.reshape(-1)
-                for idx in range(0, flat.size, 7):  # probe a spread of entries
-                    orig = flat[idx]
-                    flat[idx] = orig + eps
-                    up = example_loss(ex, weights, grad_config, deltas)
-                    flat[idx] = orig - eps
-                    down = example_loss(ex, weights, grad_config, deltas)
-                    flat[idx] = orig
-                    fd = (up - down) / (2 * eps)
-                    bp = grads.get(key).reshape(-1)[idx]
-                    worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-6))
-        assert worst <= 1e-4
+    def test_finite_differences_long_context_f64(self, rng, grad_config):
+        # 34 base rows before the activation point, which the backward skips
+        ex = small_example(rng, n_ctx=34, n_target=2)
+        assert ex.t_invoke == 35
+        assert finite_difference_worst(ex, grad_config) <= 1e-4
+
+    def test_finite_differences_one_token_invocation_f64(self, rng,
+                                                        grad_config):
+        # the first loss row, t_invoke - 1, is a base row
+        ex = SftExample(context_tokens=tuple(rng.integers(8, 32, size=6).tolist()),
+                        invocation_tokens=(2,),
+                        target_tokens=tuple(rng.integers(8, 32, size=2).tolist())
+                        + (0,))
+        assert ex.target_start == ex.t_invoke
+        assert finite_difference_worst(ex, grad_config) <= 1e-4
 
 
     def test_finite_differences_with_dropout_f64(self, rng, grad_config):
         # a fixed dropout mask makes the loss a deterministic function of
         # the factors, so its gradients take the same check
         weights = random_weights(grad_config, seed=5).astype(np.float64)
-        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
-                           dtype=np.float64).deltas
+        deltas = _cast(zero_spec(grad_config, rank=2, alpha=4.0, seed=4,
+                                 dtype=np.float64).deltas, np.float64)
         gen = np.random.default_rng(7)
         for key in sorted(deltas):
-            deltas[key].b = 0.02 * gen.standard_normal(deltas[key].b.shape)
+            deltas[key] = replace(
+                deltas[key], b=0.02 * gen.standard_normal(deltas[key].b.shape))
         ex = small_example(rng, n_ctx=5, n_target=2)
         mask = [(gen.random((len(deltas), len(ex.tokens) - ex.t_invoke, 2))
                  >= 0.5) / 0.5]
@@ -399,11 +428,11 @@ class TestTrainLoop:
         # training forward with adapted weights must keep pre-activation K/V
         # rows identical to the same forward under no adapter
         ex = small_example(rng)
-        deltas = zero_spec(grad_config, rank=2, alpha=4.0, seed=9).deltas
+        deltas = dict(zero_spec(grad_config, rank=2, alpha=4.0, seed=9).deltas)
         gen = np.random.default_rng(10)
         for key in sorted(deltas):
-            deltas[key].b = (0.1 * gen.standard_normal(
-                deltas[key].b.shape)).astype(np.float32)
+            deltas[key] = replace(deltas[key], b=(0.1 * gen.standard_normal(
+                deltas[key].b.shape)).astype(np.float32))
         _, tape_adapted = _forward_tape(ex.tokens, ex.t_invoke, grad_weights,
                                         grad_config, deltas)
         _, tape_base = _forward_tape(ex.tokens, ex.t_invoke, grad_weights,
@@ -413,6 +442,47 @@ class TestTrainLoop:
             assert np.array_equal(rec_a["kr"][:t], rec_b["kr"][:t])
             assert np.array_equal(rec_a["v"][:t], rec_b["v"][:t])
             assert not np.array_equal(rec_a["kr"][t:], rec_b["kr"][t:])
+
+
+class TestTrainInputs:
+    @pytest.mark.parametrize("field,value", [
+        ("steps", -3), ("batch_size", 0), ("rank", 0), ("eval_every", 0),
+        ("learning_rate", -1.0), ("learning_rate", 0.0),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("alpha", -32.0), ("alpha", 0.0), ("alpha", math.nan),
+        ("alpha", math.inf)])
+    def test_bad_config_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_spec_for_another_model_refused(self, grad_config, grad_weights):
+        deep = zero_adapter(grad_config.d_model, 9, rank=2, alpha=4.0,
+                            mode=MODE_ALORA, adapter_id="deep",
+                            invocation_sequence=INVOCATION_SEQUENCE)
+        data = make_synthetic_task(TASK_COPY_KEY, 8, seed=0, vocab_size=32,
+                                   n_distractors=1, n_values=2)
+        with pytest.raises(ConfigurationError, match="layer 2"):
+            train(data, deep, grad_weights, grad_config,
+                  TrainConfig(steps=1, batch_size=2, rank=2, alpha=4.0))
+
+    def test_empty_target_refused_before_training(self, tmp_path, grad_config,
+                                                  grad_weights, monkeypatch):
+        steps = []
+        monkeypatch.setattr(trainer_module, "_batch_loss_and_grads",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ContractViolationError, match="empty target"):
+            train([SftExample(context_tokens=(9, 10), invocation_tokens=(2, 3),
+                              target_tokens=())],
+                  template_spec(), grad_weights, grad_config,
+                  TrainConfig(steps=1, batch_size=1, rank=2, alpha=4.0))
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"context": [9, 10], "invocation": [2, 3], '
+                        '"target": []}\n')
+        with pytest.raises(ContractViolationError, match="empty target"):
+            train(read_dataset(path), template_spec(), grad_weights,
+                  grad_config, TrainConfig(steps=1, batch_size=1, rank=2,
+                                           alpha=4.0))
+        assert steps == []
 
 
 class TestSyntheticTasks:
