@@ -14,6 +14,7 @@ sequence, so the first invocation token itself is still base-projected.
 
 from __future__ import annotations
 
+import math
 import operator
 import types
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ class LowRankDelta:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigurationError(f"rank must be positive, got {self.rank}")
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigurationError(f"alpha must be finite and positive, got {self.alpha}")
         d_in, r = self.a.shape
         r2, d_out = self.b.shape
         if r != self.rank or r2 != self.rank:
@@ -290,23 +291,35 @@ def save_adapter(spec: AdapterSpec, path) -> None:
     write_tensor_file(path, ADAPTER_MAGIC, header, tensors)
 
 
+def _header_field(header: dict, name: str, convert, *default):
+    """``convert(header[name])``, or ``default`` when one is given and the
+    field is absent; ConfigurationError names a missing or refused field."""
+    if default and name not in header:
+        return default[0]
+    try:
+        return convert(header[name])
+    except KeyError:
+        raise ConfigurationError(f"adapter header missing field {name!r}") from None
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"adapter header field {name!r} has bad value {header[name]!r}") from None
+
+
 def load_adapter(path, d_model: Optional[int] = None) -> AdapterSpec:
     """Load an adapter file; ``d_model`` (when given) cross-checks the shapes."""
     header, tensors = read_tensor_file(path, ADAPTER_MAGIC)
-    try:
-        rank = int(header["r"])
-        alpha = float(header["alpha"])
-        mode = header["mode"]
-        adapter_id = header["adapter_id"]
-    except KeyError as exc:
-        raise ConfigurationError(f"adapter header missing field {exc}") from exc
-    if d_model is not None and int(header.get("d_model", d_model)) != d_model:
-        raise ConfigurationError(
-            f"adapter d_model {header.get('d_model')} does not match model {d_model}")
+    rank = _header_field(header, "r", operator.index)
+    alpha = _header_field(header, "alpha", float)
+    mode = _header_field(header, "mode", str)
+    adapter_id = _header_field(header, "adapter_id", str)
+    width = _header_field(header, "d_model", operator.index, d_model)
+    if d_model is not None and width != d_model:
+        raise ConfigurationError(f"adapter d_model {width} does not match model {d_model}")
     deltas = {}
     for name, arr in tensors.items():
         parts = name.split(".")
-        if len(parts) != 4 or parts[0] != "layers" or parts[3] not in ("a", "b"):
+        if (len(parts) != 4 or parts[0] != "layers" or not parts[1].isdecimal()
+                or parts[3] not in ("a", "b")):
             raise ConfigurationError(f"unexpected tensor name {name!r}")
         layer, proj, which = int(parts[1]), parts[2], parts[3]
         slot = deltas.setdefault((layer, proj), {})
@@ -319,7 +332,9 @@ def load_adapter(path, d_model: Optional[int] = None) -> AdapterSpec:
         if d_model is not None and slot["a"].shape[0] != d_model:
             raise ConfigurationError(
                 f"adapter tensors sized {slot['a'].shape[0]}, model d_model {d_model}")
-    inv = header.get("invocation_sequence")
+    inv = _header_field(header, "invocation_sequence",
+                        lambda v: tuple(v) if v else None, None)
     return AdapterSpec(adapter_id=adapter_id, mode=mode, deltas=built,
-                       invocation_sequence=tuple(inv) if inv else None,
-                       max_new_tokens=int(header.get("max_new_tokens", 16)))
+                       invocation_sequence=inv,
+                       max_new_tokens=_header_field(header, "max_new_tokens",
+                                                    operator.index, 16))

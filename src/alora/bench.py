@@ -37,10 +37,9 @@ class BenchPlan:
     alora_rank: int = 32
     repetitions: int = 3
     seed: int = 0
-    invocation: Tuple[int, ...] = DEFAULT_INVOCATION
 
     def validate(self, config) -> None:
-        budget = self.answer_tokens + len(self.invocation) + self.eval_tokens + 1
+        budget = self.answer_tokens + len(DEFAULT_INVOCATION) + self.eval_tokens + 1
         for length in self.prompt_lengths:
             if length <= 0:
                 raise ConfigurationError("prompt lengths must be positive")
@@ -82,7 +81,7 @@ def run_bench(engine: Engine, plan: BenchPlan) -> List[BenchRow]:
     plan.validate(engine.config)
     config = engine.config
     rows: List[BenchRow] = []
-    inv = list(plan.invocation)
+    inv = list(DEFAULT_INVOCATION)
     for length in plan.prompt_lengths:
         for n in plan.n_adapters:
             cell_rng = np.random.default_rng(

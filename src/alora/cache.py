@@ -446,3 +446,15 @@ class CacheStore:
         if len(self.token_ids) != expect:
             raise ContractViolationError(
                 f"token_ids length {len(self.token_ids)} != cache length {expect}")
+
+
+def first_row_difference(a: CacheStore, b: CacheStore, upto: int) -> Optional[str]:
+    """Where the K/V rows [0, upto) of two caches of one dtype first differ
+    in any bit: the matrix, layer and position; None when they are equal."""
+    for layer in range(a.config.n_layers):
+        for name, matrix in (("K", "k_matrix"), ("V", "v_matrix")):
+            x, y = getattr(a, matrix)(layer, upto), getattr(b, matrix)(layer, upto)
+            differs = (x.view(np.uint8) != y.view(np.uint8)).any(axis=1)
+            if differs.any():
+                return f"{name} rows differ at layer {layer}, position {differs.argmax()}"
+    return None

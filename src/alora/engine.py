@@ -25,12 +25,11 @@ its own attention products and softmax normaliser (the rest of a prefill
 run's softmax runs over a block of rows), so a row's bits do not depend on
 how the rows were grouped, and a cache-reusing run and a from-scratch run
 over the same tokens produce bitwise-identical logits. ``Engine`` probes
-that property of numpy and the BLAS for the base projections when it is
-built, for run attention the first time a request prefills two or more
-rows, and for an adapter's delta products the first time a request names a
-delta of that rank and those dtypes; each result is kept for later
-requests. The engine is reentrant: requests may share sealed caches
-read-only; each request owns its fork and its cost ledger.
+that property of numpy and the BLAS (model.row_invariance_probe, about 2 ms
+on the default model) at the first request for the base model and at the
+first request naming each set of delta kinds, and keeps each result. The
+engine is reentrant: requests may share sealed caches read-only; each
+request owns its fork and its cost ledger.
 """
 
 from __future__ import annotations
@@ -41,12 +40,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterSpec,
-                       BASE_POLICY, as_token_ids, build_policy, find_invocation)
+from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterPolicy,
+                       AdapterSpec, BASE_POLICY, as_token_ids, build_policy,
+                       find_invocation)
 from .cache import BASE, CacheStore
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
-from .model import (ModelConfig, ModelWeights, attention_run_probe,
+from .model import (PROBE_PREFIX, ModelConfig, ModelWeights,
                     forward_position, forward_segment, greedy_pick,
                     row_invariance_probe)
 
@@ -106,15 +106,10 @@ class Engine:
 
     def __init__(self, weights: ModelWeights, config: ModelConfig):
         weights.validate(config)
-        failure = row_invariance_probe(weights)
-        if failure:
-            raise ConfigurationError(f"row-invariance probe failed: {failure}")
         self.weights = weights
         self.config = config
-        # Probe results (None or the failure), keyed ("delta", rank,
-        # a.dtype, b.dtype) for adapter deltas and ("attention", dtype) for
-        # run attention. Two requests may race to probe one kind; their
-        # results agree.
+        # Probe results (None or the failure), keyed by ``_check_row_invariance``.
+        # Two requests may race to probe one key; their results agree.
         self._probes = {}
 
     # ------------------------------------------------------------------ #
@@ -128,11 +123,6 @@ class Engine:
                 raise ContractViolationError("activation given without an adapter")
             return prompt, BASE_POLICY, None
         adapter.check_fits(self.config)
-        # Each rank and dtype pair of deltas has products of its own shapes.
-        for delta in adapter.deltas.values():
-            self._probed(("delta", delta.rank, delta.a.dtype, delta.b.dtype),
-                         lambda: row_invariance_probe(self.weights, delta),
-                         f" for adapter {adapter.adapter_id!r}")
         if adapter.mode == MODE_LORA:
             return prompt, build_policy(adapter, activation), None
         if activation is None:
@@ -145,15 +135,20 @@ class Engine:
                 activation = find_invocation(prompt, adapter)
         return prompt, build_policy(adapter, activation), activation.t_invoke
 
-    def _probed(self, kind: tuple, probe, subject: str = "") -> None:
-        """Raise ConfigurationError if the probe of this kind failed,
-        running ``probe()`` only when no earlier request ran it."""
-        if kind not in self._probes:
-            self._probes[kind] = probe()
-        failure = self._probes[kind]
+    def _check_row_invariance(self, adapter: Optional[AdapterSpec]) -> None:
+        """Raise ConfigurationError if the probe fails for the base model
+        (key ``()``) or this adapter's delta kinds, probing once per key. An
+        adapter is probed activated one row into the run, whose base and
+        adapted rows then take both of ``project_row``'s delta paths."""
+        key = () if adapter is None else tuple(sorted(
+            {(d.rank, d.a.dtype.str, d.b.dtype.str) for d in adapter.deltas.values()}))
+        if key not in self._probes:
+            policy = (BASE_POLICY if adapter is None
+                      else AdapterPolicy(adapter, PROBE_PREFIX + 1))
+            self._probes[key] = row_invariance_probe(self.weights, self.config, policy)
+        failure = self._probes[key]
         if failure:
-            raise ConfigurationError(
-                f"row-invariance probe failed{subject}: {failure}")
+            raise ConfigurationError(f"row-invariance probe failed: {failure}")
 
     # ------------------------------------------------------------------ #
     # prefill
@@ -198,12 +193,6 @@ class Engine:
             usable = 0
             cache = CacheStore(self.config, dtype=self.weights.dtype)
         ledger._add("rows_reused", usable)
-        if len(prompt) - usable > 1:
-            # Not at construction, whose cost it would about double;
-            # requests that never prefill two rows do not need it.
-            dtype = self.weights.dtype
-            self._probed(("attention", dtype),
-                         lambda: attention_run_probe(self.config, dtype))
         logits = forward_segment(prompt[usable:], usable, self.weights,
                                  self.config, policy, cache, ledger)
         # Prefill snapshot: the additional cache this request must maintain
@@ -227,6 +216,7 @@ class Engine:
         started = time.perf_counter_ns()
         prompt, policy, t_invoke = self._resolve(
             request.prompt_tokens, request.adapter, activation)
+        self._check_row_invariance(request.adapter)
         # Every emitted token is run through the layers, and EOS stops no
         # request before min_new_tokens nor before its first token.
         certain = max(request.min_new_tokens, min(request.max_new_tokens, 1))

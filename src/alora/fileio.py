@@ -9,6 +9,7 @@ relative to the start of the data section.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -64,14 +65,18 @@ def read_tensor_file(path, magic: bytes):
         header = json.loads(data[10:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}", offset=10) from exc
+    if not isinstance(header, dict) or not isinstance(header.get("tensors", []), list):
+        raise FormatError("header is not an object with a tensors list", offset=10)
     tensors = {}
     for entry in header.get("tensors", []):
-        try:
-            name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed tensor index entry {entry!r}",
-                              offset=10) from exc
-        count = int(np.prod(shape)) if shape else 1
+        # Every dimension and the offset must be a non-negative int (not a bool).
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0
+                        for n in entry["shape"] + [entry.get("offset")])):
+            raise FormatError(f"malformed tensor index entry {entry!r}", offset=10)
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        count = math.prod(shape)
         start = header_end + offset
         end = start + 4 * count
         if end > len(data):

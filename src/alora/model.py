@@ -14,8 +14,8 @@ rest of the softmax runs once over a block of rows; a one-row run (decode)
 calls ``attend_single``. So a row's result does not depend on how many rows
 come with it, nor on which of them are adapted, and cached-vs-uncached and
 batch-vs-incremental comparisons need no tolerances.
-``row_invariance_probe`` and ``attention_run_probe`` check that property of
-numpy and the BLAS, and the engine refuses to run without it.
+``row_invariance_probe`` checks it through ``_forward_run`` itself (1 to 2.5 ms,
+once per engine and kind of request); the engine refuses to serve without it.
 
 The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
 the last axis. The trainer's batched tape calls the same functions on whole
@@ -31,14 +31,15 @@ decision, not the model's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .adapters import (MODE_LORA, PROJECTIONS, AdapterSpec, as_token_ids,
-                       build_policy, delta_apply)
+from .adapters import PROJECTIONS, as_token_ids, delta_apply
+from .cache import BASE, CacheStore, first_row_difference
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
 
@@ -58,21 +59,28 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_head",
                      "vocab_size", "max_positions"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ConfigurationError(f"{name} must be a positive integer")
         if self.d_model != self.n_heads * self.d_head:
             raise ConfigurationError(
                 f"d_model {self.d_model} != n_heads {self.n_heads} * d_head {self.d_head}")
         if self.d_head % 2 != 0:
             raise ConfigurationError("d_head must be even for rotary embedding")
-        if self.rope_theta <= 0:
-            raise ConfigurationError("rope_theta must be positive")
+        theta = self.rope_theta
+        if not (isinstance(theta, numbers.Real) and 0 < theta < math.inf):
+            raise ConfigurationError("rope_theta must be finite and positive")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"model config is a {type(d).__name__}, not an object")
+        for f in fields(cls):
+            if f.name not in d:
+                raise ConfigurationError(f"model config missing field {f.name!r}")
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
@@ -422,61 +430,40 @@ def forward_segment(tokens, start_position: int, weights: ModelWeights,
     return logits
 
 
-def row_invariance_probe(weights: ModelWeights, delta=None) -> Optional[str]:
-    """Check that each row of a block projects to the bits it gets alone.
+# Rows of the probe's cached prefix: the 3 probed rows attend over 38 to 40
+# keys, no multiple of a SIMD width, so attention's vector and tail paths run.
+PROBE_PREFIX = 37
 
-    A run projects its rows as one block, and decode projects its one row
-    the same way. Cached and fresh passes agree bitwise only if every row of
-    a 2-row block equals that row projected on its own. That is a property
-    of numpy and the BLAS, so it is checked on this model's weights, in
-    their dtype, rather than assumed, for the products the forward makes:
-    [W_Q | W_K | W_V], MLP up and MLP down, or, given an adapter's low-rank
-    ``delta``, ``project_row`` with that delta on q (deltas on k and v have
-    the same shapes). Attention has its own probe, ``attention_run_probe``.
-    Returns the first product that breaks it, or None.
+
+def row_invariance_probe(weights: ModelWeights, config: ModelConfig,
+                         policy) -> Optional[str]:
+    """Check, rather than assume, the property of numpy and the BLAS that
+    bitwise reuse rests on: ``_forward_run`` gives a row the same bits in a
+    run as alone. A root cache of PROBE_PREFIX seeded random base rows is
+    sealed and forked; 3 tokens run as one run on the root and one at a
+    time on the fork, under ``policy``, and their K/V rows at every layer
+    and the last logits must be equal. Returns the first difference or None.
     """
-    layer = weights.layers[0]
-    x = layer.mlp_down[:2]
-    if delta is None:
-        cases = (("W_QKV", x, lambda rows: _row_matmul(rows, layer.w_qkv)),
-                 ("MLP up", x, lambda rows: _row_matmul(rows, layer.mlp_up)),
-                 ("MLP down", layer.mlp_up[:2],
-                  lambda rows: _row_matmul(rows, layer.mlp_down)))
-    else:
-        policy = build_policy(AdapterSpec(adapter_id="probe", mode=MODE_LORA,
-                                          deltas={(0, "q"): delta}), None)
-        cases = ((f"W_QKV with a rank-{delta.rank} delta on W_Q", x,
-                  lambda rows: project_row(rows, 0, layer, policy, slice(None))),)
-    for name, rows, product in cases:
-        block = product(rows)
-        for i in range(len(rows)):
-            if block[i].tobytes() != product(rows[i:i + 1])[0].tobytes():
-                return f"{name}: a 2-row block differs from its rows alone"
-    return None
-
-
-def attention_run_probe(config: ModelConfig, dtype) -> Optional[str]:
-    """Check that each row of a 2-row ``attend_run`` has the bits of
-    ``attend_single`` on that row alone, at this model's head shapes in
-    ``dtype``; returns the failure or None.
-
-    Prefill attends in runs and decode one row at a time, so cached and
-    fresh passes agree bitwise only if they match. Whether numpy's exp,
-    reductions and batched matmuls give a row the same bits inside a block
-    as alone is a property of numpy and the BLAS, so it is checked rather
-    than assumed.
-    """
-    start = 37  # rows over 38 and 39 keys: no multiple of a SIMD width
+    end = PROBE_PREFIX + 3
+    config = replace(config, max_positions=end)
     rng = np.random.default_rng(0)
-    keys, values = rng.standard_normal((2, start + 2, config.d_model)).astype(dtype)
-    q = rng.standard_normal((2, config.d_model)).astype(dtype)
-    run = attend_run(q, keys, values, start, config)
-    for i in range(2):
-        c = start + i + 1
-        alone = attend_single(q[i], keys[:c], values[:c], config)
-        if run[i].tobytes() != alone.tobytes():
-            return "attention: a 2-row run differs from its rows alone"
-    return None
+    tokens = rng.integers(0, config.vocab_size, size=end).tolist()
+    root = CacheStore(config, dtype=weights.dtype)
+    root.append_token_ids(tokens[:PROBE_PREFIX])
+    for li in range(config.n_layers):
+        k, v = rng.standard_normal((2, PROBE_PREFIX, config.d_model)).astype(weights.dtype)
+        root.append_rows(li, k, v, [BASE] * PROBE_PREFIX)
+    root.seal()
+    fork = root.fork_shared(PROBE_PREFIX)
+    run = _forward_run(tokens[PROBE_PREFIX:], PROBE_PREFIX, weights, config,
+                       policy, root, CostLedger(), want_logits=True)
+    for p in range(PROBE_PREFIX, end):
+        alone = _forward_run(tokens[p:p + 1], p, weights, config, policy, fork,
+                             CostLedger(), want_logits=True)
+    what = first_row_difference(root, fork, end)
+    if what is None and run.tobytes() != alone.tobytes():
+        what = "the last logits differ"
+    return what and f"{what} between a 3-row run and its rows run one at a time"
 
 
 def greedy_pick(logits: np.ndarray) -> int:

@@ -1,5 +1,10 @@
 """CLI: subcommands, exit codes, file determinism, CSV schema."""
 
+import json
+import shutil
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,6 +107,13 @@ class TestVerifyCommand:
         code = main(["verify", "--checkpoint", str(checkpoint), "--trials", "1"])
         assert code == 2
         assert "row-invariance probe failed" in capsys.readouterr().err
+
+    def test_narrow_model_passes(self, tmp_path):
+        # d_model 16 is narrower than the rank-32 trials: their rank is capped
+        path = tmp_path / "narrow.alre"
+        assert main(["gen-model", "--out", str(path), "--d-model", "16",
+                     "--n-heads", "2", "--max-positions", "512"]) == 0
+        assert main(["verify", "--checkpoint", str(path), "--trials", "2"]) == 0
 
     def test_detected_failure_exit_code_one(self, checkpoint, monkeypatch):
         from alora import cli
@@ -238,3 +250,66 @@ class TestPrecisionEnv:
         monkeypatch.setenv("ALORA_PRECISION", "f16")
         assert main(["verify", "--checkpoint", str(checkpoint),
                      "--trials", "1"]) == 2
+
+
+def _rewrite_header(path, change) -> None:
+    """Rewrite the JSON header of the tensor file at ``path`` in place,
+    passing it through ``change``; the tensor data is kept."""
+    path = Path(path)
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 6)
+    header = json.loads(data[10:10 + length])
+    change(header)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:6] + struct.pack("<I", len(text)) + text
+                     + data[10 + length:])
+
+
+def _tensor(header, name):
+    return next(t for t in header["tensors"] if t["name"] == name)
+
+
+class TestMalformedFiles:
+    """A malformed checkpoint or adapter exits 2 (configuration) or 3
+    (file format) with a message naming the bad field, never with a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("files")
+        checkpoint, adapter = folder / "small.alre", folder / "small.alad"
+        assert main(["gen-model", "--out", str(checkpoint), "--d-model", "16",
+                     "--n-heads", "2", "--n-layers", "1",
+                     "--max-positions", "64"]) == 0
+        save_adapter(random_adapter(16, 1, rank=4, alpha=8.0, mode="alora",
+                                    adapter_id="small", seed=0,
+                                    invocation_sequence=(2, 3)), adapter)
+        return checkpoint, adapter
+
+    @pytest.mark.parametrize("which, change, code, named", [
+        ("checkpoint", lambda h: h["config"].pop("rope_theta"), 2, "rope_theta"),
+        ("checkpoint", lambda h: h["config"].update(n_layers="1"), 2, "n_layers"),
+        ("checkpoint", lambda h: h["config"].update(n_layers=1.5), 2, "n_layers"),
+        ("checkpoint", lambda h: h.update(config=[1, 16]), 2, "config"),
+        ("adapter", lambda h: h.update(r="x"), 2, "'r'"),
+        ("adapter", lambda h: h.update(alpha=float("nan")), 2, "alpha"),
+        ("adapter", lambda h: h.update(max_new_tokens="abc"), 2, "max_new_tokens"),
+        ("adapter", lambda h: h.update(d_model="x"), 2, "d_model"),
+        ("adapter", lambda h: _tensor(h, "layers.0.q.a").update(name="layers.x.q.a"),
+         2, "layers.x.q.a"),
+        ("checkpoint", lambda h: _tensor(h, "layers.0.w_q").update(offset=-40),
+         3, "-40"),
+        ("checkpoint", lambda h: _tensor(h, "layers.0.w_q").update(shape=[16, -16]),
+         3, "-16"),
+        ("checkpoint", lambda h: _tensor(h, "layers.0.w_q").update(shape=["16", 16]),
+         3, "'16'"),
+    ], ids=["config_without_rope_theta", "n_layers_string", "n_layers_fraction",
+            "config_list", "rank_string", "alpha_nan", "max_new_tokens_string",
+            "d_model_string", "layer_not_a_number", "negative_offset",
+            "negative_shape", "string_shape"])
+    def test_exit_code(self, files, tmp_path, capsys, which, change, code, named):
+        checkpoint, adapter = (shutil.copy(f, tmp_path) for f in files)
+        _rewrite_header(checkpoint if which == "checkpoint" else adapter, change)
+        assert main(["verify", "--checkpoint", str(checkpoint),
+                     "--adapter", str(adapter), "--trials", "1"]) == code
+        assert named in capsys.readouterr().err

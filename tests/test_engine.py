@@ -659,101 +659,93 @@ class TestDeepConversation:
 
 def _skew_later_rows(call):
     """``call`` with every row after the first nudged by one ulp: a batched
-    call whose rows depend on how many rows come with them."""
+    call whose rows depend on how many rows come with them. Of a returned
+    pair (``rms_norm_row``, ``gelu``), the value is nudged."""
     def skewed(*args):
         out = call(*args)
-        out[1:] = np.nextafter(out[1:], np.inf)
+        value = out[0] if isinstance(out, tuple) else out
+        value[1:] = np.nextafter(value[1:], np.inf)
         return out
     return skewed
+
+
+def _skew_w_o_only(row_matmul):
+    """``_row_matmul`` skewed for the W_O product only, the one square
+    weight it multiplies."""
+    skewed = _skew_later_rows(row_matmul)
+
+    def call(x, w):
+        return (skewed if w.shape[0] == w.shape[1] else row_matmul)(x, w)
+    return call
 
 
 class TestRowInvarianceProbe:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_passes_in_f32_and_f64(self, toy_config, toy_weights, dtype):
-        from alora.model import attention_run_probe, row_invariance_probe
+        from alora.adapters import BASE_POLICY, AdapterPolicy
+        from alora.model import PROBE_PREFIX, row_invariance_probe
         weights = toy_weights.astype(dtype)
-        assert row_invariance_probe(weights) is None
-        assert attention_run_probe(toy_config, dtype) is None
         spec = _alora_spec(toy_config, inv=(2, 3))
-        for delta in spec.deltas.values():
-            assert row_invariance_probe(weights, delta) is None
+        for policy in (BASE_POLICY, AdapterPolicy(spec, PROBE_PREFIX + 1),
+                       AdapterPolicy(spec, 0)):
+            assert row_invariance_probe(weights, toy_config, policy) is None
 
-    def test_row_dependent_projection_refused(self, toy_config, toy_weights,
-                                              monkeypatch):
+    @pytest.mark.parametrize("target, wrap", [
+        ("_row_matmul", _skew_w_o_only),
+        ("rms_norm_row", _skew_later_rows),
+        ("gelu", _skew_later_rows),
+        ("rope_rotate_heads", _skew_later_rows),
+        ("attend_run", _skew_later_rows),
+        ("delta_apply", _skew_later_rows),
+        ("_row_matmul", _skew_later_rows),
+    ], ids=["w_o_only", "rms_norm_row", "gelu", "rope_rotate_heads",
+            "attend_run", "delta_apply", "every_row_matmul"])
+    def test_row_dependent_step_refused_at_first_request(
+            self, toy_config, toy_weights, rng, monkeypatch, target, wrap):
         from alora import model
-        monkeypatch.setattr(model, "_row_matmul",
-                            _skew_later_rows(model._row_matmul))
-        with pytest.raises(ConfigurationError, match="row-invariance"):
-            Engine(toy_weights, toy_config)
-
-    def test_row_dependent_adapter_product_refused(self, toy_config, toy_weights,
-                                                   rng, monkeypatch):
-        from alora import model
-        # A fresh engine: the shared one may hold a verdict for this rank.
-        engine = Engine(toy_weights, toy_config)
-        spec = _alora_spec(toy_config, inv=(2, 3))
-        monkeypatch.setattr(model, "delta_apply",
-                            _skew_later_rows(model.delta_apply))
+        monkeypatch.setattr(model, target, wrap(getattr(model, target)))
+        engine = Engine(toy_weights, toy_config)  # builds: no probe yet
+        adapter = _alora_spec(toy_config) if target == "delta_apply" else None
         with pytest.raises(ConfigurationError, match="row-invariance"):
             engine.generate(GenerationRequest(
                 prompt_tokens=rng.integers(8, 256, size=6).tolist(),
-                adapter=spec, max_new_tokens=2))
+                adapter=adapter, max_new_tokens=2))
 
     def test_adapter_probed_once_per_rank_and_dtypes(self, toy_config, toy_weights,
                                                      rng, monkeypatch):
-        engine = Engine(toy_weights, toy_config)
         probes = []
 
-        def counted(weights, delta=None):
-            probes.append(delta)
+        def counted(weights, config, policy):
+            probes.append(policy)
             return None
 
         monkeypatch.setattr(engine_module, "row_invariance_probe", counted)
-        spec = _alora_spec(toy_config, inv=(2, 3))
+        engine = Engine(toy_weights, toy_config)
+        assert probes == []
 
-        def request(adapter):
-            engine.generate(GenerationRequest(
+        def request(adapter=None, on=engine):
+            on.generate(GenerationRequest(
                 prompt_tokens=rng.integers(8, 256, size=6).tolist(),
                 adapter=adapter, max_new_tokens=1))
 
+        request()
+        request()
+        assert len(probes) == 1 and probes[0].spec is None
+        spec = _alora_spec(toy_config, inv=(2, 3))
         request(spec)
-        assert len(probes) == 1  # every delta of the spec has rank 8 in f32
+        assert len(probes) == 2 and probes[1].spec is spec
+        # Every delta of these has rank 8 in f32: the kinds already probed.
         request(spec)
         request(_alora_spec(toy_config, inv=(2, 3), seed=1, adapter_id="b"))
-        assert len(probes) == 1
+        request(_lora_spec(toy_config))
+        assert len(probes) == 2
         request(_alora_spec(toy_config, inv=(2, 3), rank=4, adapter_id="c"))
-        assert len(probes) == 2 and probes[1].rank == 4
-
-    def test_row_dependent_attention_refused(self, toy_config, toy_weights,
-                                             rng, monkeypatch):
-        from alora import model
-        monkeypatch.setattr(model, "attend_run", _skew_later_rows(model.attend_run))
-        engine = Engine(toy_weights, toy_config)  # no attention probe yet
-        with pytest.raises(ConfigurationError, match="row-invariance"):
-            engine.generate(GenerationRequest(
-                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
-                max_new_tokens=2))
-
-    def test_attention_probed_at_first_multi_row_run(self, toy_config, toy_weights,
-                                                     rng, monkeypatch):
-        probes = []
-
-        def counted(config, dtype):
-            probes.append(dtype)
-            return None
-
-        monkeypatch.setattr(engine_module, "attention_run_probe", counted)
-        engine = Engine(toy_weights, toy_config)
-        assert probes == []
-        first = engine.generate(GenerationRequest(prompt_tokens=[9],
-                                                  max_new_tokens=3))
-        assert probes == []  # a one-row prompt and decode: no run to probe
-        engine.generate(GenerationRequest(
-            prompt_tokens=first.cache.token_ids + [12], reuse_cache=first.cache,
-            max_new_tokens=1))
-        assert probes == []  # one fresh row past the reused prefix
-        for _ in range(2):
-            engine.generate(GenerationRequest(
-                prompt_tokens=rng.integers(8, 256, size=6).tolist(),
-                max_new_tokens=1))
-        assert probes == [np.dtype(np.float32)]
+        assert len(probes) == 3
+        mixed = AdapterSpec(adapter_id="m", mode=MODE_LORA, deltas={
+            **spec.deltas,
+            (0, "q"): replace(spec.deltas[(0, "q")],
+                              a=spec.deltas[(0, "q")].a.astype(np.float64))})
+        request(mixed)
+        assert len(probes) == 4
+        request(on=Engine(toy_weights, toy_config))  # a new engine probes anew
+        assert len(probes) == 5

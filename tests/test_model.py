@@ -62,6 +62,16 @@ class TestModelConfig:
             ModelConfig(n_layers=1, n_heads=1, d_model=7, d_head=7,
                         vocab_size=8, max_positions=8)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", "1"), ("d_head", 8.0), ("rope_theta", "1e4"),
+        ("rope_theta", float("nan")), ("rope_theta", float("inf"))])
+    def test_field_of_wrong_kind_refused(self, field, value):
+        kwargs = dict(n_layers=1, n_heads=2, d_model=16, d_head=8,
+                      vocab_size=8, max_positions=8)
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ModelConfig(**kwargs)
+
 
 class TestProjectSegment:
     """A segment of residual rows projected one project_row call per row."""
