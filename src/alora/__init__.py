@@ -12,7 +12,7 @@ from .adapters import (ActivationPoint, AdapterPolicy, AdapterSpec,
                        BASE_POLICY, LowRankDelta, MODE_ALORA, MODE_LORA,
                        build_policy, delta_apply, find_invocation,
                        load_adapter, random_adapter, save_adapter)
-from .cache import BASE, CacheStore, Provenance, row_bytes
+from .cache import CacheStore, row_bytes
 from .checkpoint import (DEFAULT_CONFIG, load_checkpoint, random_weights,
                          save_checkpoint)
 from .costs import CSV_HEADER, CostLedger, CostQuery, predict_first_token

@@ -4,9 +4,11 @@ Two adapter modes exist. A classic adapter ("lora") applies its deltas to
 every position. An activated adapter ("alora") applies them only from the
 activation point t_invoke onward; positions before it are projected with
 base weights, which is what makes the base model's cache rows reusable.
-One ``AdapterPolicy`` holds that rule for a request: the first adapted
-position, 0 or t_invoke, or none for the base model. Which cached rows a
-request may reuse follows from it, and ``Engine`` alone decides that.
+So a request's adapted positions are always one suffix, and one
+``AdapterPolicy`` records it: the first adapted position, 0 or t_invoke, or
+none for the base model. ``AdapterPolicy.cut`` splits a run of positions at
+that point, for the forward and for the engine's reuse rule alike. A cached
+row's producer is None for the base model or the ``AdapterSpec`` itself.
 
 The activation point is one token after the START of the invocation
 sequence, so the first invocation token itself is still base-projected.
@@ -17,13 +19,11 @@ from __future__ import annotations
 import math
 import operator
 import types
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cache import BASE, Provenance
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
 from .fileio import read_tensor_file, write_tensor_file
 
@@ -102,20 +102,20 @@ def as_token_ids(tokens) -> list:
             f"token ids must be integers: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdapterSpec:
     """An adapter: per-layer per-projection deltas plus invocation metadata.
 
     A spec cannot change once built. It keeps read-only copies of the
-    factors in a read-only mapping, so the cache rows it has produced,
-    which its ``provenance`` vouches for, stay valid for it; a changed
-    adapter is a new spec (``dataclasses.replace``) with a provenance of
-    its own.
+    factors in a read-only mapping, so the cache rows it has produced, which
+    name it as their producer, stay valid for it; a changed adapter is a new
+    spec (``dataclasses.replace``). Specs compare and hash by identity, so
+    two specs sharing an id never share rows.
     """
 
     adapter_id: str
     mode: str
-    deltas: Mapping[Tuple[int, str], LowRankDelta]
+    deltas: Mapping[Tuple[int, str], LowRankDelta] = field(repr=False)
     invocation_sequence: Optional[Tuple[int, ...]] = None
     max_new_tokens: int = 16
 
@@ -136,12 +136,6 @@ class AdapterSpec:
                 raise ConfigurationError(f"negative layer index {layer}")
             deltas[(layer, proj)] = _read_only(delta)
         object.__setattr__(self, "deltas", types.MappingProxyType(deltas))
-
-    @cached_property
-    def provenance(self) -> Provenance:
-        # One object per spec: cache rows compare by identity, so another
-        # spec with this id never reuses them.
-        return Provenance(self.adapter_id)
 
     def check_fits(self, config) -> None:
         """Reject deltas for layers the model lacks or of another width."""
@@ -204,14 +198,15 @@ class AdapterPolicy:
     spec: Optional[AdapterSpec] = None
     first_adapted: Optional[int] = None
 
-    def adapted(self, position: int) -> bool:
-        return self.first_adapted is not None and position >= self.first_adapted
+    def cut(self, start: int, n: int) -> int:
+        """How many leading positions of [start, start + n) take the base
+        weights; the rest take the deltas, and their rows are the spec's."""
+        if self.first_adapted is None:
+            return n
+        return min(max(self.first_adapted - start, 0), n)
 
     def delta(self, layer: int, proj: str):
         return self.spec.deltas.get((layer, proj))
-
-    def provenance_at(self, position: int) -> Provenance:
-        return self.spec.provenance if self.adapted(position) else BASE
 
 
 BASE_POLICY = AdapterPolicy()

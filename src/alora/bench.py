@@ -39,6 +39,10 @@ class BenchPlan:
     seed: int = 0
 
     def validate(self, config) -> None:
+        if self.eval_tokens < 1:
+            # The first-token window needs a first generated token.
+            raise ConfigurationError(
+                f"eval tokens must be at least 1, got {self.eval_tokens}")
         budget = self.answer_tokens + len(DEFAULT_INVOCATION) + self.eval_tokens + 1
         for length in self.prompt_lengths:
             if length <= 0:

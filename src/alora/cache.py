@@ -1,5 +1,5 @@
-"""Per-layer key/value cache in shared fixed-size blocks, with per-position
-producer provenance.
+"""Per-layer key/value cache in shared fixed-size blocks, with each
+position's producer: None for the base model, else the ``AdapterSpec``.
 
 Rows are stored pre-head-split at d_model width; head reshaping happens in
 the attention code as a view. K/V rows live in a block pool: one
@@ -29,6 +29,10 @@ When the last table holding a block is collected, the block returns to the
 pool's free list; the pool grows only when its live blocks run out. A fork
 keeps a ``ForkParent`` record of its ancestry, not its parent: dropping a
 parent frees what only it held.
+
+The ``provenance`` list holds one producer per position. Specs compare by
+identity, so the engine reuses a row only for a request whose policy would
+produce that row with the same spec object (``Engine._usable_prefix``).
 
 Byte accounting is logical: a fork owns the positions it appended, and its
 aliased prefix, copied rows included, is counted once, in the cache that
@@ -66,29 +70,6 @@ BLOCK_ROWS = 16
 
 # Blocks a read buffer holds past the rows it is filled with.
 SPARE_BLOCKS = 4
-
-
-@dataclass(frozen=True, eq=False)
-class Provenance:
-    """Identity of the weights that produced a cached position's K/V rows.
-
-    ``adapter_id is None`` means the base model produced the rows.
-    Provenances compare by identity, so two specs sharing an id never share
-    rows. The engine reuses a row only for a request whose policy would
-    write this provenance at that position (``Engine._usable_prefix``).
-    """
-
-    adapter_id: Optional[str] = None
-
-    @property
-    def is_base(self) -> bool:
-        return self.adapter_id is None
-
-    def __repr__(self):
-        return "Base" if self.is_base else f"Adapter({self.adapter_id})"
-
-
-BASE = Provenance(None)
 
 
 def row_bytes(config) -> int:
@@ -264,8 +245,8 @@ class CacheStore:
 
     def append_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray,
                     provenance) -> None:
-        """Append K/V rows for one layer; ``provenance`` holds one
-        ``Provenance`` per row. Layer 0 drives the provenance list."""
+        """Append K/V rows for one layer; ``provenance`` holds each row's
+        producer. Layer 0 drives the provenance list."""
         if not 0 <= layer < self.config.n_layers:
             raise ContractViolationError(f"layer {layer} out of range")
         k_rows = np.atleast_2d(k_rows)

@@ -107,12 +107,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.eval_examples is not None and args.eval_examples < 0:
+        raise ConfigurationError(
+            f"--eval-examples must be non-negative, got {args.eval_examples}")
     config, weights = load_checkpoint(args.checkpoint)
     if args.dataset:
         dataset = read_dataset(args.dataset)
         holdout = max(1, len(dataset) // 10) if args.eval_examples is None \
             else args.eval_examples
-        train_set, eval_set = dataset[:-holdout], dataset[-holdout:]
+        split = max(len(dataset) - holdout, 0)
+        train_set, eval_set = dataset[:split], dataset[split:]
     else:
         kind = TASK_COPY_KEY if args.task == "copy-key" else TASK_CLASSIFY_MARKER
         n_eval = 200 if args.eval_examples is None else args.eval_examples
@@ -138,8 +142,10 @@ def cmd_train(args) -> int:
     save_adapter(result.spec, args.out)
     if args.metrics_out:
         save_metrics_csv(args.metrics_out, result.history)
-    print(f"wrote adapter {args.out}; "
-          f"final exact-match {result.final_exact_match:.4f}")
+    final = result.final_exact_match
+    scored = ("no examples evaluated" if final is None
+              else f"final exact-match {final:.4f}")
+    print(f"wrote adapter {args.out}; {scored}")
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Operation and byte accounting, plus closed-form first-token predictions.
 
-Counters are incremented at the numeric call sites (projections, attention,
-MLP, unembedding) through ``add_matmul``, ``add_attention`` and
-``add_softmax``, with exact formulas: a matmul of m x k by k x n adds
-2*m*n*k. ``predict_first_token`` recomputes the same totals from the
-configuration alone, by independent arithmetic, so measured-vs-predicted
-comparisons are exact equalities rather than tolerance checks.
+The forward adds each run's costs in closed form (``model._count_run``:
+projections, attention, MLP, unembedding) through ``add_matmul``,
+``add_attention`` and ``add_softmax``, with exact formulas: a matmul of
+m x k by k x n adds 2*m*n*k. ``predict_first_token`` recomputes the same
+totals from the configuration alone, position by position rather than run
+by run, so measured-vs-predicted comparisons are exact equalities rather
+than tolerance checks.
 
 Low-rank delta products are intentionally NOT counted: the cost queries
 carry no rank, and the separation claims concern the dense transformer

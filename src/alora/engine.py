@@ -10,21 +10,21 @@ Three reuse patterns are supported:
    their fork privately (``fanout``).
 
 All three rest on one rule, and the engine owns it (``_usable_prefix``): a
-request reuses the longest cached prefix whose provenance, position by
-position, is what the request's ``AdapterPolicy`` would write there, that
-is, base rows before the policy's first adapted position and the adapter's
-own rows from there on.
+request reuses the longest cached prefix whose producers, position by
+position, are what the request's ``AdapterPolicy`` would write there, that
+is, base rows (None) before the policy's cut and rows of the adapter's own
+spec object from there on.
 
 Prefill goes through model.forward_segment in layer-major runs of up to
 model.RUN_ROWS rows and each decode step through model.forward_position as
 a one-row run. A run does not split at t_invoke: an activated adapter's
 fresh prompt (its base-projected first invocation token and the adapted
-rows after it) takes one pass through the layers, the policy deciding row
-by row whether to adapt it. Every row takes its own projection gemvs, and
-its own attention products and softmax normaliser (the rest of a prefill
-run's softmax runs over a block of rows), so a row's bits do not depend on
-how the rows were grouped, and a cache-reusing run and a from-scratch run
-over the same tokens produce bitwise-identical logits. ``Engine`` probes
+rows after it) takes one pass through the layers, the policy's cut marking
+where its adapted suffix begins. Every row takes its own projection gemvs,
+and its own attention products and softmax normaliser (the rest of a
+prefill run's softmax runs over a block of rows), so a row's bits do not
+depend on how the rows were grouped, and a cache-reusing run and a
+from-scratch run over the same tokens produce bitwise-identical logits. ``Engine`` probes
 that property of numpy and the BLAS (model.row_invariance_probe, about 2 ms
 on the default model) at the first request for the base model and at the
 first request naming each set of delta kinds, and keeps each result. The
@@ -43,7 +43,7 @@ import numpy as np
 from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterPolicy,
                        AdapterSpec, BASE_POLICY, as_token_ids, build_policy,
                        find_invocation)
-from .cache import BASE, CacheStore
+from .cache import CacheStore
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
 from .model import (PROBE_PREFIX, ModelConfig, ModelWeights,
@@ -138,8 +138,8 @@ class Engine:
     def _check_row_invariance(self, adapter: Optional[AdapterSpec]) -> None:
         """Raise ConfigurationError if the probe fails for the base model
         (key ``()``) or this adapter's delta kinds, probing once per key. An
-        adapter is probed activated one row into the run, whose base and
-        adapted rows then take both of ``project_row``'s delta paths."""
+        adapter is probed activated one row into the run: the run is cut
+        after its base row, and each row alone is all base or all adapted."""
         key = () if adapter is None else tuple(sorted(
             {(d.rank, d.a.dtype.str, d.b.dtype.str) for d in adapter.deltas.values()}))
         if key not in self._probes:
@@ -171,11 +171,8 @@ class Engine:
         """Longest cached prefix whose producer matches the policy per
         position: the engine's one reuse rule."""
         n = min(reuse.length, prompt_len)
-        # The policy's provenance is two runs: base before its first adapted
-        # position, its own from there on.
-        first = policy.first_adapted
-        start = n if first is None else min(first, n)
-        expected = [BASE] * start + [policy.provenance_at(start)] * (n - start)
+        cut = policy.cut(0, n)
+        expected = [None] * cut + [policy.spec] * (n - cut)
         usable = _common_prefix(reuse.provenance[:n], expected)
         # Keep at least one fresh row so the last prompt position's logits
         # exist; recomputing it reproduces the cached row bitwise.

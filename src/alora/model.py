@@ -1,18 +1,18 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
 The forward is layer-major: a run of up to RUN_ROWS consecutive rows goes
-through each layer together, whether the policy adapts each row or not, and
-decode is a run of one row through the same code. Every row still takes its
-own projections: each is a (T, 1, d) @ W batched matmul, which numpy sends
-row by row to one gemv each (never one gemm, whose rows differ from gemv's
-at these widths). q, k and v come from one such product against
-[W_Q | W_K | W_V], and the rows the policy adapts then add their low-rank
-deltas, again row by row. A run of two or more rows attends in
+through each layer together, base and adapted rows alike, and decode is a
+run of one row through the same code. Every row still takes its own
+projections: each is a (T, 1, d) @ W batched matmul, which numpy sends row
+by row to one gemv each (never one gemm, whose rows differ from gemv's at
+these widths). q, k and v come from one such product against
+[W_Q | W_K | W_V], and the run's adapted rows, a suffix of it, then add
+their low-rank deltas, again row by row. A run of two or more rows attends in
 ``attend_run``: each row's QK product, softmax normaliser and P·V product
 stay its own calls over its exact prefix, all heads in one call, while the
 rest of the softmax runs once over a block of rows; a one-row run (decode)
 calls ``attend_single``. So a row's result does not depend on how many rows
-come with it, nor on which of them are adapted, and cached-vs-uncached and
+come with it, nor on where the run is cut, and cached-vs-uncached and
 batch-vs-incremental comparisons need no tolerances.
 ``row_invariance_probe`` checks it through ``_forward_run`` itself (1 to 2.5 ms,
 once per engine and kind of request); the engine refuses to serve without it.
@@ -23,8 +23,9 @@ sequences, so it trains the model the engine serves.
 
 Adapters plug in through the projection policy (``AdapterPolicy`` in
 adapters.py): the model never inspects adapter state, it only asks the
-policy whether a position is adapted, which provenance its rows carry, and
-the delta factors to apply. Which cached rows may be reused is the engine's
+policy once per run where the run's adapted suffix begins (``cut``) and for
+the delta factors to apply. Base rows carry the producer None and adapted
+rows the policy's spec. Which cached rows may be reused is the engine's
 decision, not the model's.
 """
 
@@ -39,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .adapters import PROJECTIONS, as_token_ids, delta_apply
-from .cache import BASE, CacheStore, first_row_difference
+from .cache import CacheStore, first_row_difference
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
 
@@ -216,23 +217,15 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
     return out.reshape(x.shape)
 
 
-def adapted_rows(policy, start: int, t: int):
-    """Which rows of the run [start, start + t) the policy adapts, asked
-    row by row: None for none, a full slice for all, else their indices."""
-    flags = [policy.adapted(p) for p in range(start, start + t)]
-    if all(flags):
-        return slice(None)
-    return np.flatnonzero(flags) if any(flags) else None
-
-
 def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
                 policy, adapted):
     """Project residual rows ``x`` (T, d) to their q|k|v block (T, 3 d).
 
     Every row gets one gemv against [W_Q | W_K | W_V] (``_row_matmul``).
-    The rows that ``adapted`` selects (see ``adapted_rows``) then get each
-    of the policy's deltas for this layer added to their q, k or v columns
-    by ``delta_apply``, again one row at a time.
+    ``adapted`` is None when no row is adapted, else the slice ``cut:`` of
+    the adapted rows; those rows, views rather than copies, then get each of
+    the policy's deltas for this layer added to their q, k or v columns by
+    ``delta_apply``, again one row at a time.
     """
     qkv = _row_matmul(x, layer.w_qkv)
     if adapted is None:
@@ -337,8 +330,8 @@ RUN_ROWS = 64
 def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
                  policy, cache, ledger: CostLedger, want_logits: bool):
     """Run ``tokens`` through all layers, layer by layer, appending their
-    K/V rows, each row adapted or not as the policy says and with its own
-    provenance; returns the last row's logits if wanted.
+    K/V rows; returns the last row's logits if wanted. The policy's cut
+    splits the run once: base rows before it, adapted rows from it on.
 
     The cache must already hold exactly positions [0, start).
     """
@@ -351,8 +344,9 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
     t = len(tokens)
     end = start + t
     d = config.d_model
-    adapted = adapted_rows(policy, start, t)
-    provenance = [policy.provenance_at(p) for p in range(start, end)]
+    cut = policy.cut(start, t)
+    adapted = None if cut == t else slice(cut, None)
+    provenance = [None] * cut + [policy.spec] * (t - cut)
     cache.append_token_ids(tokens)
     x = weights.token_embedding.take(tokens, axis=0)
     cos, sin = rope_tables(np.arange(start, end), config, weights.dtype)
@@ -413,8 +407,8 @@ def forward_segment(tokens, start_position: int, weights: ModelWeights,
     """Process a segment of tokens; returns the last row's logits.
 
     The tokens go through the layers in runs of RUN_ROWS rows (the last run
-    may be shorter). A run may hold base and adapted rows: the policy is
-    asked row by row, so the run does not split at the first adapted row.
+    may be shorter). A run may hold base and adapted rows: it does not split
+    at the first adapted row, but passes its adapted suffix to the deltas.
     """
     if ledger is None:
         ledger = CostLedger()
@@ -452,7 +446,7 @@ def row_invariance_probe(weights: ModelWeights, config: ModelConfig,
     root.append_token_ids(tokens[:PROBE_PREFIX])
     for li in range(config.n_layers):
         k, v = rng.standard_normal((2, PROBE_PREFIX, config.d_model)).astype(weights.dtype)
-        root.append_rows(li, k, v, [BASE] * PROBE_PREFIX)
+        root.append_rows(li, k, v, [None] * PROBE_PREFIX)
     root.seal()
     fork = root.fork_shared(PROBE_PREFIX)
     run = _forward_run(tokens[PROBE_PREFIX:], PROBE_PREFIX, weights, config,

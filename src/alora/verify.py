@@ -5,11 +5,14 @@ and demands BITWISE equality. That is attainable because every row takes
 its own gemv call and its own attention call, so its result does not depend
 on how many rows are computed with it. ``Engine`` probes this property of
 numpy and the BLAS at its first request (here the first oracle trial) and
-raises ConfigurationError if it fails. The mutation check runs the adapter
-under a corrupted policy that adapts one pre-activation position, and
+raises ConfigurationError if it fails. The mutation check adapts one
+position before t_invoke, running the prompt as three segments into one
+cache (base rows, that one position under the adapter, the rest under the
+real policy), which by row invariance gives the rows one run would, and
 requires the equivalence check to fail, proving the suite can actually
 detect violations. The provenance check reads the engine's own reuse rule
 through requests that reuse a cache, so it tests the rule that serves.
+Every trial adapter's rank is capped at d_model (``_trial_adapter``).
 """
 
 from __future__ import annotations
@@ -35,15 +38,16 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class _CorruptedPolicy(AdapterPolicy):
-    """An activated adapter's policy that also adapts one position before
-    t_invoke: the violation the mutation check must detect."""
-
-    corrupt_position: int = 0
-
-    def adapted(self, position: int) -> bool:
-        return position == self.corrupt_position or super().adapted(position)
+def _trial_adapter(engine: Engine, rng, adapter_id: str, *, rank: int = 8,
+                   mode: str = MODE_ALORA, inv=None,
+                   make=random_adapter) -> AdapterSpec:
+    """A trial's adapter from ``make``, alpha 32, its seed drawn from
+    ``rng``. The rank is capped at d_model, which changes no draw, so the
+    random stream does not depend on the model's width."""
+    config = engine.config
+    return make(config.d_model, config.n_layers,
+                rank=min(rank, config.d_model), alpha=32.0, mode=mode, adapter_id=adapter_id,
+                seed=int(rng.integers(0, 2**32)), invocation_sequence=inv)
 
 
 def _random_invocation(rng) -> Tuple[int, ...]:
@@ -82,15 +86,12 @@ def kv_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
 
     When ``spec`` is given (e.g. a trained adapter loaded from disk) it is
     used as-is; otherwise a random adapter of the given rank is drawn.
+    ``corrupt`` also adapts one random position before t_invoke.
     """
     config = engine.config
     if spec is None:
         inv = _random_invocation(rng)
-        spec = random_adapter(config.d_model, config.n_layers, rank=rank,
-                              alpha=32.0, mode=MODE_ALORA,
-                              adapter_id=f"trial-{rank}",
-                              seed=int(rng.integers(0, 2**32)),
-                              invocation_sequence=inv)
+        spec = _trial_adapter(engine, rng, f"trial-{rank}", rank=rank, inv=inv)
     else:
         inv = spec.invocation_sequence
     prompt = _planted_prompt(rng, config, inv)
@@ -102,12 +103,17 @@ def kv_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
                     base_cache, CostLedger())
 
     policy = build_policy(spec, activation)
+    segments = ((0, len(prompt), policy),)
     if corrupt:
-        policy = _CorruptedPolicy(spec, t_invoke,
-                                  corrupt_position=int(rng.integers(0, t_invoke)))
+        # Position c alone is adapted early: the violation to detect.
+        c = int(rng.integers(0, t_invoke))
+        segments = ((0, c, BASE_POLICY), (c, c + 1, AdapterPolicy(spec, 0)),
+                    (c + 1, len(prompt), policy))
     adapted_cache = CacheStore(config, dtype=engine.weights.dtype)
-    forward_segment(prompt, 0, engine.weights, config, policy,
-                    adapted_cache, CostLedger())
+    for a, b, segment_policy in segments:
+        if a < b:
+            forward_segment(prompt[a:b], a, engine.weights, config,
+                            segment_policy, adapted_cache, CostLedger())
     return first_row_difference(base_cache, adapted_cache, t_invoke)
 
 
@@ -123,10 +129,7 @@ def oracle_equivalence_trial(engine: Engine, rng, *, rank: int = 8,
     base_res = engine.generate(GenerationRequest(
         prompt_tokens=base_prompt, max_new_tokens=answer_len,
         min_new_tokens=answer_len))
-    spec = random_adapter(config.d_model, config.n_layers, rank=rank, alpha=32.0,
-                          mode=MODE_ALORA, adapter_id="oracle-trial",
-                          seed=int(rng.integers(0, 2**32)),
-                          invocation_sequence=inv)
+    spec = _trial_adapter(engine, rng, "oracle-trial", rank=rank, inv=inv)
     reused = engine.invoke_intrinsic(base_res.cache, list(inv), spec,
                                      max_new_tokens=new_tokens,
                                      min_new_tokens=new_tokens)
@@ -143,10 +146,7 @@ def reduction_trial(engine: Engine, rng, *, rank: int = 8,
     config = engine.config
     prompt = rng.integers(8, config.vocab_size,
                           size=int(rng.integers(8, 33))).tolist()
-    seed = int(rng.integers(0, 2**32))
-    alora = random_adapter(config.d_model, config.n_layers, rank=rank, alpha=32.0,
-                           mode=MODE_ALORA, adapter_id="red-a", seed=seed,
-                           invocation_sequence=(2, 3))
+    alora = _trial_adapter(engine, rng, "red-a", rank=rank, inv=(2, 3))
     lora = AdapterSpec(adapter_id="red-l", mode=MODE_LORA, deltas=alora.deltas)
     res_a = engine.generate(
         GenerationRequest(prompt_tokens=prompt, adapter=alora,
@@ -163,10 +163,9 @@ def zero_delta_trial(engine: Engine, rng, *, mode: str = MODE_ALORA,
     inv = _random_invocation(rng)
     prompt = rng.integers(8, config.vocab_size,
                           size=int(rng.integers(8, 33))).tolist()
-    spec = zero_adapter(config.d_model, config.n_layers, rank=rank, alpha=32.0,
-                        mode=mode, adapter_id="zero",
-                        seed=int(rng.integers(0, 2**32)),
-                        invocation_sequence=inv if mode == MODE_ALORA else None)
+    spec = _trial_adapter(engine, rng, "zero", rank=rank, mode=mode,
+                          inv=inv if mode == MODE_ALORA else None,
+                          make=zero_adapter)
     full = prompt + list(inv) if mode == MODE_ALORA else prompt
     res_adapter = (engine.invoke_intrinsic(
         _sealed_prefill(engine, prompt), list(inv), spec,
@@ -191,19 +190,16 @@ def provenance_trial(engine: Engine, rng, *, rank: int = 8) -> Optional[str]:
     prompt = rng.integers(8, config.vocab_size,
                           size=int(rng.integers(16, 49))).tolist()
     base_cache = _sealed_prefill(engine, prompt)
-    if any(not p.is_base for p in base_cache.provenance):
+    if any(p is not None for p in base_cache.provenance):
         return "base prefill produced non-base provenance"
-    spec = random_adapter(config.d_model, config.n_layers, rank=rank, alpha=32.0,
-                          mode=MODE_ALORA, adapter_id="prov",
-                          seed=int(rng.integers(0, 2**32)),
-                          invocation_sequence=inv)
+    spec = _trial_adapter(engine, rng, "prov", rank=rank, inv=inv)
     res = engine.invoke_intrinsic(base_cache, list(inv), spec,
                                   max_new_tokens=8, min_new_tokens=8)
     t_invoke = res.t_invoke
     for p, prov in enumerate(res.cache.provenance):
-        want_base = p < t_invoke
-        if want_base != prov.is_base:
-            return f"provenance at position {p} is {prov}, t_invoke={t_invoke}"
+        if prov is not (None if p < t_invoke else spec):
+            who = "base" if prov is None else f"adapter {prov.adapter_id!r}"
+            return f"provenance at position {p} is {who}, t_invoke={t_invoke}"
     # One more token, so that every cached row may be reused, and no decode.
     prompt = res.cache.token_ids + [8]
     for who, adapter, activation, want in (
@@ -238,9 +234,7 @@ def run_verify(engine: Engine, seed: int, trials: int,
 
     results = [_checked(
         "kv-prefix-equivalence", f"{trials} trials bitwise equal",
-        # Capped after the draw: the random stream does not depend on d_model.
-        ((t, kv_equivalence_trial(
-            engine, rng, rank=min(int(rng.choice([8, 32])), engine.config.d_model)))
+        ((t, kv_equivalence_trial(engine, rng, rank=int(rng.choice([8, 32]))))
          for t in range(trials)))]
     if spec is not None:
         n_spec = max(1, min(trials, 20))
@@ -253,7 +247,7 @@ def run_verify(engine: Engine, seed: int, trials: int,
     detected = kv_equivalence_trial(engine, rng, rank=8, corrupt=True)
     results.append(CheckResult(
         "mutation-sensitivity", detected is not None,
-        detail=(detected or "corrupted policy was NOT detected")))
+        detail=detected or "a position adapted early was NOT detected"))
 
     n_small = max(1, min(trials, 10))
     for name, fn in (("cache-reuse-oracle", oracle_equivalence_trial),

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alora import (AdapterSpec, LowRankDelta, build_policy, delta_apply,
-                   find_invocation, load_adapter, random_adapter, save_adapter)
+from alora import (AdapterPolicy, AdapterSpec, LowRankDelta, build_policy,
+                   delta_apply, find_invocation, load_adapter, random_adapter,
+                   save_adapter)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA
 from alora.errors import (ConfigurationError, ContractViolationError,
                           FormatError, NotInvokedError)
@@ -145,6 +146,12 @@ class TestFrozenSpec:
         assert np.all(spec.deltas[(0, "q")].b == np.float32(0.2))
 
 
+def _adapted(policy, position):
+    """Whether ``policy`` adapts ``position``: a one-row run there is not
+    cut before its row."""
+    return policy.cut(position, 1) == 0
+
+
 class TestBuildPolicy:
     def test_activation_zero_equals_classic_everywhere(self):
         spec = _alora((7,))
@@ -152,18 +159,18 @@ class TestBuildPolicy:
         lora = AdapterSpec(adapter_id="l", mode=MODE_LORA, deltas=spec.deltas)
         classic = build_policy(lora, None)
         for p in range(10):
-            assert policy.adapted(p) and classic.adapted(p)
+            assert _adapted(policy, p) and _adapted(classic, p)
 
     def test_activation_at_sequence_end(self):
         spec = _alora((7,))
         policy = build_policy(spec, ActivationPoint(6))
-        assert [policy.adapted(p) for p in range(6)] == [False] * 6
-        assert policy.adapted(6)
+        assert [_adapted(policy, p) for p in range(6)] == [False] * 6
+        assert _adapted(policy, 6)
 
     def test_verdict_pattern(self):
         spec = _alora((7,))
         policy = build_policy(spec, ActivationPoint(5))
-        adapted = [policy.adapted(p) for p in range(8)]
+        adapted = [_adapted(policy, p) for p in range(8)]
         assert adapted == [False] * 5 + [True] * 3
 
     def test_activation_rule_property(self, rng):
@@ -172,7 +179,18 @@ class TestBuildPolicy:
             t = int(rng.integers(0, 40))
             policy = build_policy(spec, ActivationPoint(t))
             for p in rng.integers(0, 60, size=10):
-                assert policy.adapted(int(p)) == (p >= t)
+                assert _adapted(policy, int(p)) == (p >= t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=st.one_of(st.none(), st.integers(0, 80)),
+           start=st.integers(0, 60), n=st.integers(1, 40))
+    def test_cut_is_the_per_position_rule(self, first, start, n):
+        # The base rows of any run are a prefix of it, of ``cut`` rows.
+        policy = AdapterPolicy(_alora((7,)), first)
+        adapted = [first is not None and p >= first
+                   for p in range(start, start + n)]
+        cut = policy.cut(start, n)
+        assert adapted == [False] * cut + [True] * (n - cut)
 
     def test_alora_requires_activation(self):
         with pytest.raises(ContractViolationError):

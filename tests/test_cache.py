@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alora import BASE, CacheStore, ModelConfig, Provenance, row_bytes
+from alora import AdapterSpec, CacheStore, ModelConfig, row_bytes
 from alora.cache import BLOCK_ROWS, ForkParent
 from alora.errors import ContractViolationError
 
@@ -22,7 +22,12 @@ def config():
                        vocab_size=16, max_positions=64)
 
 
-def fill(cache, n, provenance=BASE, rng=None, token_base=3):
+def producer(adapter_id):
+    """An adapter with no deltas, standing for the producer of rows."""
+    return AdapterSpec(adapter_id=adapter_id, mode="lora", deltas={})
+
+
+def fill(cache, n, provenance=None, rng=None, token_base=3):
     rng = rng or np.random.default_rng(0)
     d = cache.config.d_model
     for _ in range(n):
@@ -53,7 +58,7 @@ class TestAppend:
         d = config.d_model
         row = np.ones((1, d), dtype=np.float32)
         cache.append_token_ids([1])
-        cache.append_rows(0, row, row, [BASE])
+        cache.append_rows(0, row, row, [None])
         # layer 1 never written: integrity scan must name it
         with pytest.raises(ContractViolationError, match="layer 1"):
             cache.integrity_check()
@@ -75,7 +80,7 @@ class TestFork:
         parent.seal()
         before_k = [parent.k_matrix(l, 5).copy() for l in range(config.n_layers)]
         child = parent.fork_shared(5)
-        fill(child, 16, Provenance("x"), rng=rng)
+        fill(child, 16, producer("x"), rng=rng)
         assert parent.length == 5
         assert child.length == 21
         for l in range(config.n_layers):
@@ -89,7 +94,7 @@ class TestFork:
         parent.seal()
         children = [parent.fork_shared(4) for _ in range(2)]
         for child in children:
-            fill(child, 3, Provenance("x"), rng=rng)
+            fill(child, 3, producer("x"), rng=rng)
         # oracle: unique owned buffers summed directly
         total = parent.incremental_bytes() + sum(
             c.incremental_bytes() for c in children)
@@ -119,7 +124,7 @@ class TestFork:
                                            ).astype(np.float32)
                 node.append_token_ids([3])
                 for l in range(config.n_layers):
-                    node.append_rows(l, k[l], v[l], [BASE])
+                    node.append_rows(l, k[l], v[l], [None])
                 expected.append((k, v))
         for l in range(config.n_layers):
             for upto in range(node.length + 1):
@@ -152,7 +157,7 @@ class TestFork:
         snapshot = [(parent.k_matrix(l, 6).copy(), parent.v_matrix(l, 6).copy())
                     for l in range(config.n_layers)]
         child = parent.fork_shared(6)
-        fill(child, 8, Provenance("c"), rng=rng)
+        fill(child, 8, producer("c"), rng=rng)
         fill(parent, 2, rng=rng)  # appending past the sealed region is legal
         for l, (k, v) in enumerate(snapshot):
             assert np.array_equal(parent.k_matrix(l, 6), k)
@@ -172,7 +177,7 @@ class TestBytes:
         fill(parent, 10, rng=rng)
         parent.seal()
         child = parent.fork_shared(10)
-        fill(child, 4, Provenance("x"), rng=rng)
+        fill(child, 4, producer("x"), rng=rng)
         assert child.incremental_bytes() == 4 * row_bytes(config)
 
     @settings(max_examples=30, deadline=None)
@@ -185,7 +190,7 @@ class TestBytes:
         children = []
         for i in range(n_forks):
             child = parent.fork_shared(parent_len)
-            fill(child, t_new, Provenance(str(i)))
+            fill(child, t_new, producer(str(i)))
             children.append(child)
         tree_total = parent.incremental_bytes() + sum(
             c.incremental_bytes() for c in children)
@@ -199,7 +204,7 @@ def random_rows(rng, n, config):
                                ).astype(np.float32)
 
 
-def put(cache, rows, provenance=BASE):
+def put(cache, rows, provenance=None):
     cache.append_token_ids([3] * len(rows))
     for layer in range(cache.config.n_layers):
         cache.append_rows(layer, rows[:, layer, 0], rows[:, layer, 1],

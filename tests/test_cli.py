@@ -115,6 +115,13 @@ class TestVerifyCommand:
                      "--n-heads", "2", "--max-positions", "512"]) == 0
         assert main(["verify", "--checkpoint", str(path), "--trials", "2"]) == 0
 
+    def test_model_narrower_than_trial_rank_passes(self, tmp_path):
+        # d_model 4 is narrower than every trial's rank 8: all are capped
+        path = tmp_path / "narrowest.alre"
+        assert main(["gen-model", "--out", str(path), "--d-model", "4",
+                     "--n-heads", "2", "--max-positions", "512"]) == 0
+        assert main(["verify", "--checkpoint", str(path), "--trials", "2"]) == 0
+
     def test_detected_failure_exit_code_one(self, checkpoint, monkeypatch):
         from alora import cli
         from alora.verify import CheckResult
@@ -183,6 +190,13 @@ class TestBenchCommand:
         ratios = [flops[("lora", t)] / flops[("alora", t)] for t in t_caches]
         assert ratios[0] < ratios[1]
 
+    def test_zero_eval_tokens_exit_code_two(self, checkpoint, capsys):
+        # No first generated token: the first-token rows would count less
+        # than their prediction.
+        assert main(["bench", "--checkpoint", str(checkpoint)] + self.BENCH_ARGS
+                    + ["--eval-tokens", "0"]) == 2
+        assert "eval tokens" in capsys.readouterr().err
+
     def test_plan_exceeding_positions_exit_code_two(self, checkpoint):
         assert main(["bench", "--checkpoint", str(checkpoint),
                      "--prompt-lengths", "4096"]) == 2
@@ -231,6 +245,50 @@ class TestTrainCommand:
         assert code == 0
         assert adapter_path.exists()
 
+
+    def test_zero_eval_examples_on_a_task(self, checkpoint, tmp_path, capsys):
+        adapter_path = tmp_path / "adapter.alad"
+        assert main(["train", "--checkpoint", str(checkpoint),
+                     "--out", str(adapter_path), "--steps", "2",
+                     "--batch-size", "2", "--train-examples", "8",
+                     "--eval-examples", "0"]) == 0
+        assert adapter_path.exists()
+        assert "no examples evaluated" in capsys.readouterr().out
+
+    @staticmethod
+    def _train_on_dataset(checkpoint, tmp_path, monkeypatch, eval_examples):
+        """``alora train`` on a 20-example dataset file; returns its exit
+        code and the sizes of the sets it handed to ``train``."""
+        from alora import cli, make_synthetic_task, write_dataset
+        ds_path = tmp_path / "data.jsonl"
+        write_dataset(ds_path, make_synthetic_task("copy_key", 20, seed=1))
+        sizes, real_train = [], cli.train
+
+        def counted(train_set, *args, eval_dataset=None, **kwargs):
+            sizes.append((len(train_set), len(eval_dataset)))
+            return real_train(train_set, *args, eval_dataset=eval_dataset,
+                              **kwargs)
+
+        monkeypatch.setattr(cli, "train", counted)
+        code = main(["train", "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "adapter.alad"),
+                     "--dataset", str(ds_path), "--steps", "2",
+                     "--batch-size", "2", "--eval-examples", eval_examples])
+        return code, sizes
+
+    def test_zero_eval_examples_on_a_dataset(self, checkpoint, tmp_path,
+                                             monkeypatch, capsys):
+        code, sizes = self._train_on_dataset(checkpoint, tmp_path, monkeypatch, "0")
+        assert code == 0
+        assert sizes == [(20, 0)]
+        assert "no examples evaluated" in capsys.readouterr().out
+
+    def test_negative_eval_examples_exit_code_two(self, checkpoint, tmp_path,
+                                                  monkeypatch, capsys):
+        code, sizes = self._train_on_dataset(checkpoint, tmp_path, monkeypatch, "-5")
+        assert code == 2
+        assert sizes == []
+        assert "--eval-examples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--batch-size", "--eval-every"])
     def test_zero_count_exit_code_two(self, checkpoint, tmp_path, flag):

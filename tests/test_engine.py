@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alora import (BASE, AdapterSpec, Engine, GenerationRequest, LowRankDelta,
+from alora import (AdapterSpec, Engine, GenerationRequest, LowRankDelta,
                    ModelConfig, random_adapter, random_weights, row_bytes)
 from alora import engine as engine_module
 from alora.cache import BLOCK_ROWS
@@ -30,7 +30,7 @@ class TestPrefill:
         prompt = rng.integers(8, 256, size=10).tolist()
         cache = toy_engine.prefill(GenerationRequest(prompt_tokens=prompt))
         assert cache.length == 10
-        assert all(p == BASE for p in cache.provenance)
+        assert all(p is None for p in cache.provenance)
         assert cache.sealed_length == 10
 
     def test_alora_reuse_computes_only_fresh_tail(self, toy_engine, rng):
@@ -113,7 +113,7 @@ def _reuse_ignoring_provenance(engine, reuse, policy, prompt_len):
 def _reuse_of_base_rows_only(engine, reuse, policy, prompt_len):
     usable = 0
     for prov in reuse.provenance[:prompt_len - 1]:
-        if not prov.is_base:
+        if prov is not None:
             break
         usable += 1
     return usable
@@ -125,8 +125,10 @@ class TestReuseChecks:
     @staticmethod
     def usable_per_position(reuse, policy, prompt_len):
         usable = 0
+        first = policy.first_adapted
         for p in range(min(reuse.length, prompt_len)):
-            if reuse.provenance[p] != policy.provenance_at(p):
+            want = None if first is None or p < first else policy.spec
+            if reuse.provenance[p] is not want:
                 break
             usable += 1
         return min(usable, prompt_len - 1)
@@ -352,7 +354,7 @@ class TestLoraInvoke:
         res = toy_engine.lora_invoke(full, spec, max_new_tokens=0)
         assert res.cost.rows_projected_fresh == 20
         assert res.cost.rows_reused == 0
-        assert all(p == spec.provenance for p in res.cache.provenance)
+        assert all(p is spec for p in res.cache.provenance)
 
     def test_requests_by_one_spec_share_one_provenance_object(self, toy_engine,
                                                              rng):
@@ -363,7 +365,7 @@ class TestLoraInvoke:
             rng.integers(8, 256, size=6).tolist(), spec,
             max_new_tokens=3, min_new_tokens=3).cache.provenance]
         assert len(rows) == 18
-        assert all(p is rows[0] for p in rows)
+        assert all(p is spec for p in rows)
 
     def test_zero_delta_equals_base(self, toy_engine, rng):
         full = rng.integers(8, 256, size=9).tolist()
@@ -514,7 +516,7 @@ class TestResumeBase:
         spec = _alora_spec(toy_engine.config, inv=(2, 3))
         res = toy_engine.invoke_intrinsic(base_cache, [2, 3], spec,
                                           max_new_tokens=16, min_new_tokens=16)
-        adapter_rows = sum(1 for p in res.cache.provenance if not p.is_base)
+        adapter_rows = sum(1 for p in res.cache.provenance if p is not None)
         assert adapter_rows >= 16
         resumed = toy_engine.resume_base(res, [9, 9], max_new_tokens=2,
                                          min_new_tokens=2)
@@ -549,9 +551,21 @@ class TestResumeBase:
                                           max_new_tokens=4, min_new_tokens=4)
         for position, provenance in enumerate(res.cache.provenance):
             if position < res.t_invoke:
-                assert provenance == BASE
+                assert provenance is None
             else:
-                assert provenance == spec.provenance
+                assert provenance is spec
+
+    def test_specs_compare_and_hash_by_identity(self, toy_engine):
+        # Rows name their producer by the spec object: a spec built from
+        # the same factors and id is another producer, and a spec's repr
+        # names it without printing its factors.
+        config = toy_engine.config
+        spec, twin = (_alora_spec(config, adapter_id="mine") for _ in range(2))
+        assert spec == spec and spec != twin
+        assert hash(spec) == hash(spec) and len({spec, twin}) == 2
+        assert {spec: 1}[spec] == 1 and twin not in {spec: 1}
+        assert replace(spec) != spec
+        assert "mine" in repr(spec) and len(repr(spec)) < 200
 
     def test_specs_sharing_an_id_share_no_rows(self, toy_engine, rng):
         # Two adapters named "x": the second may reuse the base rows of the

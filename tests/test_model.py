@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alora import (AdapterSpec, BASE_POLICY, CostLedger, LowRankDelta,
-                   ModelConfig, ModelWeights, build_policy, forward_segment,
-                   greedy_pick, random_adapter)
+from alora import (AdapterPolicy, AdapterSpec, BASE_POLICY, CostLedger,
+                   LowRankDelta, ModelConfig, ModelWeights, build_policy,
+                   forward_segment, greedy_pick, random_adapter)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
 from alora.errors import ConfigurationError, ContractViolationError
-from alora.model import (ATTEND_BLOCK, RUN_ROWS, LayerWeights, adapted_rows,
+from alora.model import (ATTEND_BLOCK, RUN_ROWS, LayerWeights, _forward_run,
                          attend_run, attend_single, forward_position,
                          project_row, rope_rotate_heads, rope_tables)
 
@@ -22,8 +22,9 @@ from alora.model import (ATTEND_BLOCK, RUN_ROWS, LayerWeights, adapted_rows,
 def project_rows(x, weights, policy):
     """project_row over the rows of ``x``, a run starting at position 0,
     split into its (q, k, v) column blocks."""
+    cut = policy.cut(0, len(x))
     qkv = project_row(x, 0, weights.layers[0], policy,
-                      adapted_rows(policy, 0, len(x)))
+                      None if cut == len(x) else slice(cut, None))
     return np.split(qkv, 3, axis=-1)
 
 
@@ -394,7 +395,7 @@ class TestRunBoundaries:
             cache = self._segment_then_rows(weights, toy_config, policy,
                                             tokens[:n], tokens[n:], dtype)
             adapted = [p for p, prov in enumerate(cache.provenance)
-                       if not prov.is_base]
+                       if prov is not None]
             assert adapted == list(range(t_invoke, n + 3)), offset
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -414,26 +415,29 @@ class TestRunBoundaries:
         cache = self._segment_then_rows(weights, config, policy,
                                         tokens[p:p + n], tokens[p + n:], dtype,
                                         prefix=tokens[:p])
-        adapted = [q for q, prov in enumerate(cache.provenance) if not prov.is_base]
+        adapted = [q for q, prov in enumerate(cache.provenance) if prov is not None]
         assert adapted == list(range(p + 20, p + n + 3))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_stray_adapted_row_inside_a_run(self, toy_config, toy_weights, dtype):
-        # A policy that adapts one position well before t_invoke, in the
-        # middle of a run: only that row, and the rows from t_invoke on,
-        # take the deltas and the adapter's provenance.
-        from alora.verify import _CorruptedPolicy
-        weights = toy_weights.astype(dtype)
-        spec = random_adapter(toy_config.d_model, toy_config.n_layers, rank=8,
-                              alpha=32.0, mode=MODE_ALORA, adapter_id="stray",
-                              seed=12, invocation_sequence=(2, 3))
-        policy = _CorruptedPolicy(spec, 40, corrupt_position=17)
-        tokens = np.random.default_rng(8).integers(
-            8, toy_config.vocab_size, size=50).tolist()
-        cache = self._segment_then_rows(weights, toy_config, policy,
-                                        tokens[:48], tokens[48:], dtype)
-        adapted = [p for p, prov in enumerate(cache.provenance) if not prov.is_base]
-        assert adapted == [17] + list(range(40, 50))
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.one_of(st.none(), st.integers(0, 40)),
+           start=st.integers(0, 24), n=st.integers(1, 16))
+    def test_run_provenance_is_the_per_position_rule(self, first, start, n):
+        # One run's rows carry None before the policy's first adapted
+        # position and the spec object itself from it on.
+        config, weights = make_micro_model(8, 2, 16)
+        spec = random_adapter(8, 1, rank=2, alpha=4.0, mode=MODE_ALORA,
+                              adapter_id="suffix", seed=0,
+                              invocation_sequence=(2, 3))
+        cache = CacheStore(config)
+        rows = np.random.default_rng(start).standard_normal((start, 8))
+        cache.append_token_ids([1] * start)
+        cache.append_rows(0, rows, rows, [None] * start)
+        _forward_run([1] * n, start, weights, config, AdapterPolicy(spec, first),
+                     cache, CostLedger(), want_logits=False)
+        want = [spec if first is not None and p >= first else None
+                for p in range(start, start + n)]
+        assert len(cache.provenance) == start + n
+        assert all(got is w for got, w in zip(cache.provenance[start:], want))
 
 
 class TestFusedQKV:
