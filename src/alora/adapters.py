@@ -67,15 +67,43 @@ class LowRankDelta:
         return self.alpha / self.rank
 
 
-def _read_only(delta: LowRankDelta) -> LowRankDelta:
-    """``delta`` with read-only copies of its factors. Its checks passed
-    for these values already and are not run again: they cost more than
-    the copies."""
-    a, b = delta.a.copy(), delta.b.copy()
-    a.setflags(write=False)
-    b.setflags(write=False)
-    frozen = object.__new__(type(delta))
-    frozen.__dict__.update(delta.__dict__, a=a, b=b)
+# Each factor of a spec starts a multiple of this many bytes into the
+# spec's buffer.
+FACTOR_ALIGN = 64
+
+
+def _frozen(deltas: Mapping[Tuple[int, str], LowRankDelta]) -> dict:
+    """``deltas`` with their factors copied, in one pass, into one buffer
+    backed by ``bytes``: each factor a read-only view of it, starting a
+    multiple of FACTOR_ALIGN bytes in. numpy refuses to make such a view,
+    or its base, writeable again. Factors of one shape and dtype take
+    slots of one size, so one strided array over the buffer yields all
+    their views. The deltas' checks passed for these values already and
+    are not run again: they cost more than the copy."""
+    factors = [np.ascontiguousarray(f) for d in deltas.values() for f in (d.a, d.b)]
+    groups = {}
+    for i, f in enumerate(factors):
+        groups.setdefault((f.shape, f.dtype), []).append(i)
+    parts, at, layout = [], 0, []
+    for (shape, dtype), members in groups.items():
+        size = factors[members[0]].nbytes
+        slot = -(-size // FACTOR_ALIGN) * FACTOR_ALIGN
+        pad = bytes(slot - size)
+        for i in members:
+            parts += (factors[i], pad)
+        layout.append((members, shape, dtype, at, slot))
+        at += slot * len(members)
+    whole = np.frombuffer(b"".join(parts), dtype=np.uint8)
+    views = [None] * len(factors)
+    for members, shape, dtype, offset, slot in layout:
+        stack = np.ndarray((len(members),) + shape, dtype, whole, offset,
+                           (slot,) + factors[members[0]].strides)
+        for i, view in zip(members, stack):
+            views[i] = view
+    frozen, views = {}, iter(views)
+    for key, delta in deltas.items():
+        copy = frozen[key] = object.__new__(type(delta))
+        copy.__dict__.update(delta.__dict__, a=next(views), b=next(views))
     return frozen
 
 
@@ -106,11 +134,13 @@ def as_token_ids(tokens) -> list:
 class AdapterSpec:
     """An adapter: per-layer per-projection deltas plus invocation metadata.
 
-    A spec cannot change once built. It keeps read-only copies of the
-    factors in a read-only mapping, so the cache rows it has produced, which
-    name it as their producer, stay valid for it; a changed adapter is a new
-    spec (``dataclasses.replace``). Specs compare and hash by identity, so
-    two specs sharing an id never share rows.
+    A spec cannot change once built. It copies all its factors once into
+    one immutable buffer (``_frozen``): each factor is a read-only view of
+    a ``bytes`` object, which numpy will not make writeable again, and the
+    deltas sit in a read-only mapping. So the cache rows it has produced,
+    which name it as their producer, stay valid for it; a changed adapter
+    is a new spec (``dataclasses.replace``). Specs compare and hash by
+    identity, so two specs sharing an id never share rows.
     """
 
     adapter_id: str
@@ -128,14 +158,13 @@ class AdapterSpec:
                     "alora adapters require a non-empty invocation sequence")
             object.__setattr__(self, "invocation_sequence",
                                tuple(as_token_ids(self.invocation_sequence)))
-        deltas = {}
-        for (layer, proj), delta in self.deltas.items():
+        for layer, proj in self.deltas:
             if proj not in PROJECTIONS:
                 raise ConfigurationError(f"unknown projection target {proj!r}")
             if layer < 0:
                 raise ConfigurationError(f"negative layer index {layer}")
-            deltas[(layer, proj)] = _read_only(delta)
-        object.__setattr__(self, "deltas", types.MappingProxyType(deltas))
+        object.__setattr__(self, "deltas",
+                           types.MappingProxyType(_frozen(self.deltas)))
 
     def check_fits(self, config) -> None:
         """Reject deltas for layers the model lacks or of another width."""

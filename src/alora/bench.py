@@ -39,10 +39,28 @@ class BenchPlan:
     seed: int = 0
 
     def validate(self, config) -> None:
-        if self.eval_tokens < 1:
-            # The first-token window needs a first generated token.
+        """Refuse, before any prefill, a plan that would measure nothing or
+        fail part-way through."""
+        for name, value, least in (
+                ("repetitions", self.repetitions, 1),
+                ("answer tokens", self.answer_tokens, 0),
+                # The first-token window needs a first generated token.
+                ("eval tokens", self.eval_tokens, 1),
+                ("lora rank", self.lora_rank, 1),
+                ("alora rank", self.alora_rank, 1)):
+            if value < least:
+                raise ConfigurationError(
+                    f"{name} must be at least {least}, got {value}")
+        for name, rank in (("lora rank", self.lora_rank),
+                           ("alora rank", self.alora_rank)):
+            if rank > config.d_model:
+                raise ConfigurationError(
+                    f"{name} {rank} exceeds d_model {config.d_model}")
+        if not self.prompt_lengths or not self.n_adapters:
             raise ConfigurationError(
-                f"eval tokens must be at least 1, got {self.eval_tokens}")
+                "prompt lengths and adapter counts must not be empty")
+        if min(self.n_adapters) < 1:
+            raise ConfigurationError("adapter counts must be positive")
         budget = self.answer_tokens + len(DEFAULT_INVOCATION) + self.eval_tokens + 1
         for length in self.prompt_lengths:
             if length <= 0:

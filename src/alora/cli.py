@@ -2,14 +2,18 @@
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O or file-format error. Set ALORA_PRECISION=f64 to run engine commands
-in double precision (byte accounting stays in f32 units).
+in double precision (byte accounting stays in f32 units). `verify --json`
+prints one JSON object instead of text lines: ``checks`` (name, passed,
+detail), ``failed``, ``seed`` and ``trials``; its exit codes are the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -71,11 +75,15 @@ def cmd_verify(args) -> int:
             raise ConfigurationError(
                 "verify --adapter expects an activated adapter")
     results = run_verify(engine, args.seed, args.trials, spec=spec)
-    failed = 0
+    failed = sum(not result.passed for result in results)
+    if args.json:
+        print(json.dumps({"checks": [asdict(result) for result in results],
+                          "failed": failed, "seed": args.seed,
+                          "trials": args.trials}))
+        return EXIT_VERIFICATION if failed else EXIT_OK
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
-        failed += 0 if result.passed else 1
     if args.trials == 0:
         print("warning: trials=0 is a vacuous pass")
     if failed:
@@ -173,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also run the KV check with this adapter file")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=100)
+    ver.add_argument("--json", action="store_true",
+                     help="print the results as one JSON object")
     ver.set_defaults(func=cmd_verify)
 
     ben = sub.add_parser("bench", help="run the evaluator benchmark, emit CSV")

@@ -167,18 +167,34 @@ GELU_C = 0.044715
 
 
 def rms_norm_row(x: np.ndarray, gain: np.ndarray):
-    """Normalise over the last axis; returns (normalised, root mean square)."""
-    # Sum, then divide: bit for bit what np.mean gives, without its Python layers.
+    """Normalise over the last axis; returns (normalised, root mean square).
+
+    x / root * gain, the gain applied in place in the quotient's own
+    temporary. The root, one value per row, is sum-then-divide: bit for
+    bit what np.mean gives, without its Python layers."""
     root = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
                    + RMS_EPS)
-    return x / root * gain, root
+    y = x / root
+    y *= gain
+    return y, root
 
 
 def gelu(x: np.ndarray):
     """tanh approximation, used identically in inference and training;
-    returns (value, tanh), the tanh for the trainer's backward pass."""
-    t = np.tanh(GELU_K * (x + GELU_C * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+    returns (value, tanh), the tanh for the trainer's backward pass.
+
+    t = tanh(K (x + C x x x)) and 0.5 x (1 + t), each step in place in one
+    of three temporaries; products and sums commute bit for bit, so the
+    order of operands is free but the order of operations is kept."""
+    t = x * GELU_C
+    t *= x
+    t *= x
+    t += x
+    t *= GELU_K
+    np.tanh(t, out=t)
+    y = x * 0.5
+    y *= 1.0 + t
+    return y, t
 
 
 def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from alora import (AdapterPolicy, AdapterSpec, LowRankDelta, build_policy,
                    delta_apply, find_invocation, load_adapter, random_adapter,
                    save_adapter)
-from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA
+from alora.adapters import (FACTOR_ALIGN, ActivationPoint, MODE_ALORA,
+                            MODE_LORA)
 from alora.errors import (ConfigurationError, ContractViolationError,
                           FormatError, NotInvokedError)
 
@@ -134,6 +135,48 @@ class TestFrozenSpec:
             spec.deltas[(0, "q")] = delta
         with pytest.raises(FrozenInstanceError):
             spec.deltas = {}
+
+    @pytest.mark.parametrize("reach", ["factor", "base"])
+    def test_writes_cannot_be_enabled_again(self, reach):
+        spec = random_adapter(16, 2, rank=2, alpha=4.0, mode=MODE_LORA,
+                              adapter_id="w", seed=2)
+        for delta in spec.deltas.values():
+            for factor in (delta.a, delta.b):
+                target = factor if reach == "factor" else factor.base
+                assert isinstance(target, np.ndarray)
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    target.setflags(write=True)
+                assert not target.flags.writeable
+
+    def test_factors_share_one_buffer_on_aligned_offsets(self):
+        # mixed shapes and dtypes, and factor sizes that are no multiple
+        # of the alignment
+        gen = np.random.default_rng(3)
+        deltas = {(0, "q"): LowRankDelta(a=gen.standard_normal((6, 1)),
+                                         b=gen.standard_normal((1, 6)),
+                                         rank=1, alpha=2.0),
+                  (0, "v"): LowRankDelta(
+                      a=gen.standard_normal((6, 3)).astype(np.float32),
+                      b=gen.standard_normal((6, 3)).T.astype(np.float32),
+                      rank=3, alpha=2.0)}
+        spec = AdapterSpec(adapter_id="m", mode=MODE_LORA, deltas=deltas)
+        factors = [f for d in spec.deltas.values() for f in (d.a, d.b)]
+        start = min(f.__array_interface__["data"][0] for f in factors)
+        buffers = set()
+        for key, delta in deltas.items():
+            for mine, theirs in ((spec.deltas[key].a, delta.a),
+                                 (spec.deltas[key].b, delta.b)):
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs)
+                assert mine.flags.c_contiguous
+                offset = mine.__array_interface__["data"][0] - start
+                assert offset % FACTOR_ALIGN == 0
+                owner = mine
+                while isinstance(owner, np.ndarray):
+                    owner = owner.base
+                assert isinstance(owner, bytes)
+                buffers.add(id(owner))
+        assert len(buffers) == 1
 
     def test_spec_keeps_copies_of_the_callers_factors(self):
         a = np.full((16, 2), 0.1, dtype=np.float32)

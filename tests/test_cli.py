@@ -133,6 +133,36 @@ class TestVerifyCommand:
                      "--trials", "1"]) == 1
 
 
+    def test_json_output(self, checkpoint, capsys):
+        code = main(["verify", "--checkpoint", str(checkpoint),
+                     "--trials", "2", "--seed", "1", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (report["failed"], report["seed"], report["trials"]) == (0, 1, 2)
+        names = [check["name"] for check in report["checks"]]
+        assert "kv-prefix-equivalence" in names
+        assert "mutation-sensitivity" in names
+        for check in report["checks"]:
+            assert set(check) == {"name", "passed", "detail"}
+            assert check["passed"] is True
+
+    def test_json_output_on_failure_exit_code_one(self, checkpoint,
+                                                  monkeypatch, capsys):
+        from alora import cli
+        from alora.verify import CheckResult
+        monkeypatch.setattr(
+            cli, "run_verify",
+            lambda engine, seed, trials, spec=None: [
+                CheckResult("kv", False, "boom"), CheckResult("rules", True)])
+        code = main(["verify", "--checkpoint", str(checkpoint),
+                     "--trials", "1", "--json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "checks": [{"name": "kv", "passed": False, "detail": "boom"},
+                       {"name": "rules", "passed": True, "detail": ""}],
+            "failed": 1, "seed": 0, "trials": 1}
+
+
 class TestBenchCommand:
     BENCH_ARGS = ["--prompt-lengths", "32,64", "--answer-tokens", "8",
                   "--eval-tokens", "4", "--n-adapters", "1,2",
@@ -196,6 +226,22 @@ class TestBenchCommand:
         assert main(["bench", "--checkpoint", str(checkpoint)] + self.BENCH_ARGS
                     + ["--eval-tokens", "0"]) == 2
         assert "eval tokens" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--repetitions", "0"), ("--prompt-lengths", ""),
+        ("--n-adapters", ""), ("--n-adapters", "1,0"),
+        ("--n-adapters", "-1"), ("--answer-tokens", "-1"),
+        ("--lora-rank", "0"), ("--alora-rank", "0"), ("--alora-rank", "65")])
+    def test_vacuous_or_late_failing_plan_refused_before_prefill(
+            self, checkpoint, monkeypatch, capsys, flag, value):
+        from alora.engine import Engine
+        calls = []
+        monkeypatch.setattr(Engine, "generate",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["bench", "--checkpoint", str(checkpoint)]
+                    + self.BENCH_ARGS + [flag, value]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert calls == []
 
     def test_plan_exceeding_positions_exit_code_two(self, checkpoint):
         assert main(["bench", "--checkpoint", str(checkpoint),

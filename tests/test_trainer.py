@@ -269,6 +269,93 @@ class TestBackward:
         assert worst <= 1e-4
 
 
+def moved_deltas(config, dtype, seed=4):
+    """The trainer's fresh start with a non-zero B, in ``dtype``."""
+    deltas = _cast(zero_spec(config, rank=2, alpha=4.0, seed=seed).deltas, dtype)
+    gen = np.random.default_rng(seed + 1)
+    return {key: replace(d, b=(0.1 * gen.standard_normal(d.b.shape)).astype(dtype))
+            for key, d in sorted(deltas.items())}
+
+
+class TestTrimmedStep:
+    """A training step runs each example's tokens but the last, and the
+    last layer's output rows from min(t_invoke, first loss row) only."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", [MODE_ALORA, MODE_LORA])
+    def test_tape_without_the_last_token_keeps_its_rows(self, mode, dtype,
+                                                        grad_config):
+        weights = random_weights(grad_config, seed=5).astype(dtype)
+        deltas = moved_deltas(grad_config, dtype)
+        data = make_synthetic_task(TASK_COPY_KEY, 3, seed=8, vocab_size=32,
+                                   n_distractors=1, n_values=2)
+        tokens = np.array([ex.tokens for ex in data])
+        first = data[0].t_invoke if mode == MODE_ALORA else 0
+        full, _ = _forward_tape(tokens, first, weights, grad_config, deltas)
+        trimmed, _ = _forward_tape(tokens[:, :-1], first, weights,
+                                   grad_config, deltas)
+        assert trimmed.shape[1] == tokens.shape[1] - 1
+        assert np.array_equal(trimmed, full[:, :-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", [MODE_ALORA, MODE_LORA])
+    def test_step_losses_equal_example_loss_on_copy_key(self, mode, dtype,
+                                                        grad_config):
+        weights = random_weights(grad_config, seed=5).astype(dtype)
+        deltas = moved_deltas(grad_config, dtype)
+        batch = make_synthetic_task(TASK_COPY_KEY, 6, seed=9, vocab_size=32,
+                                    n_distractors=1, n_values=2)
+        losses, grads_a, grads_b = _batch_loss_and_grads(
+            batch, weights, grad_config, deltas, mode)
+        assert losses.tolist() == [
+            example_loss(ex, weights, grad_config, deltas, mode) for ex in batch]
+        # the gradients too are those of the full tape, bitwise (all six
+        # examples have one shape, so both run one group)
+        first = batch[0].t_invoke if mode == MODE_ALORA else 0
+        logits, tape = _forward_tape([ex.tokens for ex in batch], first,
+                                     weights, grad_config, deltas)
+        _, dlogits = _loss_and_grad_logits(logits, *batch)
+        full_a, full_b = _backward(tape, dlogits, weights, grad_config, deltas)
+        for key in deltas:
+            assert np.abs(grads_b[key]).max() > 0
+            assert np.array_equal(grads_a[key], full_a[key])
+            assert np.array_equal(grads_b[key], full_b[key])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_ctx", [34, 35])
+    def test_step_loss_on_a_long_context_within_rounding(self, rng, n_ctx,
+                                                         dtype, grad_config):
+        # numpy sums 8 or more terms in 8 interleaved partial sums plus a
+        # tail, grouped by the count: at 40 tokens (35 of context), a
+        # softmax row without the last key (a zero term) groups its sum
+        # otherwise than with it, and the last bits may move. The bound is
+        # fixed by the dtype.
+        weights = random_weights(grad_config, seed=5).astype(dtype)
+        deltas = moved_deltas(grad_config, dtype)
+        ex = small_example(rng, n_ctx=n_ctx, n_target=2)
+        losses, _, _ = _batch_loss_and_grads([ex], weights, grad_config,
+                                             deltas, MODE_ALORA)
+        full = example_loss(ex, weights, grad_config, deltas)
+        assert abs(losses[0] - full) <= 64 * np.finfo(dtype).eps * abs(full)
+
+    def test_no_adapted_row_left_gives_zero_gradients(self, rng, grad_config,
+                                                      grad_weights):
+        # t_invoke is the last position: dropping the last token leaves no
+        # adapted row, and the one loss row, t_invoke - 1, is a base row
+        ex = SftExample(context_tokens=tuple(rng.integers(8, 32, size=5).tolist()),
+                        invocation_tokens=(2,), target_tokens=(9,))
+        assert ex.t_invoke == len(ex.tokens) - 1
+        deltas = moved_deltas(grad_config, np.float32)
+        masks = [np.full((len(deltas), 1, 2), 2.0, dtype=np.float32)]
+        for step_masks in (None, masks):
+            losses, grads_a, grads_b = _batch_loss_and_grads(
+                [ex], grad_weights, grad_config, deltas, MODE_ALORA, step_masks)
+            assert losses.tolist() == [example_loss(ex, grad_weights,
+                                                    grad_config, deltas)]
+            for key in deltas:
+                assert not grads_a[key].any() and not grads_b[key].any()
+
+
 class TestForwardTape:
     def test_logits_match_engine_f64(self, rng, grad_config):
         # The tape batches the sequence and masks a full softmax where the
