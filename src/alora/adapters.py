@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
-from .fileio import read_tensor_file, write_tensor_file
+from .fileio import freeze, read_tensor_file, write_tensor_file
 
 ADAPTER_MAGIC = b"ALAD"
 
@@ -67,46 +67,6 @@ class LowRankDelta:
         return self.alpha / self.rank
 
 
-# Each factor of a spec starts a multiple of this many bytes into the
-# spec's buffer.
-FACTOR_ALIGN = 64
-
-
-def _frozen(deltas: Mapping[Tuple[int, str], LowRankDelta]) -> dict:
-    """``deltas`` with their factors copied, in one pass, into one buffer
-    backed by ``bytes``: each factor a read-only view of it, starting a
-    multiple of FACTOR_ALIGN bytes in. numpy refuses to make such a view,
-    or its base, writeable again. Factors of one shape and dtype take
-    slots of one size, so one strided array over the buffer yields all
-    their views. The deltas' checks passed for these values already and
-    are not run again: they cost more than the copy."""
-    factors = [np.ascontiguousarray(f) for d in deltas.values() for f in (d.a, d.b)]
-    groups = {}
-    for i, f in enumerate(factors):
-        groups.setdefault((f.shape, f.dtype), []).append(i)
-    parts, at, layout = [], 0, []
-    for (shape, dtype), members in groups.items():
-        size = factors[members[0]].nbytes
-        slot = -(-size // FACTOR_ALIGN) * FACTOR_ALIGN
-        pad = bytes(slot - size)
-        for i in members:
-            parts += (factors[i], pad)
-        layout.append((members, shape, dtype, at, slot))
-        at += slot * len(members)
-    whole = np.frombuffer(b"".join(parts), dtype=np.uint8)
-    views = [None] * len(factors)
-    for members, shape, dtype, offset, slot in layout:
-        stack = np.ndarray((len(members),) + shape, dtype, whole, offset,
-                           (slot,) + factors[members[0]].strides)
-        for i, view in zip(members, stack):
-            views[i] = view
-    frozen, views = {}, iter(views)
-    for key, delta in deltas.items():
-        copy = frozen[key] = object.__new__(type(delta))
-        copy.__dict__.update(delta.__dict__, a=next(views), b=next(views))
-    return frozen
-
-
 def delta_apply(x_row: np.ndarray, xw: np.ndarray, delta: LowRankDelta) -> np.ndarray:
     """``xw`` (x @ W, already computed) + (alpha/r) * ((x @ A) @ B), low-rank
     first; A@B never materialized."""
@@ -134,13 +94,13 @@ def as_token_ids(tokens) -> list:
 class AdapterSpec:
     """An adapter: per-layer per-projection deltas plus invocation metadata.
 
-    A spec cannot change once built. It copies all its factors once into
-    one immutable buffer (``_frozen``): each factor is a read-only view of
-    a ``bytes`` object, which numpy will not make writeable again, and the
-    deltas sit in a read-only mapping. So the cache rows it has produced,
-    which name it as their producer, stay valid for it; a changed adapter
-    is a new spec (``dataclasses.replace``). Specs compare and hash by
-    identity, so two specs sharing an id never share rows.
+    A spec cannot change once built. As model weights do, it copies all its
+    factors once into one immutable buffer (``fileio.freeze``): each factor
+    is a read-only view of a ``bytes`` object, which numpy will not make
+    writeable again, and the deltas sit in a read-only mapping. So the cache
+    rows it has produced, which name it as their producer, stay valid for
+    it; a changed adapter is a new spec (``dataclasses.replace``). Specs
+    compare and hash by identity, so two specs sharing an id never share rows.
     """
 
     adapter_id: str
@@ -158,13 +118,17 @@ class AdapterSpec:
                     "alora adapters require a non-empty invocation sequence")
             object.__setattr__(self, "invocation_sequence",
                                tuple(as_token_ids(self.invocation_sequence)))
-        for layer, proj in self.deltas:
+        frozen, factors = {}, iter(freeze(
+            [f for d in self.deltas.values() for f in (d.a, d.b)]))
+        for (layer, proj), delta in self.deltas.items():
             if proj not in PROJECTIONS:
                 raise ConfigurationError(f"unknown projection target {proj!r}")
             if layer < 0:
                 raise ConfigurationError(f"negative layer index {layer}")
-        object.__setattr__(self, "deltas",
-                           types.MappingProxyType(_frozen(self.deltas)))
+            # A copy: the delta's checks are not run again for these values.
+            copy = frozen[layer, proj] = object.__new__(type(delta))
+            copy.__dict__.update(delta.__dict__, a=next(factors), b=next(factors))
+        object.__setattr__(self, "deltas", types.MappingProxyType(frozen))
 
     def check_fits(self, config) -> None:
         """Reject deltas for layers the model lacks or of another width."""

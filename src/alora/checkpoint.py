@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from .errors import ConfigurationError
 from .fileio import read_tensor_file, write_tensor_file
-from .model import LayerWeights, ModelConfig, ModelWeights
+from .model import LAYER_ARRAYS, LayerWeights, ModelConfig, ModelWeights
 
 CHECKPOINT_MAGIC = b"ALRE"
-
-# Per-layer tensors, in file order.
-_LAYER_TENSORS = tuple(f.name for f in fields(LayerWeights))
 
 DEFAULT_CONFIG = ModelConfig(n_layers=4, n_heads=4, d_model=64, d_head=16,
                              vocab_size=256, max_positions=8192)
@@ -25,8 +20,7 @@ def random_weights(config: ModelConfig, seed: int) -> ModelWeights:
     remaining matrices use 1/sqrt(d_model), which keeps attention scores and
     value rows at unit scale at toy widths (flat 0.02 leaves the key/value
     signal orders of magnitude below the residual stream and makes frozen
-    random models untrainable for adapters). The shapes follow ``config``
-    by construction; ``Engine`` validates weights when it takes them."""
+    random models untrainable for adapters). The shapes follow ``config``."""
     rng = np.random.default_rng(seed)
     std = 1.0 / np.sqrt(config.d_model)
     residual_std = 0.02 / np.sqrt(config.n_layers)
@@ -47,32 +41,19 @@ def random_weights(config: ModelConfig, seed: int) -> ModelWeights:
             norm_attn=np.ones(d, dtype=np.float32),
             norm_mlp=np.ones(d, dtype=np.float32),
         ))
-    return ModelWeights(
-        token_embedding=gauss((v, d), std),
-        layers=tuple(layers),
-        norm_final=np.ones(d, dtype=np.float32),
-        unembedding=gauss((d, v), std),
-    )
-
-
-def _tensor_list(config: ModelConfig, weights: ModelWeights):
-    tensors = [("token_embedding", weights.token_embedding)]
-    for i, layer in enumerate(weights.layers):
-        for name in _LAYER_TENSORS:
-            tensors.append((f"layers.{i}.{name}", getattr(layer, name)))
-    tensors.append(("norm_final", weights.norm_final))
-    tensors.append(("unembedding", weights.unembedding))
-    return tensors
+    return ModelWeights(token_embedding=gauss((v, d), std), layers=layers,
+                        norm_final=np.ones(d, dtype=np.float32),
+                        unembedding=gauss((d, v), std))
 
 
 def save_checkpoint(path, config: ModelConfig, weights: ModelWeights) -> None:
     weights.validate(config)
     write_tensor_file(path, CHECKPOINT_MAGIC, {"config": config.to_dict()},
-                      _tensor_list(config, weights))
+                      weights.tensors())
 
 
 def load_checkpoint(path):
-    """Returns (config, weights); shapes and finiteness are validated."""
+    """Returns (config, weights), each tensor copied once; checked."""
     header, tensors = read_tensor_file(path, CHECKPOINT_MAGIC)
     if "config" not in header:
         raise ConfigurationError("checkpoint header missing config")
@@ -83,13 +64,9 @@ def load_checkpoint(path):
             raise ConfigurationError(f"checkpoint missing tensor {name!r}")
         return tensors[name]
 
-    layers = tuple(
-        LayerWeights(**{name: take(f"layers.{i}.{name}")
-                        for name in _LAYER_TENSORS})
-        for i in range(config.n_layers))
-    weights = ModelWeights(token_embedding=take("token_embedding"),
-                           layers=layers,
-                           norm_final=take("norm_final"),
-                           unembedding=take("unembedding"))
+    layers = [LayerWeights(**{name: take(f"layers.{i}.{name}") for name in LAYER_ARRAYS})
+              for i in range(config.n_layers)]
+    weights = ModelWeights(layers=layers, **{
+        name: take(name) for name in ("token_embedding", "norm_final", "unembedding")})
     weights.validate(config)
     return config, weights

@@ -19,35 +19,58 @@ from .errors import FormatError
 
 FORMAT_VERSION = 1
 
+ALIGN = 64
+
+
+def freeze(arrays) -> list:
+    """Copies of the numeric ``arrays`` in one ``bytes`` buffer, which numpy
+    will not make writeable again: read-only, C-ordered views at multiples
+    of ALIGN bytes, their common base the zero-padded buffer as uint8. Arrays
+    of one shape and dtype take slots of one size: one strided array yields
+    their views."""
+    arrays = [np.ascontiguousarray(a) for a in arrays]
+    groups = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault((a.shape, a.dtype), []).append(i)
+    parts, at, layout = [], 0, []
+    for (shape, dtype), members in groups.items():
+        size = arrays[members[0]].nbytes
+        slot = -(-size // ALIGN) * ALIGN
+        pad = bytes(slot - size)
+        for i in members:
+            parts += (arrays[i], pad)
+        layout.append((members, shape, dtype, at, slot))
+        at += slot * len(members)
+    whole = np.frombuffer(b"".join(parts), dtype=np.uint8)
+    views = [None] * len(arrays)
+    for members, shape, dtype, offset, slot in layout:
+        stack = np.ndarray((len(members),) + shape, dtype, whole, offset,
+                           (slot,) + arrays[members[0]].strides)
+        for i, view in zip(members, stack):
+            views[i] = view
+    return views
+
 
 def write_tensor_file(path, magic: bytes, header: dict, tensors) -> None:
-    """Write ``tensors`` (ordered (name, array) pairs) after a JSON header."""
+    """Write ``tensors``, (name, array) pairs, after a JSON header."""
     if len(magic) != 4:
         raise ValueError("magic must be 4 bytes")
-    index = []
-    offset = 0
-    blobs = []
+    index, blobs, offset = [], [], 0
     for name, arr in tensors:
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob = arr32.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    full_header = dict(header)
-    full_header["tensors"] = index
-    header_bytes = json.dumps(full_header, sort_keys=True,
+        blobs.append(np.ascontiguousarray(arr, dtype="<f4"))
+        index.append({"name": name, "shape": list(np.shape(arr)), "offset": offset})
+        offset += blobs[-1].nbytes
+    header_bytes = json.dumps(dict(header, tensors=index), sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<H", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(magic + struct.pack("<HI", FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
             fh.write(blob)
 
 
 def read_tensor_file(path, magic: bytes):
-    """Read a tensor container; returns (header dict, {name: float32 array})."""
+    """Read a tensor container: (header, {name: read-only float32 view of it})."""
     data = Path(path).read_bytes()
     if len(data) < 10:
         raise FormatError("file truncated before header", offset=len(data))
@@ -82,6 +105,5 @@ def read_tensor_file(path, magic: bytes):
         if end > len(data):
             raise FormatError(
                 f"tensor {name!r} extends past end of file", offset=len(data))
-        arr = np.frombuffer(data[start:end], dtype="<f4").reshape(shape)
-        tensors[name] = arr.copy()  # own, writable memory
+        tensors[name] = np.frombuffer(data, "<f4", count, start).reshape(shape)
     return header, tensors

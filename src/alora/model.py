@@ -19,7 +19,9 @@ once per engine and kind of request); the engine refuses to serve without it.
 
 The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
 the last axis. The trainer's batched tape calls the same functions on whole
-sequences, so it trains the model the engine serves.
+sequences, so it trains the model the engine serves. Both slice one rotary
+table per config and dtype, built at first use (``rope_table``). Weights are
+values, frozen and checked once, with their derived constants (``ModelWeights``).
 
 Adapters plug in through the projection policy (``AdapterPolicy`` in
 adapters.py): the model never inspects adapter state, it only asks the
@@ -33,8 +35,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -43,6 +45,7 @@ from .adapters import PROJECTIONS, as_token_ids, delta_apply
 from .cache import CacheStore, first_row_difference
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
+from .fileio import freeze
 
 RMS_EPS = 1e-5
 
@@ -85,8 +88,13 @@ class ModelConfig:
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LayerWeights:
+    """One layer's weights. ``ModelWeights`` holds frozen copies, carrying ``w_qkv``
+    ([W_Q | W_K | W_V]: q, k and v in one product per row, its column slices the
+    separate products on the BLAS the engine accepts) and ``mlp_down_t`` (C-ordered
+    mlp_down.T, which gives the trainer's backward rows their bits among all rows)."""
+
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
@@ -95,68 +103,85 @@ class LayerWeights:
     mlp_down: np.ndarray
     norm_attn: np.ndarray
     norm_mlp: np.ndarray
-
-    @cached_property
-    def w_qkv(self) -> np.ndarray:
-        """[W_Q | W_K | W_V], (d, 3 d): q, k and v in one product per row.
-        On the BLAS the engine accepts, its column slices give the bits of
-        the separate products."""
-        return np.concatenate((self.w_q, self.w_k, self.w_v), axis=1)
+    w_qkv: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    mlp_down_t: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
 
-@dataclass
+LAYER_ARRAYS = tuple(f.name for f in fields(LayerWeights) if f.init)
+
+
+@dataclass(frozen=True, eq=False)
 class ModelWeights:
+    """The model's weights, which cannot change once built: as a spec does
+    its factors, they copy all arrays, the layers' and derived ones included,
+    once into one buffer (``fileio.freeze``), their layers new LayerWeights
+    of read-only views. All must be finite, of one float dtype, or
+    ConfigurationError is raised."""
+
     token_embedding: np.ndarray
     layers: Tuple[LayerWeights, ...]
     norm_final: np.ndarray
     unembedding: np.ndarray
 
+    def __post_init__(self):
+        own = ("token_embedding", "norm_final", "unembedding")
+        arrays = [getattr(self, name) for name in own]
+        for l in self.layers:
+            if l.w_q.ndim != 2 or not l.w_q.shape == l.w_k.shape == l.w_v.shape:
+                raise ConfigurationError("w_q, w_k and w_v must share one (d, d) shape")
+            arrays += [getattr(l, name) for name in LAYER_ARRAYS] + [
+                np.concatenate((l.w_q, l.w_k, l.w_v), axis=1), l.mlp_down.T]
+        dtype = arrays[0].dtype
+        if dtype.kind != "f" or len({a.dtype for a in arrays}) > 1:
+            odd = "".join(f", {n} {a.dtype}" for n, a in self.tensors() if a.dtype != dtype)
+            raise ConfigurationError(
+                f"weights must share one float dtype, got token_embedding {dtype}{odd}")
+        views = iter(freeze(arrays))
+        layers = [object.__new__(LayerWeights) for _ in self.layers]
+        self.__dict__.update(zip(own, views), layers=tuple(layers))
+        for layer in layers:
+            layer.__dict__.update(zip(LAYER_ARRAYS + ("w_qkv", "mlp_down_t"), views))
+        # One pass over the whole buffer (the views' base, zero-padded).
+        if not np.isfinite(self.token_embedding.base.view(dtype)).all():
+            name = next(n for n, a in self.tensors() if not np.isfinite(a).all())
+            raise ConfigurationError(f"{name} is not finite")
+
+    def __reduce__(self):  # copies and pickles are built, and frozen, anew
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def dtype(self):
         return self.token_embedding.dtype
 
+    def tensors(self) -> list:
+        """(checkpoint name, array) pairs in file order, the derived ones left out."""
+        return ([("token_embedding", self.token_embedding)]
+                + [(f"layers.{i}.{name}", getattr(layer, name))
+                   for i, layer in enumerate(self.layers) for name in LAYER_ARRAYS]
+                + [("norm_final", self.norm_final), ("unembedding", self.unembedding)])
+
     def validate(self, config: ModelConfig) -> None:
-        d, v = config.d_model, config.vocab_size
-        expect = {
-            "token_embedding": (v, d),
-            "unembedding": (d, v),
-            "norm_final": (d,),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ConfigurationError(
-                    f"{name} has shape {arr.shape}, expected {shape}")
+        """Raise ConfigurationError unless the shapes fit ``config``."""
         if len(self.layers) != config.n_layers:
             raise ConfigurationError(
                 f"{len(self.layers)} layers, config says {config.n_layers}")
-        per_layer = {
-            "w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "w_o": (d, d),
-            "mlp_up": (d, 4 * d), "mlp_down": (4 * d, d),
-            "norm_attn": (d,), "norm_mlp": (d,),
-        }
-        for i, layer in enumerate(self.layers):
-            for name, shape in per_layer.items():
-                arr = getattr(layer, name)
-                if arr.shape != shape:
-                    raise ConfigurationError(
-                        f"layer {i} {name} has shape {arr.shape}, expected {shape}")
-                if not np.isfinite(arr).all():
-                    raise ConfigurationError(f"layer {i} {name} is not finite")
-        for name in expect:
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigurationError(f"{name} is not finite")
+        d, v = config.d_model, config.vocab_size
+        square, up, row = (d, d), (d, 4 * d), (d,)
+        shapes = dict(token_embedding=(v, d), norm_final=row, unembedding=(d, v),
+                      w_q=square, w_k=square, w_v=square, w_o=square, mlp_up=up,
+                      mlp_down=up[::-1], norm_attn=row, norm_mlp=row)
+        for name, a in self.tensors():
+            shape = shapes[name.rsplit(".", 1)[-1]]
+            if a.shape != shape:
+                raise ConfigurationError(f"{name} has shape {a.shape}, expected {shape}")
 
     def astype(self, dtype) -> "ModelWeights":
-        cast = lambda a: a.astype(dtype)
-        layers = tuple(
-            LayerWeights(**{f.name: cast(getattr(l, f.name))
-                            for f in fields(LayerWeights)})
-            for l in self.layers)
-        return ModelWeights(token_embedding=cast(self.token_embedding),
-                            layers=layers,
-                            norm_final=cast(self.norm_final),
-                            unembedding=cast(self.unembedding))
+        """These weights in ``dtype``, as new weights."""
+        cast = lambda owner, names: {n: np.asarray(getattr(owner, n), dtype)
+                                     for n in names}
+        return ModelWeights(
+            layers=[LayerWeights(**cast(l, LAYER_ARRAYS)) for l in self.layers],
+            **cast(self, ("token_embedding", "norm_final", "unembedding")))
 
 
 # ---------------------------------------------------------------------- #
@@ -212,6 +237,13 @@ def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.n
     sin = np.sin(angles).astype(dtype).repeat(2, axis=-1)
     sin[..., 0::2] *= -1
     return cos, sin
+
+
+@lru_cache(maxsize=8)
+def rope_table(config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Frozen ``rope_tables`` for positions [0, max_positions), built once
+    per config and dtype; a slice has the bits of tables for its rows alone."""
+    return tuple(freeze(rope_tables(np.arange(config.max_positions), config, dtype)))
 
 
 def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -359,13 +391,15 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
         raise ContractViolationError(f"token id {bad} outside vocabulary")
     t = len(tokens)
     end = start + t
+    if end > config.max_positions:
+        raise ContractViolationError(f"position {end} > max_positions {config.max_positions}")
     d = config.d_model
     cut = policy.cut(start, t)
     adapted = None if cut == t else slice(cut, None)
     provenance = [None] * cut + [policy.spec] * (t - cut)
     cache.append_token_ids(tokens)
     x = weights.token_embedding.take(tokens, axis=0)
-    cos, sin = rope_tables(np.arange(start, end), config, weights.dtype)
+    cos, sin = (table[start:end] for table in rope_table(config, weights.dtype))
     for li, layer in enumerate(weights.layers):
         n1, _ = rms_norm_row(x, layer.norm_attn)
         qkv = project_row(n1, li, layer, policy, adapted)

@@ -17,9 +17,10 @@ for gradient checks. The f64 precision mode exists for finite-difference
 verification; real runs default to f32.
 
 The forward tape runs the engine's own primitives from model.py (RMS norm,
-GELU, rotary tables and rotation) on whole sequences, and, as the engine
+GELU, rotary table and rotation) on whole sequences, and, as the engine
 does, projects q|k|v in one product against [W_Q | W_K | W_V]; only the
-masked attention and the backward helpers live here.
+masked attention and the backward helpers live here. The table and the
+weights' derived constants (``w_qkv``, ``mlp_down_t``) are built once.
 
 A training step computes only what its loss reads, and each cut is exact:
 - It runs every token but the last. The last row predicts no target, and
@@ -56,7 +57,7 @@ from .engine import Engine, GenerationRequest
 from .errors import (ConfigurationError, ContractViolationError,
                      TrainingDivergedError)
 from .model import (GELU_C, GELU_K, ModelConfig, ModelWeights, gelu,
-                    rms_norm_row, rope_rotate_heads, rope_tables)
+                    rms_norm_row, rope_rotate_heads, rope_table)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -249,9 +250,11 @@ def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
     tokens = np.asarray(tokens)
     deltas = deltas or {}
     T = tokens.shape[-1]
+    if T > config.max_positions:
+        raise ContractViolationError(f"{T} tokens > max_positions {config.max_positions}")
     d = config.d_model
     heads = tokens.shape + (config.n_heads, config.d_head)
-    cos, sin = rope_tables(np.arange(T), config, weights.dtype)
+    cos, sin = (table[:T] for table in rope_table(config, weights.dtype))
     causal = np.tril(np.ones((T, T), dtype=bool))
     inv_sqrt = 1.0 / math.sqrt(config.d_head)
     x = weights.token_embedding[tokens]
@@ -329,9 +332,8 @@ def _backward(tape, dlogits: np.ndarray, weights: ModelWeights,
         layer = weights.layers[li]
         rec = tape["layers"][li]
         own = top if li == config.n_layers - 1 else rows
-        # MLP block (residual): x_out = x_mid + gelu(n2 @ up) @ down; a
-        # C-ordered down.T gives each row the bits it gets among all T rows
-        dg = dx @ np.ascontiguousarray(layer.mlp_down.T)
+        # MLP block (residual): x_out = x_mid + gelu(n2 @ up) @ down
+        dg = dx @ layer.mlp_down_t
         duff = dg * _gelu_grad(rec["uff"][own], rec["tanh"][own])
         dn2 = duff @ layer.mlp_up.T
         dx = dx + _rms_backward(dn2, rec["x_mid"][own], rec["root2"][own],

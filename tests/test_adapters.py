@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from alora import (AdapterPolicy, AdapterSpec, LowRankDelta, build_policy,
                    delta_apply, find_invocation, load_adapter, random_adapter,
                    save_adapter)
-from alora.adapters import (FACTOR_ALIGN, ActivationPoint, MODE_ALORA,
-                            MODE_LORA)
+from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA
 from alora.errors import (ConfigurationError, ContractViolationError,
                           FormatError, NotInvokedError)
+from alora.fileio import ALIGN
 
 
 class TestDeltaApply:
@@ -170,7 +170,7 @@ class TestFrozenSpec:
                 assert np.array_equal(mine, theirs)
                 assert mine.flags.c_contiguous
                 offset = mine.__array_interface__["data"][0] - start
-                assert offset % FACTOR_ALIGN == 0
+                assert offset % ALIGN == 0
                 owner = mine
                 while isinstance(owner, np.ndarray):
                     owner = owner.base
@@ -267,6 +267,26 @@ class TestAdapterFiles:
         for key, delta in spec.deltas.items():
             assert np.array_equal(loaded.deltas[key].a, delta.a)
             assert np.array_equal(loaded.deltas[key].b, delta.b)
+
+    def test_read_gives_read_only_views_of_the_file_bytes(self, tmp_path):
+        from alora.adapters import ADAPTER_MAGIC
+        from alora.fileio import read_tensor_file
+        spec = random_adapter(16, 2, rank=4, alpha=8.0, mode=MODE_LORA,
+                              adapter_id="v", seed=6)
+        save_adapter(spec, tmp_path / "v.alad")
+        _, tensors = read_tensor_file(tmp_path / "v.alad", ADAPTER_MAGIC)
+        assert len(tensors) == 2 * len(spec.deltas)
+        owners = set()
+        for name, arr in tensors.items():
+            layer, proj, which = name.split(".")[1:]
+            assert np.array_equal(arr, getattr(spec.deltas[int(layer), proj], which))
+            assert not arr.flags.writeable
+            owner = arr
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            assert isinstance(owner, bytes)  # the file's bytes: no copy
+            owners.add(id(owner))
+        assert len(owners) == 1
 
     @pytest.mark.parametrize("rank,alpha", [(2, 64.0), (3, 4.0)])
     def test_mixed_ranks_or_alphas_refused(self, tmp_path, rank, alpha):

@@ -228,7 +228,7 @@ class TestGenerate:
         config = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_head=8,
                              vocab_size=32, max_positions=64)
         weights = random_weights(config, seed=4)
-        weights.unembedding[:] = 0.0
+        weights = replace(weights, unembedding=np.zeros_like(weights.unembedding))
         engine = Engine(weights, config)
         res = engine.generate(GenerationRequest(
             prompt_tokens=rng.integers(8, 32, size=5).tolist(),

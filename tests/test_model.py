@@ -14,9 +14,10 @@ from alora import (AdapterPolicy, AdapterSpec, BASE_POLICY, CostLedger,
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
 from alora.errors import ConfigurationError, ContractViolationError
-from alora.model import (ATTEND_BLOCK, RUN_ROWS, LayerWeights, _forward_run,
-                         attend_run, attend_single, forward_position,
-                         project_row, rope_rotate_heads, rope_tables)
+from alora.model import (ATTEND_BLOCK, LAYER_ARRAYS, RUN_ROWS, LayerWeights,
+                         _forward_run, attend_run, attend_single,
+                         forward_position, project_row, rope_rotate_heads,
+                         rope_table, rope_tables)
 
 
 def project_rows(x, weights, policy):
@@ -459,6 +460,171 @@ class TestFusedQKV:
             for j, w in enumerate((layer.w_q, layer.w_k, layer.w_v)):
                 part = fused[:, j * d_model:(j + 1) * d_model]
                 assert part.tobytes() == _row_matmul(x, w).tobytes(), (t, j)
+
+
+def _every_array(weights):
+    """(name, array) for each array the weights hold, derived ones included."""
+    yield from weights.tensors()
+    for i, layer in enumerate(weights.layers):
+        yield f"layers.{i}.w_qkv", layer.w_qkv
+        yield f"layers.{i}.mlp_down_t", layer.mlp_down_t
+
+
+def _bases(arr):
+    """``arr`` and each array base under it; the last base must be bytes."""
+    while isinstance(arr, np.ndarray):
+        yield arr
+        arr = arr.base
+    assert isinstance(arr, bytes)
+
+
+class TestFrozenWeights:
+    """Weights are values: no array of theirs, derived ones included, can be
+    written or made writeable again, so rows cached under them stay valid."""
+
+    @pytest.fixture(params=["random_weights", "load_checkpoint", "astype"])
+    def weights(self, request, tiny_config, tmp_path):
+        from alora import load_checkpoint, random_weights, save_checkpoint
+        weights = random_weights(tiny_config, seed=3)
+        if request.param == "load_checkpoint":
+            save_checkpoint(tmp_path / "w.alre", tiny_config, weights)
+            return load_checkpoint(tmp_path / "w.alre")[1]
+        if request.param == "astype":
+            return weights.astype(np.float64)
+        return weights
+
+    def test_every_array_and_base_refuses_writes(self, weights):
+        for name, arr in _every_array(weights):
+            assert isinstance(arr, np.ndarray), name
+            for target in _bases(arr):
+                with pytest.raises(ValueError, match="read-only"):
+                    target[...] = 0
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    target.setflags(write=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.layers[0].w_q = np.zeros_like(weights.layers[0].w_q)
+
+    def test_copies_and_pickles_are_frozen_too(self, weights):
+        import copy
+        import pickle
+        for clone in (copy.copy(weights), copy.deepcopy(weights),
+                      pickle.loads(pickle.dumps(weights))):
+            for (name, arr), (_, orig) in zip(_every_array(clone), _every_array(weights)):
+                assert not arr.flags.writeable and np.array_equal(arr, orig), name
+                assert arr.dtype == orig.dtype
+
+    def test_all_arrays_share_one_buffer(self, weights):
+        buffers = {id(list(_bases(a))[-1].base) for _, a in _every_array(weights)}
+        assert len(buffers) == 1
+
+    def test_derived_constants(self, weights):
+        for layer in weights.layers:
+            assert np.array_equal(layer.w_qkv, np.concatenate(
+                (layer.w_q, layer.w_k, layer.w_v), axis=1))
+            assert layer.mlp_down_t.flags.c_contiguous
+            assert np.array_equal(layer.mlp_down_t, layer.mlp_down.T)
+
+    def test_in_place_edit_after_a_request_refused(self, tiny_config, rng):
+        from alora import Engine, GenerationRequest, random_weights
+        weights = random_weights(tiny_config, seed=3)
+        Engine(weights, tiny_config).generate(GenerationRequest(
+            prompt_tokens=rng.integers(4, 32, size=9).tolist(), max_new_tokens=2))
+        with pytest.raises(ValueError, match="read-only"):
+            weights.layers[0].w_q[...] *= 3
+
+    def test_replaced_layer_decodes_as_a_fresh_copy(self, toy_config, toy_weights,
+                                                    rng):
+        # The edit that once left a stale fused product behind, as a new value.
+        from alora import Engine, GenerationRequest
+        layer = toy_weights.layers[0]
+        edited = dataclasses.replace(toy_weights, layers=(
+            dataclasses.replace(layer, w_q=layer.w_q * 3, mlp_down=-layer.mlp_down),)
+            + toy_weights.layers[1:])
+        new = edited.layers[0]
+        d = toy_config.d_model
+        assert np.array_equal(new.w_qkv[:, :d], layer.w_q * 3)
+        assert np.array_equal(new.mlp_down_t, -layer.mlp_down.T)
+        assert np.array_equal(layer.w_qkv[:, :d], layer.w_q)
+        request = GenerationRequest(prompt_tokens=rng.integers(8, 256, size=20).tolist(),
+                                    max_new_tokens=6)
+        got = Engine(edited, toy_config).generate(request)
+        fresh = Engine(edited.astype(edited.dtype), toy_config).generate(request)
+        old = Engine(toy_weights, toy_config).generate(request)
+        assert got.new_tokens == fresh.new_tokens
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got.logits_trace, fresh.logits_trace))
+        assert got.logits_trace[0].tobytes() != old.logits_trace[0].tobytes()
+
+    @pytest.mark.parametrize("field, dtype", [
+        ("w_o", np.float64), ("norm_attn", np.int64), ("mlp_up", np.float16)])
+    def test_mixed_or_non_float_dtypes_refused(self, tiny_weights, field, dtype):
+        layer = tiny_weights.layers[0]
+        changed = dataclasses.replace(
+            layer, **{field: getattr(layer, field).astype(dtype)})
+        with pytest.raises(ConfigurationError, match=f"one float dtype.*{field}"):
+            dataclasses.replace(tiny_weights, layers=(changed,) + tiny_weights.layers[1:])
+        with pytest.raises(ConfigurationError, match="one float dtype"):
+            tiny_weights.astype(np.int32)
+
+    def test_non_finite_value_refused_by_name(self, tiny_weights):
+        layer = tiny_weights.layers[1]
+        bad = np.array(layer.norm_mlp)
+        bad[3] = np.inf
+        with pytest.raises(ConfigurationError, match="layers.1.norm_mlp is not finite"):
+            dataclasses.replace(tiny_weights, layers=(
+                tiny_weights.layers[0], dataclasses.replace(layer, norm_mlp=bad)))
+
+    def test_layer_names_match_the_checkpoint(self, tiny_weights):
+        names = [name for name, _ in tiny_weights.tensors()]
+        assert names[1:1 + len(LAYER_ARRAYS)] == [f"layers.0.{n}" for n in LAYER_ARRAYS]
+        assert (names[0], names[-2], names[-1]) == (
+            "token_embedding", "norm_final", "unembedding")
+
+
+class TestRopeTable:
+    """Each run slices one frozen rotary table per config and dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slices_equal_per_run_tables(self, dtype):
+        from alora import DEFAULT_CONFIG as config
+        table = rope_table(config, np.dtype(dtype))
+        top = config.max_positions
+        starts = sorted({0, 1, 5, 63, 64, 999, 4096, top // 2 + 17})
+        for half in table:
+            assert half.shape == (top, config.d_head) and half.dtype == dtype
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                half.setflags(write=True)
+        for n in range(1, RUN_ROWS + 1):
+            for start in starts + [top - n]:
+                want = rope_tables(np.arange(start, start + n), config, dtype)
+                for half, ref in zip(table, want):
+                    assert half[start:start + n].tobytes() == ref.tobytes(), (start, n)
+
+    def test_built_once_per_config_and_dtype(self, toy_config, toy_weights, rng,
+                                             monkeypatch):
+        from alora import Engine, GenerationRequest, model
+        from alora.trainer import _forward_tape
+        engine = Engine(toy_weights, toy_config)
+        request = GenerationRequest(prompt_tokens=rng.integers(8, 256, size=70).tolist(),
+                                    max_new_tokens=3)
+        first = engine.generate(request)
+
+        def no_tables(*args):
+            raise AssertionError("rope_tables called per run")
+
+        monkeypatch.setattr(model, "rope_tables", no_tables)
+        again = engine.generate(request)
+        assert again.new_tokens == first.new_tokens
+        _forward_tape(np.array(request.prompt_tokens), 5, toy_weights, toy_config, None)
+
+    def test_run_past_max_positions_refused(self, tiny_config, tiny_weights):
+        cache = CacheStore(tiny_config)
+        top = tiny_config.max_positions
+        forward_segment([4 + i % 28 for i in range(top)], 0, tiny_weights, tiny_config,
+                        BASE_POLICY, cache)
+        with pytest.raises(ContractViolationError, match="max_positions"):
+            forward_position(5, top, tiny_weights, tiny_config, BASE_POLICY, cache,
+                             CostLedger(), want_logits=True)
 
 
 class TestGreedyPick:
