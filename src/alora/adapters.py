@@ -68,15 +68,32 @@ class LowRankDelta:
 
 
 def delta_apply(x_row: np.ndarray, xw: np.ndarray, delta: LowRankDelta) -> np.ndarray:
-    """``xw`` (x @ W, already computed) + (alpha/r) * ((x @ A) @ B), low-rank
-    first; A@B never materialized."""
+    """Add (alpha/r) * ((x @ A) @ B) to ``xw`` (x @ W, already computed) in
+    place and return it: low-rank first, A@B never materialized, and the
+    bits of ``xw + (alpha/r) * ((x @ A) @ B)`` cast to ``xw``'s dtype."""
     if x_row.shape[-1] != delta.a.shape[0]:
         raise ConfigurationError(
             f"row width {x_row.shape[-1]} does not match delta A {delta.a.shape}")
     if xw.shape[-1] != delta.b.shape[1]:
         raise ConfigurationError(
             f"product width {xw.shape[-1]} does not match delta B {delta.b.shape}")
-    return xw + delta.scale * ((x_row @ delta.a) @ delta.b)
+    low = (x_row @ delta.a) @ delta.b
+    low *= delta.scale
+    xw += low
+    return xw
+
+
+def token_count(n) -> int:
+    """``n`` as a non-negative int; ConfigurationError for a negative count
+    or a value that is not an integer, a float included."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ConfigurationError(
+            f"token counts must be non-negative integers, got {n!r}")
+    return count
 
 
 def as_token_ids(tokens) -> list:
@@ -101,6 +118,11 @@ class AdapterSpec:
     rows it has produced, which name it as their producer, stay valid for
     it; a changed adapter is a new spec (``dataclasses.replace``). Specs
     compare and hash by identity, so two specs sharing an id never share rows.
+
+    Built with it: ``layer_deltas``, per layer the (projection index, delta)
+    pairs the forward adds, and ``delta_kinds``, the sorted (rank, A dtype,
+    B dtype) kinds of the deltas, by which the engine keeps its
+    row-invariance probes. Copies and pickles are built anew.
     """
 
     adapter_id: str
@@ -108,10 +130,13 @@ class AdapterSpec:
     deltas: Mapping[Tuple[int, str], LowRankDelta] = field(repr=False)
     invocation_sequence: Optional[Tuple[int, ...]] = None
     max_new_tokens: int = 16
+    layer_deltas: Tuple[tuple, ...] = field(default=(), init=False, repr=False)
+    delta_kinds: Tuple[tuple, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in (MODE_LORA, MODE_ALORA):
             raise ConfigurationError(f"unknown adapter mode {self.mode!r}")
+        object.__setattr__(self, "max_new_tokens", token_count(self.max_new_tokens))
         if self.mode == MODE_ALORA:
             if not self.invocation_sequence:
                 raise ConfigurationError(
@@ -128,7 +153,19 @@ class AdapterSpec:
             # A copy: the delta's checks are not run again for these values.
             copy = frozen[layer, proj] = object.__new__(type(delta))
             copy.__dict__.update(delta.__dict__, a=next(factors), b=next(factors))
-        object.__setattr__(self, "deltas", types.MappingProxyType(frozen))
+        layers = range(max((layer + 1 for layer, _ in frozen), default=0))
+        self.__dict__.update(
+            deltas=types.MappingProxyType(frozen),
+            layer_deltas=tuple(tuple((j, frozen[layer, proj])
+                                     for j, proj in enumerate(PROJECTIONS)
+                                     if (layer, proj) in frozen)
+                               for layer in layers),
+            delta_kinds=tuple(sorted({(d.rank, d.a.dtype.str, d.b.dtype.str)
+                                      for d in frozen.values()})))
+
+    def __reduce__(self):  # copies and pickles are built, and frozen, anew
+        return type(self), (self.adapter_id, self.mode, dict(self.deltas),
+                            self.invocation_sequence, self.max_new_tokens)
 
     def check_fits(self, config) -> None:
         """Reject deltas for layers the model lacks or of another width."""
@@ -198,8 +235,10 @@ class AdapterPolicy:
             return n
         return min(max(self.first_adapted - start, 0), n)
 
-    def delta(self, layer: int, proj: str):
-        return self.spec.deltas.get((layer, proj))
+    def layer_deltas(self, layer: int) -> tuple:
+        """The spec's (projection index, delta) pairs for ``layer``."""
+        per_layer = self.spec.layer_deltas
+        return per_layer[layer] if layer < len(per_layer) else ()
 
 
 BASE_POLICY = AdapterPolicy()

@@ -15,15 +15,24 @@ read takes one of three forms:
 - rows in the table's leading run of consecutive blocks, all of a root
   cache's, are read as a view of the pool;
 - a cache being extended keeps one contiguous K and one contiguous V read
-  buffer per layer. The first read that reaches past the sealed length and
-  the leading run fills it with one copy of the layer's rows; each append
-  then writes its rows into the pool and into the buffer, and later reads
-  are views of the buffer. It is sized to the rows plus a few blocks and
-  doubles when outgrown;
+  buffer per layer, and a count of the leading rows they hold. The first
+  read that reaches past the sealed length and the leading run copies the
+  rows past that count from the pool (``_fill``); each append whose rows
+  follow the count writes them into the pool and into the buffers, and
+  later reads are views of the buffers. A buffer is sized to the rows plus
+  a few blocks and doubles when outgrown;
 - any other read past the leading run is a one-off copy: two slices joined
   when the blocks past the run are consecutive too, as a fork's own blocks
-  usually are, otherwise one gather of the blocks. The buffer's fill is
-  this same copy.
+  usually are, otherwise one gather of the blocks. A fill is this same copy
+  of the rows past the count.
+
+``seal()`` hands the buffers to the pool with the ids of the full blocks
+whose rows they hold, and the next cache of the pool to need buffers takes
+them: the rows of the blocks its table starts with in common are already
+there, so a fork of the same base copies only its partial block and its own
+rows. A fresh buffer is the same fill from row 0. Each block carries the
+number of the allocation that handed it out, so a freed and reallocated
+block never counts as common.
 
 When the last table holding a block is collected, the block returns to the
 pool's free list; the pool grows only when its live blocks run out. A fork
@@ -40,15 +49,19 @@ appended it. Read buffers are reported as allocated bytes, never as owned.
 
 Concurrency contract: sealed prefixes are immutable and may be read from any
 number of threads; extending a fork is single-writer. Only a read past the
-sealed length, which is the writer's, builds a read buffer; the buffer's
-rows below the sealed length never change, and ``seal()`` drops it, so a
-sealed cache reads as before. Allocation, freeing, growth and block writes
-hold the pool's lock, so forks of one pool may be extended in different
-threads.
+sealed length, which is the writer's, writes a read buffer; other reads view
+a buffer's counted rows, which never change, or copy. ``seal()`` detaches
+the buffers, so a sealed cache reads as before, and hands on only a buffer
+that nothing else refers to: a view of it held across ``seal()``, by the
+caller or by another thread reading the sealed prefix, keeps its rows, and
+that buffer is dropped instead. Allocation, freeing, growth, block writes
+and the handoff hold the pool's lock, so forks of one pool may be extended
+in different threads.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -70,6 +83,16 @@ BLOCK_ROWS = 16
 
 # Blocks a read buffer holds past the rows it is filled with.
 SPARE_BLOCKS = 4
+
+
+def _refs(items: list, i: int) -> int:
+    """References to ``items[i]``, counted alike wherever this is called."""
+    return sys.getrefcount(items[i])
+
+
+# ``_refs`` of a list item that nothing else refers to: no view of it is
+# alive and no caller holds it.
+_UNHELD = _refs([object()], 0)
 
 
 def row_bytes(config) -> int:
@@ -100,21 +123,32 @@ class CacheStats:
     pool_free_blocks: int
     # Allocated, not owned: the rows are the pool's, copied for reading.
     read_buffer_bytes: int
+    # Rows copied into this cache's read buffers, summed over the layers'
+    # K and V; rows that appends write into them are not counted.
+    read_buffer_rows_copied: int
+    # Read buffers a sealed cache handed on, kept for the next fork.
+    pool_kept_buffer_bytes: int
 
 
 class BlockPool:
-    """Refcounted K/V blocks shared by a root cache and its forks."""
+    """Refcounted K/V blocks shared by a root cache and its forks, and the
+    read buffers last handed on by ``seal()``."""
 
     def __init__(self, config: "ModelConfig", dtype):
         n = -(-config.max_positions // BLOCK_ROWS)
         self._layers, self._width, self.dtype = config.n_layers, config.d_model, dtype
         self.lock = threading.RLock()
         self.refs = np.zeros(n, dtype=np.intp)
+        # The number of the allocation that last handed out each block.
+        self.born = np.zeros(n, dtype=np.intp)
+        self.allocations = 0
         # Blocks below ``fresh`` have been handed out; ``free`` is a stack of
         # those returned since.
         self.fresh = 0
         self.free = []
         self.k, self.v = [], []
+        # (block ids, their ``born``, [K buffers, V buffers]) or None.
+        self.kept = None
         self._reserve(n)
 
     def _reserve(self, n: int) -> None:
@@ -146,13 +180,15 @@ class BlockPool:
         n = len(self.refs)
         if self.fresh > n:
             grown = max(2 * n, self.fresh)
-            refs = np.zeros(grown, dtype=np.intp)
-            refs[:n] = self.refs
-            self.refs = refs
+            refs, born = np.zeros((2, grown), dtype=np.intp)
+            refs[:n], born[:n] = self.refs, self.born
+            self.refs, self.born = refs, born
             self._reserve(grown)
         ids.extend(range(start, self.fresh))
+        self.allocations += 1
         for block in ids:
             self.refs[block] = 1
+            self.born[block] = self.allocations
         return ids
 
     def release(self, table: "_Table") -> None:
@@ -162,6 +198,33 @@ class BlockPool:
             self.refs[ids] -= 1
             # Pushed in reverse, so the next allocation pops them in order.
             self.free.extend(ids[self.refs[ids] == 0][::-1].tolist())
+
+    def keep(self, table: "_Table", rows: int, buffers: list) -> None:
+        """Keep the per-layer K and V read buffers (None where there is
+        none) that hold the first ``rows`` rows of ``table``, in place of
+        any kept before."""
+        with self.lock:
+            ids = table.ids[:rows // BLOCK_ROWS].copy()
+            self.kept = ids, self.born[ids], buffers
+
+    def take(self, table: "_Table"):
+        """The kept buffers and how many of their leading rows lie in the
+        blocks ``table`` starts with, or None; nothing is kept after."""
+        with self.lock:
+            kept, self.kept = self.kept, None
+            if kept is None:
+                return None
+            ids, born, buffers = kept
+            n = min(len(ids), table.n)
+            mine = table.ids[:n]
+            same = (mine == ids[:n]) & (self.born[mine] == born[:n])
+            return buffers, (n if same.all() else int(same.argmin())) * BLOCK_ROWS
+
+    @property
+    def kept_bytes(self) -> int:
+        kept = self.kept
+        return 0 if kept is None else sum(
+            b.nbytes for side in kept[2] for b in side if b is not None)
 
 
 class _Table:
@@ -213,6 +276,7 @@ class CacheStore:
         self._pool = pool
         self.aliased_positions = aliased
         self.rows_copied_at_fork = 0
+        self.read_buffer_rows_copied = 0
         # A table never holds more blocks than max_positions rows need.
         self._table = _Table(-(-config.max_positions // BLOCK_ROWS))
         finalizer = weakref.finalize(self, pool.release, self._table)
@@ -224,9 +288,14 @@ class CacheStore:
         self._drop_buffers()
 
     def _drop_buffers(self) -> None:
-        """Per-layer K and V read buffers; ``None`` until a read builds one."""
-        self._k_buf = [None] * self.config.n_layers
-        self._v_buf = [None] * self.config.n_layers
+        """Per-layer K and V read buffers (side 0 and 1), ``None`` until the
+        first fill, and how many of each buffer's leading rows equal this
+        cache's."""
+        n = self.config.n_layers
+        self._buf = ([None] * n, [None] * n)
+        self._filled = ([0] * n, [0] * n)
+        # Whether a fill has asked the pool for kept buffers yet.
+        self._took = False
 
     # ------------------------------------------------------------------ #
     # growth
@@ -249,8 +318,9 @@ class CacheStore:
         producer. Layer 0 drives the provenance list."""
         if not 0 <= layer < self.config.n_layers:
             raise ContractViolationError(f"layer {layer} out of range")
-        k_rows = np.atleast_2d(k_rows)
-        v_rows = np.atleast_2d(v_rows)
+        k_rows, v_rows = np.asanyarray(k_rows), np.asanyarray(v_rows)
+        if k_rows.ndim < 2 or v_rows.ndim < 2:
+            k_rows, v_rows = np.atleast_2d(k_rows, v_rows)
         if k_rows.shape != v_rows.shape or k_rows.shape[1] != self.config.d_model:
             raise ContractViolationError("K/V row shapes inconsistent")
         n = k_rows.shape[0]
@@ -275,8 +345,10 @@ class CacheStore:
             if need > 0:
                 table.add(pool.allocate(need))
             k, v = pool.k_rows[layer], pool.v_rows[layer]
-            if end <= table.run * BLOCK_ROWS:
-                at = table.start + pos
+            if n == 1 or end <= table.run * BLOCK_ROWS:
+                # One row, or rows in the leading run: one slice each.
+                block, offset = divmod(pos, BLOCK_ROWS)
+                at = table.ids[block] * BLOCK_ROWS + offset
                 k[at:at + n] = k_rows
                 v[at:at + n] = v_rows
             else:
@@ -288,14 +360,11 @@ class CacheStore:
                     k[at:at + rows] = k_rows[done:done + rows]
                     v[at:at + rows] = v_rows[done:done + rows]
                     done += rows
-        for buffers, new in ((self._k_buf, k_rows), (self._v_buf, v_rows)):
-            buf = buffers[layer]
-            if buf is not None:
-                if end > len(buf):
-                    grown = self._new_buffer(max(2 * len(buf), end))
-                    grown[:pos] = buf[:pos]
-                    buf = buffers[layer] = grown
-                buf[pos:end] = new
+        for buffers, filled, new in zip(self._buf, self._filled, (k_rows, v_rows)):
+            if buffers[layer] is not None and filled[layer] == pos:
+                buffers[layer] = self._room(buffers[layer], pos, end)
+                buffers[layer][pos:end] = new
+                filled[layer] = end
         self._layer_len[layer] = end
         if layer == 0:
             self.provenance.extend(provenance)
@@ -306,51 +375,93 @@ class CacheStore:
     def k_matrix(self, layer: int, upto: int) -> np.ndarray:
         """Contiguous K rows for positions [0, upto). Aliased prefix included.
         A view stays valid, and its rows unchanged, while this cache lives."""
-        return self._matrix(self._pool.k_rows, self._pool.k, self._k_buf,
-                            layer, upto)
+        return self._matrix(0, layer, upto)
 
     def v_matrix(self, layer: int, upto: int) -> np.ndarray:
-        return self._matrix(self._pool.v_rows, self._pool.v, self._v_buf,
-                            layer, upto)
+        return self._matrix(1, layer, upto)
 
-    def _matrix(self, rows, blocks, buffers, layer, upto):
+    def _matrix(self, side, layer, upto):
         """A view when the rows lie in the table's leading run of
-        consecutive blocks; else a view of the layer's read buffer, which the
-        first read past the sealed length fills; else a one-off copy."""
+        consecutive blocks or in the layer's buffer's counted rows; else,
+        past the sealed length, a view of the buffer once ``_fill`` has
+        copied the rows past its count; else a one-off copy."""
         length = self._layer_len[layer]
         if not 0 <= upto <= length:
             raise ContractViolationError(
                 f"requested {upto} positions, layer {layer} holds {length}")
-        table, rows, blocks = self._table, rows[layer], blocks[layer]
-        if upto <= table.run * BLOCK_ROWS:
-            return rows[table.start:table.start + upto]
-        buf = buffers[layer]
-        if buf is None:
-            if upto <= self.sealed_length:
-                return self._copy(rows, blocks, upto)
-            buf = self._new_buffer(length + SPARE_BLOCKS * BLOCK_ROWS)
-            self._copy(rows, blocks, length, buf)
-            buffers[layer] = buf
-        return buf[:upto]
-
-    def _copy(self, rows, blocks, upto, out=None):
-        """Rows [0, upto), which reach past the leading run, in one copy: two
-        slices joined when the blocks past the run are consecutive too,
-        otherwise one gather of the blocks. Into ``out`` when given."""
         table = self._table
-        run = table.run * BLOCK_ROWS
+        if upto <= table.run * BLOCK_ROWS:
+            rows = (self._pool.k_rows, self._pool.v_rows)[side][layer]
+            return rows[table.start:table.start + upto]
+        # The count first: a buffer installed after it was read holds at
+        # least that many rows.
+        filled = self._filled[side][layer]
+        buf = self._buf[side][layer]
+        if buf is not None and upto <= filled:
+            return buf[:upto]
+        if upto <= self.sealed_length:
+            return self._copy(side, layer, 0, upto)
+        return self._fill(side, layer)[:upto]
+
+    def _fill(self, side: int, layer: int) -> np.ndarray:
+        """The layer's buffer on ``side`` once the rows past its count are
+        copied in: the pool's kept buffers are taken at this cache's first
+        fill; a buffer is made fresh where there is none, and grown when
+        outgrown."""
+        if not self._took:
+            self._took = True
+            kept = self._pool.take(self._table)
+            if kept is not None:
+                for buffers, filled, handed in zip(self._buf, self._filled, kept[0]):
+                    buffers[:] = handed
+                    filled[:] = [0 if b is None else kept[1] for b in handed]
+        buffers, filled = self._buf[side], self._filled[side]
+        lo, hi = filled[layer], self._layer_len[layer]
+        buf = self._room(buffers[layer], lo, hi)
+        self._copy(side, layer, lo, hi, buf)
+        buffers[layer] = buf
+        filled[layer] = hi
+        self.read_buffer_rows_copied += hi - lo
+        return buf
+
+    def _room(self, buf: Optional[np.ndarray], rows: int, end: int) -> np.ndarray:
+        """``buf`` when it holds ``end`` rows; else a new buffer, a few
+        blocks past ``end`` when there was none, twice as large and at
+        least ``end`` when ``buf`` is outgrown, its first ``rows`` rows
+        copied."""
+        if buf is not None and end <= len(buf):
+            return buf
+        if buf is None:
+            return self._new_buffer(end + SPARE_BLOCKS * BLOCK_ROWS)
+        grown = self._new_buffer(max(2 * len(buf), end))
+        grown[:rows] = buf[:rows]
+        self.read_buffer_rows_copied += rows
+        return grown
+
+    def _copy(self, side, layer, lo, hi, out=None):
+        """Rows [lo, hi), which reach past the leading run, copied once into
+        ``out`` at the same rows, or rows [0, hi) into a new array when
+        ``out`` is None: the part in the run and the part past it joined
+        when the blocks past the run are consecutive too, otherwise one
+        gather of the blocks."""
+        pool, table = self._pool, self._table
         if table.last == table.run:
-            at = table.ids[table.run] * BLOCK_ROWS
+            rows = (pool.k_rows, pool.v_rows)[side][layer]
+            start, run = table.start, table.run * BLOCK_ROWS
+            # The row of position p >= run.
+            at = table.ids[table.run] * BLOCK_ROWS - run
             return np.concatenate(
-                (rows[table.start:table.start + run], rows[at:at + upto - run]),
-                out=None if out is None else out[:upto])
-        n = -(-upto // BLOCK_ROWS)
+                (rows[start + min(lo, run):start + run], rows[at + max(lo, run):at + hi]),
+                out=None if out is None else out[lo:hi])
+        blocks = (pool.k, pool.v)[side][layer]
+        first, n = lo // BLOCK_ROWS, -(-hi // BLOCK_ROWS)
         if out is not None:
-            out = out[:n * BLOCK_ROWS].reshape(n, BLOCK_ROWS, -1)
+            out = out[first * BLOCK_ROWS:n * BLOCK_ROWS].reshape(
+                n - first, BLOCK_ROWS, -1)
         # The ids are in range; mode "raise" would fill ``out`` through a
         # temporary.
-        gathered = blocks.take(table.ids[:n], axis=0, out=out, mode="clip")
-        return gathered.reshape(-1, self.config.d_model)[:upto]
+        gathered = blocks.take(table.ids[first:n], axis=0, out=out, mode="clip")
+        return gathered.reshape(-1, self.config.d_model)[:hi - first * BLOCK_ROWS]
 
     def _new_buffer(self, rows: int) -> np.ndarray:
         """An uninitialised read buffer of at least ``rows`` rows, in whole
@@ -363,9 +474,26 @@ class CacheStore:
     # sharing and accounting
 
     def seal(self) -> None:
-        """Freeze all current positions; they become shareable via forks."""
+        """Freeze all current positions; they become shareable via forks.
+        The read buffers are detached, and each is handed to the pool
+        unless something else refers to it."""
         self.sealed_length = self.length
+        buffers, filled = self._buf, self._filled
         self._drop_buffers()
+        handed = [list(side) for side in buffers]
+        for side in buffers:
+            # A reader that got a buffer before this line holds a reference.
+            side[:] = [None] * len(side)
+        rows = []
+        for side, counts in zip(handed, filled):
+            for layer, count in enumerate(counts):
+                if side[layer] is not None:
+                    if _refs(side, layer) > _UNHELD:
+                        side[layer] = None
+                    else:
+                        rows.append(count)
+        if rows:
+            self._pool.keep(self._table, min(rows), handed)
 
     def fork_shared(self, length: int) -> "CacheStore":
         """New cache aliasing the first ``length`` sealed positions: it shares
@@ -411,8 +539,10 @@ class CacheStore:
                 rows_copied_at_fork=self.rows_copied_at_fork,
                 pool_live_blocks=pool.live_blocks,
                 pool_free_blocks=pool.free_blocks,
-                read_buffer_bytes=sum(b.nbytes for b in self._k_buf + self._v_buf
-                                      if b is not None))
+                read_buffer_bytes=sum(b.nbytes for side in self._buf
+                                      for b in side if b is not None),
+                read_buffer_rows_copied=self.read_buffer_rows_copied,
+                pool_kept_buffer_bytes=pool.kept_bytes)
 
     def integrity_check(self) -> None:
         """All layers must cover the same positions; provenance must match."""

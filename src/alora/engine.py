@@ -42,7 +42,7 @@ import numpy as np
 
 from .adapters import (MODE_ALORA, MODE_LORA, ActivationPoint, AdapterPolicy,
                        AdapterSpec, BASE_POLICY, as_token_ids, build_policy,
-                       find_invocation)
+                       find_invocation, token_count)
 from .cache import CacheStore
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
@@ -81,10 +81,11 @@ class GenerationRequest:
     max_new_tokens: int = 16
 
     def __post_init__(self):
-        # Converted once, here: a float token is refused, not truncated.
+        # Converted once, here: a float token or count is refused, not
+        # truncated.
         self.prompt_tokens = as_token_ids(self.prompt_tokens)
-        if self.min_new_tokens < 0 or self.max_new_tokens < 0:
-            raise ConfigurationError("token counts must be non-negative")
+        self.min_new_tokens = token_count(self.min_new_tokens)
+        self.max_new_tokens = token_count(self.max_new_tokens)
         if self.min_new_tokens > self.max_new_tokens:
             raise ConfigurationError(
                 f"min_new_tokens {self.min_new_tokens} exceeds "
@@ -137,11 +138,10 @@ class Engine:
 
     def _check_row_invariance(self, adapter: Optional[AdapterSpec]) -> None:
         """Raise ConfigurationError if the probe fails for the base model
-        (key ``()``) or this adapter's delta kinds, probing once per key. An
-        adapter is probed activated one row into the run: the run is cut
+        (key ``()``) or this adapter's ``delta_kinds``, probing once per key.
+        An adapter is probed activated one row into the run: the run is cut
         after its base row, and each row alone is all base or all adapted."""
-        key = () if adapter is None else tuple(sorted(
-            {(d.rank, d.a.dtype.str, d.b.dtype.str) for d in adapter.deltas.values()}))
+        key = () if adapter is None else adapter.delta_kinds
         if key not in self._probes:
             policy = (BASE_POLICY if adapter is None
                       else AdapterPolicy(adapter, PROBE_PREFIX + 1))

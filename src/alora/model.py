@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .adapters import PROJECTIONS, as_token_ids, delta_apply
+from .adapters import as_token_ids, delta_apply
 from .cache import CacheStore, first_row_difference
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
@@ -246,6 +246,14 @@ def rope_table(config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:
     return tuple(freeze(rope_tables(np.arange(config.max_positions), config, dtype)))
 
 
+@lru_cache(maxsize=8)
+def _pair_swap(width: int) -> np.ndarray:
+    """The index that swaps each consecutive pair of ``width`` columns."""
+    swap = np.arange(width) ^ 1
+    swap.flags.writeable = False
+    return swap
+
+
 def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate consecutive pairs within each head of ``x`` (..., width),
     where width is any multiple of d_head (q, or q|k side by side).
@@ -256,7 +264,7 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
     exchanges a and b: the same bits, as a - b is a + (-b) and + commutes.
     """
     heads = x.shape[:-1] + (-1, cos.shape[-1])
-    swapped = x.take(np.arange(x.shape[-1]) ^ 1, axis=-1).reshape(heads)
+    swapped = x.take(_pair_swap(x.shape[-1]), axis=-1).reshape(heads)
     # In place where it keeps the bits: two temporaries rather than four,
     # which kept long prefills' peak RSS at what it was before.
     swapped *= sin[..., None, :]
@@ -271,21 +279,17 @@ def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
 
     Every row gets one gemv against [W_Q | W_K | W_V] (``_row_matmul``).
     ``adapted`` is None when no row is adapted, else the slice ``cut:`` of
-    the adapted rows; those rows, views rather than copies, then get each of
-    the policy's deltas for this layer added to their q, k or v columns by
-    ``delta_apply``, again one row at a time.
+    the adapted rows; those rows then get each of the policy's deltas for
+    this layer added in place to their q, k or v columns, views rather than
+    copies, by ``delta_apply``, again one row at a time.
     """
     qkv = _row_matmul(x, layer.w_qkv)
     if adapted is None:
         return qkv
     d = x.shape[-1]
     rows = x[adapted, None, :]
-    for j, proj in enumerate(PROJECTIONS):
-        delta = policy.delta(layer_index, proj)
-        if delta is not None:
-            cols = slice(j * d, (j + 1) * d)
-            qkv[adapted, cols] = delta_apply(rows, qkv[adapted, None, cols],
-                                             delta)[:, 0]
+    for j, delta in policy.layer_deltas(layer_index):
+        delta_apply(rows, qkv[adapted, None, j * d:(j + 1) * d], delta)
     return qkv
 
 
@@ -304,11 +308,14 @@ def attend_single(q_row: np.ndarray, keys: np.ndarray, values: np.ndarray,
     h, d_head = config.n_heads, config.d_head
     k_heads = keys.reshape(c, h, d_head).transpose(1, 0, 2)
     v_heads = values.reshape(c, h, d_head).transpose(1, 0, 2)
-    scores = (k_heads @ q_row.reshape(h, d_head, 1)).reshape(h, c) / math.sqrt(d_head)
-    # ufunc reduces: what .max() and .sum() run, without their Python layers
-    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
-    return (probs.reshape(h, 1, c) @ v_heads).reshape(-1)
+    scores = (k_heads @ q_row.reshape(h, d_head, 1)).reshape(h, c)
+    # The softmax in place, in the product's own array; ufunc reduces are
+    # what .max() and .sum() run, without their Python layers.
+    scores /= math.sqrt(d_head)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return (scores.reshape(h, 1, c) @ v_heads).reshape(-1)
 
 
 # Rows per softmax block of ``attend_run``. A block holds rows * n_heads *

@@ -1,5 +1,7 @@
 """Adapters: delta math, invocation location, policies, file round-trips."""
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alora import (AdapterPolicy, AdapterSpec, LowRankDelta, build_policy,
-                   delta_apply, find_invocation, load_adapter, random_adapter,
-                   save_adapter)
+from alora import (AdapterPolicy, AdapterSpec, GenerationRequest, LowRankDelta,
+                   build_policy, delta_apply, find_invocation, load_adapter,
+                   random_adapter, save_adapter)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA
 from alora.errors import (ConfigurationError, ContractViolationError,
                           FormatError, NotInvokedError)
@@ -67,6 +69,21 @@ class TestDeltaApply:
         with pytest.raises(ConfigurationError, match="product width"):
             delta_apply(np.zeros(8, dtype=np.float32),
                         np.zeros(4, dtype=np.float32), delta)
+
+    @pytest.mark.parametrize("factors", [np.float32, np.float64])
+    def test_adds_in_place_with_the_bits_of_the_sum(self, rng, factors):
+        # rows as the forward passes them: (T, 1, d) views, the products a
+        # strided column slice of a wider block
+        d, r = 16, 4
+        x = rng.standard_normal((3, 1, d)).astype(np.float32)
+        block = rng.standard_normal((3, 1, 3 * d)).astype(np.float32)
+        delta = LowRankDelta(a=rng.standard_normal((d, r)).astype(factors),
+                             b=rng.standard_normal((r, d)).astype(factors),
+                             rank=r, alpha=3.0)
+        xw = block[..., d:2 * d]
+        want = (xw + delta.scale * ((x @ delta.a) @ delta.b)).astype(np.float32)
+        assert delta_apply(x, xw, delta) is xw
+        assert want.tobytes() == np.ascontiguousarray(block[..., d:2 * d]).tobytes()
 
     def test_rank_above_width_rejected(self, rng):
         with pytest.raises(ConfigurationError):
@@ -187,6 +204,46 @@ class TestFrozenSpec:
         b[0, 0] = 9.0
         assert np.all(spec.deltas[(0, "q")].a == np.float32(0.1))
         assert np.all(spec.deltas[(0, "q")].b == np.float32(0.2))
+
+    def test_copies_and_pickles_are_built_frozen(self, toy_engine, rng):
+        config = toy_engine.config
+        spec = replace(random_adapter(config.d_model, config.n_layers, rank=4,
+                                      alpha=8.0, mode=MODE_ALORA, adapter_id="p",
+                                      seed=5, invocation_sequence=(2, 3)),
+                       max_new_tokens=5)
+        prompt = rng.integers(8, 256, size=30).tolist()
+
+        def served(adapter):
+            result = toy_engine.generate(GenerationRequest(
+                prompt_tokens=prompt, adapter=adapter, max_new_tokens=6))
+            return result.new_tokens, [t.tobytes() for t in result.logits_trace]
+
+        for clone in (copy.copy(spec), copy.deepcopy(spec),
+                      pickle.loads(pickle.dumps(spec))):
+            assert clone is not spec
+            assert (clone.adapter_id, clone.mode, clone.invocation_sequence,
+                    clone.max_new_tokens) == ("p", MODE_ALORA, (2, 3), 5)
+            assert clone.delta_kinds == spec.delta_kinds
+            for key, delta in spec.deltas.items():
+                mine = clone.deltas[key]
+                assert mine is not delta
+                assert np.array_equal(mine.a, delta.a) and np.array_equal(mine.b, delta.b)
+                assert not mine.a.flags.writeable and not mine.b.flags.writeable
+            # the per-layer list is rebuilt from the clone's own deltas
+            assert [[d for _, d in pairs] for pairs in clone.layer_deltas] == [
+                [clone.deltas[l, p] for p in "qkv"] for l in range(config.n_layers)]
+            with pytest.raises(TypeError):
+                clone.deltas[(0, "q")] = spec.deltas[(0, "q")]
+            assert served(clone) == served(spec)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None, -1])
+    def test_max_new_tokens_is_a_count(self, count):
+        with pytest.raises(ConfigurationError,
+                           match="token counts must be non-negative integers"):
+            AdapterSpec(adapter_id="n", mode=MODE_LORA, deltas={},
+                        max_new_tokens=count)
+        assert AdapterSpec(adapter_id="n", mode=MODE_LORA, deltas={},
+                           max_new_tokens=np.int64(3)).max_new_tokens == 3
 
 
 def _adapted(policy, position):

@@ -227,6 +227,17 @@ def assert_reads(cache, expected):
                                       expected[:upto, layer, 1])
 
 
+def buffer_address(cache, layer, side):
+    """Where the read of ``cache``'s whole layer starts, a view of its read
+    buffer while it is extended; no view is kept."""
+    read = (cache.k_matrix, cache.v_matrix)[side](layer, cache.length)
+    return read.__array_interface__["data"][0]
+
+
+def live_table_blocks(caches):
+    return {int(b) for c in caches for b in c._table.ids[:c._table.n]}
+
+
 class TestBlockTable:
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(st.tuples(st.sampled_from(["append", "decode", "seal",
@@ -248,8 +259,16 @@ class TestBlockTable:
             if kind == "append":
                 new = random_rows(rng, min(amount, config.max_positions - cache.length),
                                   config)
-                put(cache, new)
-                live[i] = (cache, np.concatenate([rows, new]))
+                rows = np.concatenate([rows, new])
+                cache.append_token_ids([3] * len(new))
+                for layer in range(config.n_layers):
+                    cache.append_rows(layer, new[:, layer, 0], new[:, layer, 1],
+                                      [None] * len(new))
+                    if amount % 2:
+                        # layer by layer, as the forward appends and reads
+                        cache.k_matrix(layer, len(rows))
+                        cache.v_matrix(layer, len(rows))
+                live[i] = (cache, rows)
             elif kind == "decode":
                 # one row at a time, each followed by a whole read of every
                 # layer, as a decoding fork reads
@@ -269,6 +288,7 @@ class TestBlockTable:
                 live.append((cache.fork_shared(cut), rows[:cut]))
             else:
                 del live[i], cache
+                gc.collect()
             for cache, rows in live:
                 assert_reads(cache, rows)
                 stats = cache.stats()
@@ -276,6 +296,11 @@ class TestBlockTable:
                 assert stats.blocks == -(-cache.length // BLOCK_ROWS)
                 if cache.length == cache.sealed_length:
                     assert stats.read_buffer_bytes == 0
+            # sealed forks hand read buffers on, and no kept buffer holds a
+            # block: a pool's live blocks are those its live tables hold
+            for pool in pools:
+                assert pool.live_blocks == len(live_table_blocks(
+                    c for c, _ in live if c.pool is pool))
         live = cache = None
         gc.collect()
         assert all(pool.live_blocks == 0 for pool in pools)
@@ -481,8 +506,12 @@ class TestReadBuffer:
         want = np.concatenate([rows, own])
         assert_reads(fork, want)
         assert np.array_equal(first, want[:21, 0, 0])
+        held = fork.stats().read_buffer_bytes
         fork.seal()
         assert fork.stats().read_buffer_bytes == 0
+        # the pool keeps the buffers for the next fork, all but the one
+        # ``first`` still views
+        assert fork.stats().pool_kept_buffer_bytes == held - first.base.nbytes
         sealed = fork.k_matrix(0, 26)
         assert not np.shares_memory(sealed, first)
         assert np.array_equal(sealed, want[:, 0, 0])
@@ -537,3 +566,154 @@ class TestReadBuffer:
         assert max(sizes) <= 2 * 2 * 256 * config.d_model * 4
         assert_reads(fork, np.concatenate([rows, own]))
         assert_reads(other, np.concatenate([rows, others]))
+
+
+class TestReadBufferHandoff:
+    def extend_and_read(self, cache, rows):
+        """Append ``rows`` one at a time, reading every layer after each, as
+        a decoding fork does."""
+        for i in range(len(rows)):
+            put(cache, rows[i:i + 1])
+            for layer in range(cache.config.n_layers):
+                cache.k_matrix(layer, cache.length)
+                cache.v_matrix(layer, cache.length)
+
+    def test_next_fork_takes_the_buffers_and_copies_past_the_shared_blocks(
+            self, config, rng):
+        root = CacheStore(config)
+        rows = random_rows(rng, 37, config)
+        put(root, rows)
+        root.seal()
+        first = root.fork_shared(37)
+        mine = random_rows(rng, 6, config)
+        self.extend_and_read(first, mine)
+        matrices = 2 * config.n_layers
+        assert first.stats().read_buffer_rows_copied == matrices * 38
+        addresses = {(l, s): buffer_address(first, l, s)
+                     for l in range(config.n_layers) for s in (0, 1)}
+        size = first.stats().read_buffer_bytes
+        first.seal()
+        assert first.stats().pool_kept_buffer_bytes == size
+        second = root.fork_shared(37)
+        theirs = random_rows(rng, 6, config)
+        self.extend_and_read(second, theirs)
+        # the same buffers; past the 2 shared blocks, only the 5 copied rows
+        # and the first own row were copied, the other rows written by appends
+        assert {(l, s): buffer_address(second, l, s)
+                for l in range(config.n_layers) for s in (0, 1)} == addresses
+        assert second.stats().read_buffer_rows_copied == matrices * (5 + 1)
+        assert second.stats().pool_kept_buffer_bytes == 0
+        assert_reads(second, np.concatenate([rows, theirs]))
+        assert_reads(first, np.concatenate([rows, mine]))
+
+    def test_a_fork_at_another_cut_copies_past_the_common_blocks(self, config, rng):
+        root = CacheStore(config)
+        rows = random_rows(rng, 40, config)
+        put(root, rows)
+        root.seal()
+        first = root.fork_shared(33)
+        self.extend_and_read(first, random_rows(rng, 6, config))
+        first.seal()
+        # the taken buffers hold the first fork's own rows from 33 on
+        second = root.fork_shared(38)
+        own = random_rows(rng, 4, config)
+        second.append_token_ids([3] * 4)
+        for layer in range(config.n_layers):
+            # as the forward does: each layer appends, then reads
+            second.append_rows(layer, own[:, layer, 0], own[:, layer, 1], [None] * 4)
+            second.k_matrix(layer, 42)
+            second.v_matrix(layer, 42)
+        assert second.stats().read_buffer_rows_copied == 2 * config.n_layers * (42 - 32)
+        assert_reads(second, np.concatenate([rows[:38], own]))
+
+    def test_a_view_held_across_seal_keeps_its_rows_and_its_buffer(
+            self, config, rng):
+        root = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(root, rows)
+        root.seal()
+        fork = root.fork_shared(20)
+        own = random_rows(rng, 3, config)
+        self.extend_and_read(fork, own)
+        held = fork.v_matrix(1, 23)
+        want = held.copy()
+        size = fork.stats().read_buffer_bytes
+        fork.seal()
+        assert fork.stats().pool_kept_buffer_bytes == size - held.base.nbytes
+        for _ in range(3):
+            other = root.fork_shared(20)
+            self.extend_and_read(other, random_rows(rng, 23, config))
+            assert not np.shares_memory(held, other.v_matrix(1, other.length))
+            other.seal()
+        assert np.array_equal(held, want)
+        assert np.array_equal(held, np.concatenate([rows, own])[:, 1, 1])
+
+    def test_freed_and_reallocated_blocks_are_not_reused_rows(self, config, rng):
+        root = CacheStore(config)
+        pool = root.pool
+        put(root, random_rows(rng, 40, config))
+        root.seal()
+        # holds the pool, and no block
+        keeper = root.fork_shared(0)
+        fork = root.fork_shared(40)
+        self.extend_and_read(fork, random_rows(rng, 8, config))
+        fork.seal()
+        recorded = fork._table.ids[:3].tolist()
+        del root, fork
+        gc.collect()
+        assert pool.live_blocks == 0
+        assert keeper.stats().pool_kept_buffer_bytes > 0
+        # the same block ids again, with other rows
+        rows = random_rows(rng, 40, config)
+        put(keeper, rows)
+        keeper.seal()
+        # takes the next free block, so that the child's partial block does
+        # not follow its shared ones and the child reads through buffers
+        spacer = keeper.fork_shared(40)
+        child = keeper.fork_shared(40)
+        assert child._table.ids[:2].tolist() == recorded[:2]
+        assert child._table.run == 2
+        own = random_rows(rng, 8, config)
+        self.extend_and_read(child, own)
+        assert child.stats().read_buffer_rows_copied >= 2 * config.n_layers * 41
+        assert_reads(child, np.concatenate([rows, own]))
+
+    def test_forks_handing_buffers_on_in_two_threads_read_their_rows(self, rng):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
+                             vocab_size=16, max_positions=256)
+        root = CacheStore(config)
+        prefix = random_rows(rng, 37, config)
+        put(root, prefix)
+        root.seal()
+        tails = [[random_rows(rng, 12, config) for _ in range(40)] for _ in range(2)]
+        wrong = []
+        start = threading.Barrier(2, timeout=60)
+
+        def extend(mine):
+            start.wait()
+            for rows in mine:
+                fork = root.fork_shared(37)
+                want = np.concatenate([prefix, rows])
+                for i in range(len(rows)):
+                    put(fork, rows[i:i + 1])
+                    n = fork.length
+                    for l in range(config.n_layers):
+                        if not (np.array_equal(fork.k_matrix(l, n), want[:n, l, 0])
+                                and np.array_equal(fork.v_matrix(l, n),
+                                                   want[:n, l, 1])):
+                            wrong.append((n, l))
+                fork.seal()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=extend, args=(t,)) for t in tails]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert wrong == []
+        assert root.stats().pool_kept_buffer_bytes > 0

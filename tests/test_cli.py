@@ -398,6 +398,8 @@ class TestMalformedFiles:
         ("adapter", lambda h: h.update(r="x"), 2, "'r'"),
         ("adapter", lambda h: h.update(alpha=float("nan")), 2, "alpha"),
         ("adapter", lambda h: h.update(max_new_tokens="abc"), 2, "max_new_tokens"),
+        ("adapter", lambda h: h.update(max_new_tokens=-1), 2,
+         "token counts must be non-negative integers"),
         ("adapter", lambda h: h.update(d_model="x"), 2, "d_model"),
         ("adapter", lambda h: _tensor(h, "layers.0.q.a").update(name="layers.x.q.a"),
          2, "layers.x.q.a"),
@@ -409,6 +411,7 @@ class TestMalformedFiles:
          3, "'16'"),
     ], ids=["config_without_rope_theta", "n_layers_string", "n_layers_fraction",
             "config_list", "rank_string", "alpha_nan", "max_new_tokens_string",
+            "max_new_tokens_negative",
             "d_model_string", "layer_not_a_number", "negative_offset",
             "negative_shape", "string_shape"])
     def test_exit_code(self, files, tmp_path, capsys, which, change, code, named):

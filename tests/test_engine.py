@@ -8,7 +8,7 @@ import pytest
 from alora import (AdapterSpec, Engine, GenerationRequest, LowRankDelta,
                    ModelConfig, random_adapter, random_weights, row_bytes)
 from alora import engine as engine_module
-from alora.cache import BLOCK_ROWS
+from alora.cache import BLOCK_ROWS, first_row_difference
 from alora.adapters import MODE_ALORA, MODE_LORA, zero_adapter
 from alora.errors import ConfigurationError, ContractViolationError
 
@@ -274,6 +274,22 @@ class TestRequestTokens:
         with pytest.raises(ContractViolationError, match="integers"):
             toy_engine.invoke_intrinsic(base_cache, [2.0, 3.5], spec)
 
+    @pytest.mark.parametrize("counts", [
+        dict(max_new_tokens=2.5), dict(max_new_tokens=2.0),
+        dict(min_new_tokens=1.0), dict(min_new_tokens="1"),
+        dict(max_new_tokens=None), dict(min_new_tokens=-1)])
+    def test_token_counts_are_integers(self, counts):
+        # refused at construction, before any prefill could run
+        with pytest.raises(ConfigurationError,
+                           match="token counts must be non-negative integers"):
+            GenerationRequest([5, 6, 7], **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        request = GenerationRequest([5, 6, 7], min_new_tokens=np.int32(1),
+                                    max_new_tokens=np.uint8(2))
+        assert (request.min_new_tokens, request.max_new_tokens) == (1, 2)
+        assert {type(request.min_new_tokens), type(request.max_new_tokens)} == {int}
+
 
 class TestInvokeIntrinsic:
     def test_five_fresh_rows_for_four_token_invocation(self, toy_engine, rng):
@@ -455,6 +471,39 @@ class TestFanout:
         # sealed caches hold none; the base cache, a root, never had any
         assert [r.cache.stats().read_buffer_bytes for r in results] == [0, 0]
         assert base.stats().read_buffer_bytes == 0
+        # the second fork took the first one's buffers, and the pool keeps
+        # them from its seal for the next fork
+        assert seen[6:] == seen[:6]
+        assert base.stats().pool_kept_buffer_bytes == seen[-1]
+
+    def test_later_forks_copy_only_their_partial_block_and_own_rows(self, rng):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8,
+                             vocab_size=64, max_positions=1100)
+        weights = random_weights(config, seed=2)
+        engine = Engine(weights, config)
+        prompt = rng.integers(8, 64, size=1003).tolist()
+        adapters = [_alora_spec(config, seed=i, adapter_id=f"a{i}") for i in range(5)]
+        base = engine.prefill(GenerationRequest(prompt_tokens=prompt))
+        assert base.length % BLOCK_ROWS
+        results = engine.fanout(base, adapters, [[2, 3]] * 5,
+                                max_new_tokens=4, min_new_tokens=4)
+        matrices = 2 * config.n_layers
+        copied = [r.cache.stats().read_buffer_rows_copied for r in results]
+        assert copied[0] >= matrices * base.length
+        for r, rows in zip(results[1:], copied[1:]):
+            own = r.cache.stats().owned_positions
+            assert 0 < rows <= matrices * (BLOCK_ROWS - 1 + own)
+        # the same bits as forks that each fill fresh buffers over their own
+        # base cache
+        for spec, got in zip(adapters, results):
+            alone = Engine(weights, config).invoke_intrinsic(
+                engine.prefill(GenerationRequest(prompt_tokens=prompt)), [2, 3],
+                spec, max_new_tokens=4, min_new_tokens=4)
+            assert alone.cache.stats().read_buffer_rows_copied >= matrices * base.length
+            assert got.new_tokens == alone.new_tokens
+            assert [t.tobytes() for t in got.logits_trace] == [
+                t.tobytes() for t in alone.logits_trace]
+            assert first_row_difference(got.cache, alone.cache, got.cache.length) is None
 
     def test_single_adapter_reduces_to_invoke(self, toy_engine, rng):
         base_cache = toy_engine.prefill(GenerationRequest(
