@@ -20,12 +20,12 @@ import math
 import operator
 import types
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NotInvokedError
-from .fileio import freeze, read_tensor_file, write_tensor_file
+from .fileio import freeze_stacked, read_tensor_file, write_tensor_file
 
 ADAPTER_MAGIC = b"ALAD"
 
@@ -67,14 +67,32 @@ class LowRankDelta:
         return self.alpha / self.rank
 
 
-def delta_apply(x_row: np.ndarray, xw: np.ndarray, delta: LowRankDelta) -> np.ndarray:
+class DeltaGroup(NamedTuple):
+    """Deltas of one layer for consecutive projections that share rank,
+    alpha and factor dtypes, stacked: ``projections`` slices the layer's
+    (q, k, v) axis, ``a`` (g, d, r) and ``b`` (g, r, d) hold their factors,
+    read-only views of the spec's buffer, and ``scale`` is their alpha/r."""
+
+    projections: slice
+    a: np.ndarray
+    b: np.ndarray
+    scale: float
+
+
+def delta_apply(x_row: np.ndarray, xw: np.ndarray,
+                delta: LowRankDelta | DeltaGroup) -> np.ndarray:
     """Add (alpha/r) * ((x @ A) @ B) to ``xw`` (x @ W, already computed) in
     place and return it: low-rank first, A@B never materialized, and the
-    bits of ``xw + (alpha/r) * ((x @ A) @ B)`` cast to ``xw``'s dtype."""
-    if x_row.shape[-1] != delta.a.shape[0]:
+    bits of ``xw + (alpha/r) * ((x @ A) @ B)`` cast to ``xw``'s dtype.
+
+    ``delta`` is a ``LowRankDelta`` or a ``DeltaGroup``, whose stacked
+    factors broadcast against a (..., g, rows, d) ``xw``: numpy runs a
+    stacked product one matrix at a time, so each projection of a group
+    gets the gemv it gets alone."""
+    if x_row.shape[-1] != delta.a.shape[-2]:
         raise ConfigurationError(
             f"row width {x_row.shape[-1]} does not match delta A {delta.a.shape}")
-    if xw.shape[-1] != delta.b.shape[1]:
+    if xw.shape[-1] != delta.b.shape[-1]:
         raise ConfigurationError(
             f"product width {xw.shape[-1]} does not match delta B {delta.b.shape}")
     low = (x_row @ delta.a) @ delta.b
@@ -112,17 +130,19 @@ class AdapterSpec:
     """An adapter: per-layer per-projection deltas plus invocation metadata.
 
     A spec cannot change once built. As model weights do, it copies all its
-    factors once into one immutable buffer (``fileio.freeze``): each factor
+    factors once into one immutable buffer (``fileio.freeze_stacked``): each factor
     is a read-only view of a ``bytes`` object, which numpy will not make
     writeable again, and the deltas sit in a read-only mapping. So the cache
     rows it has produced, which name it as their producer, stay valid for
     it; a changed adapter is a new spec (``dataclasses.replace``). Specs
     compare and hash by identity, so two specs sharing an id never share rows.
 
-    Built with it: ``layer_deltas``, per layer the (projection index, delta)
-    pairs the forward adds, and ``delta_kinds``, the sorted (rank, A dtype,
-    B dtype) kinds of the deltas, by which the engine keeps its
-    row-invariance probes. Copies and pickles are built anew.
+    Built with it: ``delta_groups``, per layer the ``DeltaGroup`` list the
+    forward adds, whose stacks are views of the same buffer (the factors
+    are laid out in (layer, projection) order, all A factors before all B
+    factors), and ``delta_kinds``, the sorted (rank, A dtype, B dtype)
+    kinds of the deltas, by which the engine keeps its row-invariance
+    probes. Copies and pickles are built anew.
     """
 
     adapter_id: str
@@ -130,7 +150,7 @@ class AdapterSpec:
     deltas: Mapping[Tuple[int, str], LowRankDelta] = field(repr=False)
     invocation_sequence: Optional[Tuple[int, ...]] = None
     max_new_tokens: int = 16
-    layer_deltas: Tuple[tuple, ...] = field(default=(), init=False, repr=False)
+    delta_groups: Tuple[tuple, ...] = field(default=(), init=False, repr=False)
     delta_kinds: Tuple[tuple, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
@@ -143,25 +163,42 @@ class AdapterSpec:
                     "alora adapters require a non-empty invocation sequence")
             object.__setattr__(self, "invocation_sequence",
                                tuple(as_token_ids(self.invocation_sequence)))
-        frozen, factors = {}, iter(freeze(
-            [f for d in self.deltas.values() for f in (d.a, d.b)]))
-        for (layer, proj), delta in self.deltas.items():
+        index = []  # (layer, projection index, projection), sorted
+        for layer, proj in self.deltas:
             if proj not in PROJECTIONS:
                 raise ConfigurationError(f"unknown projection target {proj!r}")
             if layer < 0:
                 raise ConfigurationError(f"negative layer index {layer}")
+            index.append((layer, PROJECTIONS.index(proj), proj))
+        index.sort()
+        given = [self.deltas[layer, proj] for layer, _, proj in index]
+        n = len(given)
+        # (stack, index in it, view) of each A, then of each B
+        placed = [None] * 2 * n
+        for members, stack in freeze_stacked([d.a for d in given] + [d.b for d in given]):
+            for k, (i, view) in enumerate(zip(members, stack)):
+                placed[i] = stack, k, view
+        frozen, kinds, first = {}, set(), 0
+        groups = [[] for _ in range(index[-1][0] + 1 if index else 0)]
+        for i, ((layer, j, proj), delta, (a, at, a_view), (b, bt, b_view)) in enumerate(
+                zip(index, given, placed, placed[n:])):
             # A copy: the delta's checks are not run again for these values.
             copy = frozen[layer, proj] = object.__new__(type(delta))
-            copy.__dict__.update(delta.__dict__, a=next(factors), b=next(factors))
-        layers = range(max((layer + 1 for layer, _ in frozen), default=0))
-        self.__dict__.update(
-            deltas=types.MappingProxyType(frozen),
-            layer_deltas=tuple(tuple((j, frozen[layer, proj])
-                                     for j, proj in enumerate(PROJECTIONS)
-                                     if (layer, proj) in frozen)
-                               for layer in layers),
-            delta_kinds=tuple(sorted({(d.rank, d.a.dtype.str, d.b.dtype.str)
-                                      for d in frozen.values()})))
+            copy.__dict__.update(delta.__dict__, a=a_view, b=b_view)
+            # A run of one layer's deltas of one alpha whose factors share
+            # freeze's stacks (one shape and dtype each) is one group.
+            if (i + 1 < n and index[i + 1][0] == layer and given[i + 1].alpha == delta.alpha
+                    and placed[i + 1][0] is a and placed[n + i + 1][0] is b):
+                continue
+            g, j0 = i + 1 - first, index[first][1]
+            step = index[first + 1][1] - j0 if g > 1 else 1
+            groups[layer].append(DeltaGroup(slice(j0, j + 1, step), a[at + 1 - g:at + 1],
+                                            b[bt + 1 - g:bt + 1], delta.scale))
+            kinds.add((delta.rank, a.dtype.str, b.dtype.str))
+            first = i + 1
+        self.__dict__.update(deltas=types.MappingProxyType(frozen),
+                             delta_groups=tuple(map(tuple, groups)),
+                             delta_kinds=tuple(sorted(kinds)))
 
     def __reduce__(self):  # copies and pickles are built, and frozen, anew
         return type(self), (self.adapter_id, self.mode, dict(self.deltas),
@@ -235,9 +272,9 @@ class AdapterPolicy:
             return n
         return min(max(self.first_adapted - start, 0), n)
 
-    def layer_deltas(self, layer: int) -> tuple:
-        """The spec's (projection index, delta) pairs for ``layer``."""
-        per_layer = self.spec.layer_deltas
+    def delta_groups(self, layer: int) -> tuple:
+        """The spec's ``DeltaGroup`` list for ``layer``."""
+        per_layer = self.spec.delta_groups
         return per_layer[layer] if layer < len(per_layer) else ()
 
 

@@ -28,6 +28,18 @@ def freeze(arrays) -> list:
     of ALIGN bytes, their common base the zero-padded buffer as uint8. Arrays
     of one shape and dtype take slots of one size: one strided array yields
     their views."""
+    views = [None] * len(arrays)
+    for members, stack in freeze_stacked(arrays):
+        for i, view in zip(members, stack):
+            views[i] = view
+    return views
+
+
+def freeze_stacked(arrays) -> list:
+    """As ``freeze``, but the copies come per shape and dtype, as pairs
+    (members, stack): the indices of the arrays of that shape and dtype,
+    in the order given, and the read-only (len(members), ...) array of
+    their copies, so arrays given one after another are one slice of it."""
     arrays = [np.ascontiguousarray(a) for a in arrays]
     groups = {}
     for i, a in enumerate(arrays):
@@ -42,13 +54,9 @@ def freeze(arrays) -> list:
         layout.append((members, shape, dtype, at, slot))
         at += slot * len(members)
     whole = np.frombuffer(b"".join(parts), dtype=np.uint8)
-    views = [None] * len(arrays)
-    for members, shape, dtype, offset, slot in layout:
-        stack = np.ndarray((len(members),) + shape, dtype, whole, offset,
-                           (slot,) + arrays[members[0]].strides)
-        for i, view in zip(members, stack):
-            views[i] = view
-    return views
+    return [(members, np.ndarray((len(members),) + shape, dtype, whole, offset,
+                                 (slot,) + arrays[members[0]].strides))
+            for members, shape, dtype, offset, slot in layout]
 
 
 def write_tensor_file(path, magic: bytes, header: dict, tensors) -> None:

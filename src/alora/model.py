@@ -7,7 +7,9 @@ projections: each is a (T, 1, d) @ W batched matmul, which numpy sends row
 by row to one gemv each (never one gemm, whose rows differ from gemv's at
 these widths). q, k and v come from one such product against
 [W_Q | W_K | W_V], and the run's adapted rows, a suffix of it, then add
-their low-rank deltas, again row by row. A run of two or more rows attends in
+their low-rank deltas, again row by row: one stacked product pair per group
+of the layer's projections (``DeltaGroup``), which numpy runs as one gemv
+per row and projection. A run of two or more rows attends in
 ``attend_run``: each row's QK product, softmax normaliser and P·V product
 stay its own calls over its exact prefix, all heads in one call, while the
 rest of the softmax runs once over a block of rows; a one-row run (decode)
@@ -20,7 +22,9 @@ once per engine and kind of request); the engine refuses to serve without it.
 The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
 the last axis. The trainer's batched tape calls the same functions on whole
 sequences, so it trains the model the engine serves. Both slice one rotary
-table per config and dtype, built at first use (``rope_table``). Weights are
+table per config and dtype, built at first use (``rope_table``), and widen
+the slice once per run or forward to the q|k width (``rope_wide``), so the
+rotation is four elementwise operations over the block. Weights are
 values, frozen and checked once, with their derived constants (``ModelWeights``).
 
 Adapters plug in through the projection policy (``AdapterPolicy`` in
@@ -45,7 +49,7 @@ from .adapters import as_token_ids, delta_apply
 from .cache import CacheStore, first_row_difference
 from .costs import CostLedger
 from .errors import ConfigurationError, ContractViolationError
-from .fileio import freeze
+from .fileio import freeze, freeze_stacked
 
 RMS_EPS = 1e-5
 
@@ -228,7 +232,8 @@ def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.n
     Pair i at position p turns by angle p / theta^(2i/d_head); positions
     may be fractional. Angles are computed in f64; their cosines and sines
     are cast to ``dtype`` and interleaved as C = (c0, c0, c1, c1, ...) and
-    S = (-s0, s0, -s1, s1, ...), the form ``rope_rotate_heads`` multiplies by.
+    S = (-s0, s0, -s1, s1, ...), the form ``rope_rotate_heads`` multiplies
+    by once ``rope_wide`` has repeated them across the heads.
     """
     exponents = np.arange(0, config.d_head, 2, dtype=np.float64) / config.d_head
     inv_freq = config.rope_theta ** (-exponents)
@@ -240,10 +245,23 @@ def rope_tables(positions, config: ModelConfig, dtype) -> Tuple[np.ndarray, np.n
 
 
 @lru_cache(maxsize=8)
-def rope_table(config: ModelConfig, dtype) -> Tuple[np.ndarray, np.ndarray]:
+def rope_table(config: ModelConfig, dtype) -> np.ndarray:
     """Frozen ``rope_tables`` for positions [0, max_positions), built once
-    per config and dtype; a slice has the bits of tables for its rows alone."""
-    return tuple(freeze(rope_tables(np.arange(config.max_positions), config, dtype)))
+    per config and dtype, as one (2, max_positions, d_head) array of C and
+    S; a slice has the bits of tables for its rows alone."""
+    [(_, stack)] = freeze_stacked(rope_tables(np.arange(config.max_positions),
+                                              config, dtype))
+    return stack
+
+
+def rope_wide(tables: np.ndarray, width: int) -> np.ndarray:
+    """Rotary tables (2, ..., d_head), C and S as from ``rope_table``,
+    repeated across ``width`` columns, a multiple of d_head: one table for
+    every head of a row at once. One call, built once per run (or per
+    trainer forward), so that ``rope_rotate_heads`` needs no reshape."""
+    heads = width // tables.shape[-1]
+    return tables[..., None, :].repeat(heads, axis=-2).reshape(
+        tables.shape[:-1] + (width,))
 
 
 @lru_cache(maxsize=8)
@@ -258,19 +276,20 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
     """Rotate consecutive pairs within each head of ``x`` (..., width),
     where width is any multiple of d_head (q, or q|k side by side).
 
-    ``cos``/``sin`` are the (C, S) tables of ``rope_tables`` for the rows'
-    positions and apply to every head alike. A pair (a, b) becomes
-    (a c - b s, a s + b c), computed as x * C + swap(x) * S, where swap
-    exchanges a and b: the same bits, as a - b is a + (-b) and + commutes.
+    ``cos``/``sin`` are the (C, S) tables of the rows' positions, as wide
+    as ``x`` (``rope_wide``), and broadcast against it. A pair (a, b)
+    becomes (a c - b s, a s + b c), computed as x * C + swap(x) * S, where
+    swap exchanges a and b: the same bits, as a - b is a + (-b) and +
+    commutes. Four array operations, each elementwise over the whole
+    block, strided or not: take, multiply, multiply, add.
     """
-    heads = x.shape[:-1] + (-1, cos.shape[-1])
-    swapped = x.take(_pair_swap(x.shape[-1]), axis=-1).reshape(heads)
+    swapped = x.take(_pair_swap(x.shape[-1]), axis=-1)
     # In place where it keeps the bits: two temporaries rather than four,
     # which kept long prefills' peak RSS at what it was before.
-    swapped *= sin[..., None, :]
-    out = x.reshape(heads) * cos[..., None, :]
+    swapped *= sin
+    out = x * cos
     out += swapped
-    return out.reshape(x.shape)
+    return out
 
 
 def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
@@ -279,17 +298,20 @@ def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
 
     Every row gets one gemv against [W_Q | W_K | W_V] (``_row_matmul``).
     ``adapted`` is None when no row is adapted, else the slice ``cut:`` of
-    the adapted rows; those rows then get each of the policy's deltas for
-    this layer added in place to their q, k or v columns, views rather than
-    copies, by ``delta_apply``, again one row at a time.
+    the adapted rows. Those rows then get the policy's deltas for this
+    layer added in place, one ``delta_apply`` per ``DeltaGroup``: the
+    block is viewed as (T, 3, 1, d), one (1, d) row per projection, and a
+    group's stacked factors reach its projections' rows in one product
+    pair that numpy runs as one gemv per row and projection, each the
+    gemv it would get alone.
     """
     qkv = _row_matmul(x, layer.w_qkv)
     if adapted is None:
         return qkv
-    d = x.shape[-1]
-    rows = x[adapted, None, :]
-    for j, delta in policy.layer_deltas(layer_index):
-        delta_apply(rows, qkv[adapted, None, j * d:(j + 1) * d], delta)
+    blocks = qkv.reshape(len(qkv), 3, 1, -1)[adapted]
+    rows = x[adapted, None, None, :]
+    for group in policy.delta_groups(layer_index):
+        delta_apply(rows, blocks[:, group.projections], group)
     return qkv
 
 
@@ -406,7 +428,7 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
     provenance = [None] * cut + [policy.spec] * (t - cut)
     cache.append_token_ids(tokens)
     x = weights.token_embedding.take(tokens, axis=0)
-    cos, sin = (table[start:end] for table in rope_table(config, weights.dtype))
+    cos, sin = rope_wide(rope_table(config, weights.dtype)[:, start:end], 2 * d)
     for li, layer in enumerate(weights.layers):
         n1, _ = rms_norm_row(x, layer.norm_attn)
         qkv = project_row(n1, li, layer, policy, adapted)
@@ -524,4 +546,4 @@ def greedy_pick(logits: np.ndarray) -> int:
         raise ContractViolationError("greedy_pick expects a non-empty vector")
     if not np.isfinite(logits).all():
         raise ContractViolationError("greedy_pick received non-finite logits")
-    return int(np.argmax(logits))
+    return int(logits.argmax())

@@ -20,7 +20,9 @@ The forward tape runs the engine's own primitives from model.py (RMS norm,
 GELU, rotary table and rotation) on whole sequences, and, as the engine
 does, projects q|k|v in one product against [W_Q | W_K | W_V]; only the
 masked attention and the backward helpers live here. The table and the
-weights' derived constants (``w_qkv``, ``mlp_down_t``) are built once.
+weights' derived constants (``w_qkv``, ``mlp_down_t``) are built once; each
+forward widens its rows of the table to the q|k width once (``rope_wide``),
+and the tape carries the wide tables into the backward's reverse rotation.
 
 A training step computes only what its loss reads, and each cut is exact:
 - It runs every token but the last. The last row predicts no target, and
@@ -57,7 +59,7 @@ from .engine import Engine, GenerationRequest
 from .errors import (ConfigurationError, ContractViolationError,
                      TrainingDivergedError)
 from .model import (GELU_C, GELU_K, ModelConfig, ModelWeights, gelu,
-                    rms_norm_row, rope_rotate_heads, rope_table)
+                    rms_norm_row, rope_rotate_heads, rope_table, rope_wide)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -254,7 +256,7 @@ def _forward_tape(tokens, t_invoke: int, weights: ModelWeights,
         raise ContractViolationError(f"{T} tokens > max_positions {config.max_positions}")
     d = config.d_model
     heads = tokens.shape + (config.n_heads, config.d_head)
-    cos, sin = (table[:T] for table in rope_table(config, weights.dtype))
+    cos, sin = rope_wide(rope_table(config, weights.dtype)[:, :T], 2 * d)
     causal = np.tril(np.ones((T, T), dtype=bool))
     inv_sqrt = 1.0 / math.sqrt(config.d_head)
     x = weights.token_embedding[tokens]

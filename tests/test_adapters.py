@@ -229,12 +229,61 @@ class TestFrozenSpec:
                 assert mine is not delta
                 assert np.array_equal(mine.a, delta.a) and np.array_equal(mine.b, delta.b)
                 assert not mine.a.flags.writeable and not mine.b.flags.writeable
-            # the per-layer list is rebuilt from the clone's own deltas
-            assert [[d for _, d in pairs] for pairs in clone.layer_deltas] == [
-                [clone.deltas[l, p] for p in "qkv"] for l in range(config.n_layers)]
+            # the per-layer groups are rebuilt from the clone's own buffer
+            assert len(clone.delta_groups) == config.n_layers
+            for layer, (group,) in enumerate(clone.delta_groups):
+                assert group.projections == slice(0, 3, 1)
+                for p, a, b in zip("qkv", group.a, group.b):
+                    mine = clone.deltas[layer, p]
+                    assert a.tobytes() == mine.a.tobytes() and b.tobytes() == mine.b.tobytes()
+                    assert np.shares_memory(a, mine.a) and np.shares_memory(b, mine.b)
             with pytest.raises(TypeError):
                 clone.deltas[(0, "q")] = spec.deltas[(0, "q")]
             assert served(clone) == served(spec)
+
+    def test_delta_groups_are_read_only_views_of_the_buffer(self):
+        gen = np.random.default_rng(4)
+
+        def delta(rank, alpha):
+            return LowRankDelta(a=gen.standard_normal((16, rank)).astype(np.float32),
+                                b=gen.standard_normal((rank, 16)).astype(np.float32),
+                                rank=rank, alpha=alpha)
+
+        # given out of order: the groups follow (layer, projection) order
+        spec = AdapterSpec(adapter_id="v", mode=MODE_LORA, deltas={
+            (1, "v"): delta(2, 4.0), (0, "k"): delta(4, 8.0), (0, "q"): delta(4, 8.0),
+            (1, "q"): delta(2, 4.0), (0, "v"): delta(2, 8.0)})
+        spans = [[(g.projections, g.scale) for g in groups] for groups in spec.delta_groups]
+        assert spans == [[(slice(0, 2, 1), 2.0), (slice(2, 3, 1), 4.0)],
+                         [(slice(0, 3, 2), 2.0)]]
+        owner = spec.deltas[(0, "q")].a
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        for layer, groups in enumerate(spec.delta_groups):
+            for group in groups:
+                projs = "qkv"[group.projections]
+                assert len(group.a) == len(group.b) == len(projs)
+                for factor in (group.a, group.b):
+                    assert not factor.flags.writeable
+                    with pytest.raises(ValueError, match="WRITEABLE"):
+                        factor.setflags(write=True)
+                for p, a, b in zip(projs, group.a, group.b):
+                    mine = spec.deltas[(layer, p)]
+                    assert np.shares_memory(a, mine.a) and np.shares_memory(b, mine.b)
+                    assert a.tobytes() == mine.a.tobytes() and b.tobytes() == mine.b.tobytes()
+                    assert mine.scale == group.scale
+                base = group.a
+                while isinstance(base, np.ndarray):
+                    base = base.base
+                assert base is owner
+        for clone in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert [[(g.projections, g.scale) for g in groups]
+                    for groups in clone.delta_groups] == spans
+            for groups, theirs in zip(clone.delta_groups, spec.delta_groups):
+                for group, their in zip(groups, theirs):
+                    assert not np.shares_memory(group.a, their.a)
+                    assert group.a.tobytes() == their.a.tobytes()
+                    assert group.b.tobytes() == their.b.tobytes()
 
     @pytest.mark.parametrize("count", [2.5, 3.0, "3", None, -1])
     def test_max_new_tokens_is_a_count(self, count):

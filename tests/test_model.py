@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alora import (AdapterPolicy, AdapterSpec, BASE_POLICY, CostLedger,
-                   LowRankDelta, ModelConfig, ModelWeights, build_policy,
+                   LowRankDelta, ModelConfig, ModelWeights, build_policy, delta_apply,
                    forward_segment, greedy_pick, random_adapter)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
 from alora.cache import CacheStore
@@ -17,7 +17,7 @@ from alora.errors import ConfigurationError, ContractViolationError
 from alora.model import (ATTEND_BLOCK, LAYER_ARRAYS, RUN_ROWS, LayerWeights,
                          _forward_run, attend_run, attend_single,
                          forward_position, project_row, rope_rotate_heads,
-                         rope_table, rope_tables)
+                         rope_table, rope_tables, rope_wide)
 
 
 def project_rows(x, weights, policy):
@@ -31,8 +31,8 @@ def project_rows(x, weights, policy):
 
 def rotate(vec, position, config):
     """rope_tables + rope_rotate_heads for one vector at one position."""
-    cos, sin = rope_tables(position, config, vec.dtype)
-    return rope_rotate_heads(vec, cos, sin)
+    tables = np.stack(rope_tables(position, config, vec.dtype))
+    return rope_rotate_heads(vec, *rope_wide(tables, vec.shape[-1]))
 
 
 def make_micro_model(d_model, n_heads, vocab, seed=0, max_positions=64):
@@ -125,6 +125,84 @@ class TestProjectSegment:
         assert np.allclose(q, [[1.5, 2.0]])
 
 
+def _delta(gen, d, rank, alpha, dtype=np.float32):
+    return LowRankDelta(a=gen.standard_normal((d, rank)).astype(dtype),
+                        b=gen.standard_normal((rank, d)).astype(dtype),
+                        rank=rank, alpha=alpha)
+
+
+def _one_delta_at_a_time(x, weights, spec, cut):
+    """The q|k|v block of ``x``'s rows with each of the spec's layer-0
+    deltas added alone, one ``delta_apply`` per projection, to the rows
+    from ``cut`` on."""
+    d = x.shape[-1]
+    qkv = (x[:, None, :] @ weights.layers[0].w_qkv)[:, 0]
+    for j, proj in enumerate("qkv"):
+        delta = spec.deltas.get((0, proj))
+        if delta is not None:
+            delta_apply(x[cut:, None, :], qkv[cut:, None, j * d:(j + 1) * d], delta)
+    return qkv
+
+
+class TestDeltaGroups:
+    """A layer's deltas are added one stacked product pair per group of
+    projections sharing rank, alpha and factor dtypes, with the bits of
+    each delta added alone."""
+
+    @pytest.mark.parametrize("deltas, groups", [
+        # mixed ranks, then mixed alphas: two groups in one layer
+        ({"q": (4, 8.0), "k": (4, 8.0), "v": (2, 8.0)}, [slice(0, 2, 1), slice(2, 3, 1)]),
+        ({"q": (4, 8.0), "k": (4, 16.0), "v": (4, 16.0)}, [slice(0, 1, 1), slice(1, 3, 1)]),
+        # f64 factors on an f32 model, cast into the f32 block
+        ({"q": (4, 8.0, np.float64), "k": (4, 8.0, np.float64), "v": (4, 8.0)},
+         [slice(0, 2, 1), slice(2, 3, 1)]),
+        # partial sets
+        ({"q": (4, 8.0), "v": (4, 8.0)}, [slice(0, 3, 2)]),
+        ({"k": (3, 6.0)}, [slice(1, 2, 1)]),
+        # rank d: A and B of one shape
+        ({"q": (16, 8.0), "k": (16, 8.0), "v": (16, 8.0)}, [slice(0, 3, 1)]),
+    ], ids=["ranks", "alphas", "f64_factors", "q_and_v", "k_only", "rank_d"])
+    def test_equal_each_delta_alone_bitwise(self, deltas, groups):
+        config, weights = make_micro_model(16, 2, 16)
+        gen = np.random.default_rng(11)
+        spec = AdapterSpec(adapter_id="g", mode=MODE_LORA, deltas={
+            (0, proj): _delta(gen, 16, *kind) for proj, kind in deltas.items()})
+        assert [g.projections for g in spec.delta_groups[0]] == groups
+        policy = AdapterPolicy(spec, 0)
+        for t in range(1, RUN_ROWS + 1):
+            x = gen.standard_normal((t, 16)).astype(np.float32)
+            for cut in sorted({0, t // 2, t - 1}):
+                got = project_row(x, 0, weights.layers[0], policy, slice(cut, None))
+                want = _one_delta_at_a_time(x, weights, spec, cut)
+                assert got.dtype == np.float32
+                assert got.tobytes() == want.tobytes(), (t, cut)
+
+    def test_delta_apply_called_once_per_group(self, monkeypatch):
+        from alora import model
+        config, weights = make_micro_model(16, 2, 16)
+        gen = np.random.default_rng(12)
+        spec = AdapterSpec(adapter_id="g", mode=MODE_LORA, deltas={
+            (0, "q"): _delta(gen, 16, 4, 8.0), (0, "k"): _delta(gen, 16, 4, 8.0),
+            (0, "v"): _delta(gen, 16, 2, 8.0)})
+        calls = []
+        monkeypatch.setattr(model, "delta_apply",
+                            lambda *args: calls.append(args[2]) or delta_apply(*args))
+        project_row(gen.standard_normal((5, 16)).astype(np.float32), 0,
+                    weights.layers[0], AdapterPolicy(spec, 0), slice(2, None))
+        assert len(calls) == 2
+        assert all(c is g for c, g in zip(calls, spec.delta_groups[0]))
+
+
+def _rotate_per_head(x, cos, sin):
+    """The rotation with (t, d_head) tables broadcast head by head."""
+    heads = x.shape[:-1] + (-1, cos.shape[-1])
+    swapped = x.take(np.arange(x.shape[-1]) ^ 1, axis=-1).reshape(heads)
+    swapped *= sin[..., None, :]
+    out = x.reshape(heads) * cos[..., None, :]
+    out += swapped
+    return out.reshape(x.shape)
+
+
 class TestRope:
     def test_position_zero_is_identity(self, rng):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_head=8,
@@ -162,7 +240,7 @@ class TestRope:
         positions = np.arange(1000, 1040)
         x = rng.standard_normal((len(positions), 2 * config.d_model)).astype(dtype)
         cos, sin = rope_tables(positions, config, dtype)
-        got = rope_rotate_heads(x, cos, sin)
+        got = rope_rotate_heads(x, *rope_wide(np.stack((cos, sin)), x.shape[-1]))
         c, s = cos[:, None, 0::2], sin[:, None, 1::2]
         heads = x.reshape(len(positions), -1, config.d_head)
         even, odd = heads[..., 0::2], heads[..., 1::2]
@@ -170,6 +248,27 @@ class TestRope:
         expected[..., 0::2] = even * c - odd * s
         expected[..., 1::2] = even * s + odd * c
         assert got.tobytes() == expected.reshape(x.shape).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wide_equals_per_head_form_bitwise(self, rng, dtype):
+        # the engine's (t, 2d) q|k runs, the trainer's strided (B, T, 2d)
+        # slice of its (B, T, 3d) block, and the backward's reverse turn
+        from alora import DEFAULT_CONFIG as config
+        d = config.d_model
+        table = rope_table(config, np.dtype(dtype))
+        for t in range(1, RUN_ROWS + 1):
+            tables = table[:, 1000:1000 + t]
+            x = rng.standard_normal((t, 2 * d)).astype(dtype)
+            got = rope_rotate_heads(x, *rope_wide(tables, 2 * d))
+            assert got.tobytes() == _rotate_per_head(x, *tables).tobytes(), t
+        block = rng.standard_normal((16, 8, 3 * d)).astype(dtype)
+        x, tables = block[..., :2 * d], table[:, :8]
+        cos, sin = rope_wide(tables, 2 * d)
+        got = rope_rotate_heads(x, cos, sin)
+        assert got.tobytes() == _rotate_per_head(x, *tables).tobytes()
+        back = rope_rotate_heads(got[:, 3:], cos[3:], -sin[3:])
+        want = _rotate_per_head(got[:, 3:], tables[0, 3:], -tables[1, 3:])
+        assert back.tobytes() == want.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(position=st.integers(min_value=0, max_value=10000),
