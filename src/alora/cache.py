@@ -9,8 +9,18 @@ forks draw on the same pool. Every cache holds a block table, the ids of the
 blocks holding its positions in order. ``fork_shared(L)`` shares the
 parent's full blocks below L (their refcounts go up) and copies the rows of
 the partial block, at most BLOCK_ROWS - 1, into a fresh block. Nothing walks
-a chain of parents. Attention on exact prefixes needs contiguous keys, so a
-read takes one of three forms:
+a chain of parents.
+
+Rows arrive in one of two ways. ``append_rows`` is the public entry: it
+checks every argument and places the rows of one layer on every call. The
+forward instead checks and places a whole run once, for all layers
+(``begin_run``: every layer at the cache's length, the run past the sealed
+length and within max_positions, its blocks allocated, its tokens and
+producers recorded); each layer then only writes its K and V rows into the
+pool and its read buffers (``write_rows``), a decode row as a 1-D vector.
+
+Attention on exact prefixes needs contiguous keys, so a read takes one of
+three forms:
 
 - rows in the table's leading run of consecutive blocks, all of a root
   cache's, are read as a view of the pool;
@@ -315,7 +325,9 @@ class CacheStore:
     def append_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray,
                     provenance) -> None:
         """Append K/V rows for one layer; ``provenance`` holds each row's
-        producer. Layer 0 drives the provenance list."""
+        producer. Layer 0 drives the provenance list. The public entry,
+        every argument checked on every call; the forward checks and places
+        a run once (``begin_run``), then writes each layer (``write_rows``)."""
         if not 0 <= layer < self.config.n_layers:
             raise ContractViolationError(f"layer {layer} out of range")
         k_rows, v_rows = np.asanyarray(k_rows), np.asanyarray(v_rows)
@@ -329,10 +341,33 @@ class CacheStore:
                 f"{len(provenance)} provenances for {n} rows")
         if n == 0:
             return
-        pos = self._layer_len[layer]
+        self.write_rows(layer, k_rows, v_rows,
+                        self._place(self._layer_len[layer], n))
+        if layer == 0:
+            self.provenance.extend(provenance)
+
+    def begin_run(self, tokens, provenance) -> tuple:
+        """Check and place a forward run's positions once for all layers:
+        every layer must hold this cache's length, the run must start past
+        the sealed length and end within max_positions. Blocks are allocated
+        and the tokens and producers recorded; returns the placement that
+        each layer's ``write_rows`` then takes."""
+        pos = self.length
+        if self._layer_len.count(pos) != len(self._layer_len):
+            raise ContractViolationError(
+                f"layers hold {self._layer_len} positions, not one length")
+        run = self._place(pos, len(tokens))
+        self.token_ids.extend(map(int, tokens))
+        self.provenance.extend(provenance)
+        return run
+
+    def _place(self, pos: int, n: int) -> tuple:
+        """(pos, end, pieces) for ``n`` rows from position ``pos``, their
+        blocks allocated: ``pieces`` pairs the pool rows of each stretch
+        with the slice of the rows it takes."""
         if pos < self.sealed_length:
             raise ContractViolationError(
-                f"append into sealed region (layer {layer}, position {pos}, "
+                f"append into sealed region (position {pos}, "
                 f"sealed through {self.sealed_length})")
         end = pos + n
         if end > self.config.max_positions:
@@ -344,30 +379,39 @@ class CacheStore:
             need = -(-end // BLOCK_ROWS) - table.n
             if need > 0:
                 table.add(pool.allocate(need))
+        if n == 1 or end <= table.run * BLOCK_ROWS:
+            # One row, or rows in the leading run: one slice.
+            block, offset = divmod(pos, BLOCK_ROWS)
+            at = table.ids[block] * BLOCK_ROWS + offset
+            return pos, end, ((slice(at, at + n), slice(None)),)
+        pieces = []
+        done = 0
+        while done < n:
+            block, offset = divmod(pos + done, BLOCK_ROWS)
+            rows = min(BLOCK_ROWS - offset, n - done)
+            at = table.ids[block] * BLOCK_ROWS + offset
+            pieces.append((slice(at, at + rows), slice(done, done + rows)))
+            done += rows
+        return pos, end, pieces
+
+    def write_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray,
+                   run: tuple) -> None:
+        """Write one layer's K/V rows, placed by ``begin_run``, into the
+        pool and into the layer's read buffers when they follow their
+        count. The rows are (n, d_model), or one row as (d_model,)."""
+        pos, end, pieces = run
+        pool = self._pool
+        with pool.lock:
             k, v = pool.k_rows[layer], pool.v_rows[layer]
-            if n == 1 or end <= table.run * BLOCK_ROWS:
-                # One row, or rows in the leading run: one slice each.
-                block, offset = divmod(pos, BLOCK_ROWS)
-                at = table.ids[block] * BLOCK_ROWS + offset
-                k[at:at + n] = k_rows
-                v[at:at + n] = v_rows
-            else:
-                done = 0
-                while done < n:
-                    block, offset = divmod(pos + done, BLOCK_ROWS)
-                    rows = min(BLOCK_ROWS - offset, n - done)
-                    at = table.ids[block] * BLOCK_ROWS + offset
-                    k[at:at + rows] = k_rows[done:done + rows]
-                    v[at:at + rows] = v_rows[done:done + rows]
-                    done += rows
+            for target, source in pieces:
+                k[target] = k_rows[source]
+                v[target] = v_rows[source]
         for buffers, filled, new in zip(self._buf, self._filled, (k_rows, v_rows)):
             if buffers[layer] is not None and filled[layer] == pos:
                 buffers[layer] = self._room(buffers[layer], pos, end)
                 buffers[layer][pos:end] = new
                 filled[layer] = end
         self._layer_len[layer] = end
-        if layer == 0:
-            self.provenance.extend(provenance)
 
     # ------------------------------------------------------------------ #
     # reads

@@ -1,12 +1,12 @@
 """Operation and byte accounting, plus closed-form first-token predictions.
 
 The forward adds each run's costs in closed form (``model._count_run``:
-projections, attention, MLP, unembedding) through ``add_matmul``,
-``add_attention`` and ``add_softmax``, with exact formulas: a matmul of
-m x k by k x n adds 2*m*n*k. ``predict_first_token`` recomputes the same
-totals from the configuration alone, position by position rather than run
-by run, so measured-vs-predicted comparisons are exact equalities rather
-than tolerance checks.
+projections, attention, MLP, unembedding) in one ``add_run`` update, with
+exact formulas: a matmul of m x k by k x n adds 2*m*n*k, as ``add_matmul``
+counts one. ``predict_first_token`` recomputes the same totals from the
+configuration alone, position by position rather than run by run, so
+measured-vs-predicted comparisons are exact equalities rather than
+tolerance checks.
 
 Low-rank delta products are intentionally NOT counted: the cost queries
 carry no rank, and the separation claims concern the dense transformer
@@ -54,6 +54,23 @@ class CostLedger:
             total = U64_MAX
             self.saturated = True
         setattr(self, name, total)
+
+    def add_run(self, matmul_flops: int, attention_score_flops: int,
+                softmax_ops: int, rows_projected_fresh: int) -> None:
+        """A forward run's costs in one update: negative amounts are
+        refused and totals saturate at U64_MAX, as in ``_add``."""
+        if min(matmul_flops, attention_score_flops, softmax_ops,
+               rows_projected_fresh) < 0:
+            raise ContractViolationError("negative cost event for a run")
+        totals = (self.matmul_flops + matmul_flops,
+                  self.attention_score_flops + attention_score_flops,
+                  self.softmax_ops + softmax_ops,
+                  self.rows_projected_fresh + rows_projected_fresh)
+        if max(totals) > U64_MAX:
+            totals = tuple(min(total, U64_MAX) for total in totals)
+            self.saturated = True
+        (self.matmul_flops, self.attention_score_flops, self.softmax_ops,
+         self.rows_projected_fresh) = totals
 
     def add_matmul(self, m: int, k: int, n: int) -> None:
         self._add("matmul_flops", 2 * m * k * n)

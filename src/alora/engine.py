@@ -16,19 +16,23 @@ is, base rows (None) before the policy's cut and rows of the adapter's own
 spec object from there on.
 
 Prefill goes through model.forward_segment in layer-major runs of up to
-model.RUN_ROWS rows and each decode step through model.forward_position as
-a one-row run. A run does not split at t_invoke: an activated adapter's
-fresh prompt (its base-projected first invocation token and the adapted
-rows after it) takes one pass through the layers, the policy's cut marking
-where its adapted suffix begins. Every row takes its own projection gemvs,
-and its own attention products and softmax normaliser (the rest of a
-prefill run's softmax runs over a block of rows), so a row's bits do not
-depend on how the rows were grouped, and a cache-reusing run and a
-from-scratch run over the same tokens produce bitwise-identical logits. ``Engine`` probes
-that property of numpy and the BLAS (model.row_invariance_probe, about 2 ms
-on the default model) at the first request for the base model and at the
-first request naming each set of delta kinds, and keeps each result. The
-engine is reentrant: requests may share sealed caches read-only; each
+model.RUN_ROWS rows, each a block of rows, and each decode step through
+model.forward_position as a one-row run, which goes through the layers as
+a 1-D row. Each run checks and places its cache rows once; each layer then
+only writes its K and V rows. A run does not split at t_invoke: an
+activated adapter's fresh prompt (its base-projected first invocation token
+and the adapted rows after it) takes one pass through the layers, the
+policy's cut marking where its adapted suffix begins. Every row takes its
+own projection gemvs, and its own attention products and softmax
+normaliser (the rest of a prefill run's softmax runs over a block of rows),
+so a row's bits do not depend on how the rows were grouped, and a
+cache-reusing run and a from-scratch run over the same tokens produce
+bitwise-identical logits. ``Engine`` probes that property of numpy and the
+BLAS, the block and row paths against each other
+(model.row_invariance_probe, about 2 ms on the default model), at the
+first request for the base model and at the first request naming each set
+of delta kinds, and keeps each result. The engine is reentrant: requests
+may share sealed caches read-only; each
 request owns its fork and its cost ledger.
 """
 

@@ -1,23 +1,31 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
 The forward is layer-major: a run of up to RUN_ROWS consecutive rows goes
-through each layer together, base and adapted rows alike, and decode is a
-run of one row through the same code. Every row still takes its own
-projections: each is a (T, 1, d) @ W batched matmul, which numpy sends row
-by row to one gemv each (never one gemm, whose rows differ from gemv's at
-these widths). q, k and v come from one such product against
+through each layer together, base and adapted rows alike. The run's length
+alone picks one of two paths. Two or more rows go as a (T, d) block
+(``_block_layers``); one row, each decode step among them, goes as a 1-D
+vector (``_row_layers``), with scalar RMS roots and no (1, d) blocks, since
+at that size each numpy call's fixed cost is the step's cost. Every row
+takes its own projections either way: in a block each is a (T, 1, d) @ W
+batched matmul, which numpy sends row by row to one gemv each (never one
+gemm, whose rows differ from gemv's at these widths), and a lone row's
+``x @ W`` is that same gemv. q, k and v come from one such product against
 [W_Q | W_K | W_V], and the run's adapted rows, a suffix of it, then add
 their low-rank deltas, again row by row: one stacked product pair per group
 of the layer's projections (``DeltaGroup``), which numpy runs as one gemv
-per row and projection. A run of two or more rows attends in
-``attend_run``: each row's QK product, softmax normaliser and P·V product
-stay its own calls over its exact prefix, all heads in one call, while the
-rest of the softmax runs once over a block of rows; a one-row run (decode)
-calls ``attend_single``. So a row's result does not depend on how many rows
-come with it, nor on where the run is cut, and cached-vs-uncached and
+per row and projection (a lone row through (1, 1, d) views). A block
+attends in ``attend_run``: each row's QK product, softmax normaliser and
+P·V product stay its own calls over its exact prefix, all heads in one
+call, while the rest of the softmax runs once over a block of rows; a lone
+row calls ``attend_single``. So a row's result does not depend on how many
+rows come with it, nor on where the run is cut, and cached-vs-uncached and
 batch-vs-incremental comparisons need no tolerances.
-``row_invariance_probe`` checks it through ``_forward_run`` itself (1 to 2.5 ms,
-once per engine and kind of request); the engine refuses to serve without it.
+``row_invariance_probe`` checks it through ``_forward_run`` itself, a
+3-row block against its rows run alone (1 to 2.5 ms, once per engine and
+kind of request); the engine refuses to serve without it. A run is checked
+and its cache rows placed once (``CacheStore.begin_run``); each layer then
+writes only its K and V rows, and the run's costs go into the ledger in
+one update.
 
 The row-level primitives (RMS norm, GELU, rotary tables and rotation) act on
 the last axis. The trainer's batched tape calls the same functions on whole
@@ -200,9 +208,11 @@ def rms_norm_row(x: np.ndarray, gain: np.ndarray):
 
     x / root * gain, the gain applied in place in the quotient's own
     temporary. The root, one value per row, is sum-then-divide: bit for
-    bit what np.mean gives, without its Python layers."""
-    root = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-                   + RMS_EPS)
+    bit what np.mean gives, without its Python layers. A 1-D row's root is
+    a scalar, whose arithmetic has the bits of a (1, 1) array's and costs
+    less; rows of a block keep theirs on a trailing axis."""
+    root = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=x.ndim > 1)
+                   / x.shape[-1] + RMS_EPS)
     y = x / root
     y *= gain
     return y, root
@@ -410,7 +420,10 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
     K/V rows; returns the last row's logits if wanted. The policy's cut
     splits the run once: base rows before it, adapted rows from it on.
 
-    The cache must already hold exactly positions [0, start).
+    The cache must already hold exactly positions [0, start). The run is
+    checked, and its cache rows placed, once; then one row goes through
+    the layers as a 1-D row (``_row_layers``), two or more as a block
+    (``_block_layers``), each row with the bits it gets in the other.
     """
     if cache.length != start:
         raise ContractViolationError(
@@ -422,60 +435,95 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
     end = start + t
     if end > config.max_positions:
         raise ContractViolationError(f"position {end} > max_positions {config.max_positions}")
-    d = config.d_model
     cut = policy.cut(start, t)
-    adapted = None if cut == t else slice(cut, None)
-    provenance = [None] * cut + [policy.spec] * (t - cut)
-    cache.append_token_ids(tokens)
+    run = cache.begin_run(tokens, [None] * cut + [policy.spec] * (t - cut))
+    tables = rope_table(config, weights.dtype)
+    if t == 1:
+        x = _row_layers(tokens[0], start, weights, config, tables[:, start],
+                        policy if cut == 0 else None, cache, run)
+    else:
+        x = _block_layers(tokens, start, weights, config, tables[:, start:end],
+                          policy, None if cut == t else slice(cut, None),
+                          cache, run)[-1]
+    _count_run(ledger, config, start, t, want_logits)
+    if not want_logits:
+        return None
+    nf, _ = rms_norm_row(x, weights.norm_final)
+    return nf @ weights.unembedding
+
+
+def _row_layers(token, position, weights: ModelWeights, config: ModelConfig,
+                tables, policy, cache, run) -> np.ndarray:
+    """One row through all layers as a 1-D vector; returns its residual.
+    ``policy`` is None for a base row. Each step has the bits the block
+    path gives the row: ``x @ W`` is the gemv ``_row_matmul`` runs per
+    row, the deltas go through (1, 1, d) views of the q|k|v row, and the
+    norms, rotation, attention and GELU act on the one row."""
+    d = config.d_model
+    end = position + 1
+    x = weights.token_embedding[token]
+    cos, sin = rope_wide(tables, 2 * d)
+    for li, layer in enumerate(weights.layers):
+        n1, _ = rms_norm_row(x, layer.norm_attn)
+        qkv = n1 @ layer.w_qkv
+        if policy is not None:
+            blocks, rows = qkv.reshape(3, 1, d), n1.reshape(1, 1, d)
+            for group in policy.delta_groups(li):
+                delta_apply(rows, blocks[group.projections], group)
+        qk = rope_rotate_heads(qkv[:2 * d], cos, sin)
+        cache.write_rows(li, qk[d:], qkv[2 * d:], run)
+        mixed = attend_single(qk[:d], cache.k_matrix(li, end),
+                              cache.v_matrix(li, end), config)
+        x = x + mixed @ layer.w_o
+        n2, _ = rms_norm_row(x, layer.norm_mlp)
+        up, _ = gelu(n2 @ layer.mlp_up)
+        x = x + up @ layer.mlp_down
+    return x
+
+
+def _block_layers(tokens, start, weights: ModelWeights, config: ModelConfig,
+                  tables, policy, adapted, cache, run) -> np.ndarray:
+    """Two or more rows through all layers as a (T, d) block, each row's
+    products its own gemvs; returns the residual block. ``adapted`` is
+    None or the slice of the adapted suffix."""
+    d = config.d_model
+    end = start + len(tokens)
     x = weights.token_embedding.take(tokens, axis=0)
-    cos, sin = rope_wide(rope_table(config, weights.dtype)[:, start:end], 2 * d)
+    cos, sin = rope_wide(tables, 2 * d)
     for li, layer in enumerate(weights.layers):
         n1, _ = rms_norm_row(x, layer.norm_attn)
         qkv = project_row(n1, li, layer, policy, adapted)
         qk = rope_rotate_heads(qkv[:, :2 * d], cos, sin)
-        q = qk[:, :d]
-        cache.append_rows(li, qk[:, d:], qkv[:, 2 * d:], provenance)
-        keys = cache.k_matrix(li, end)
-        vals = cache.v_matrix(li, end)
-        if t == 1:
-            # Decode: the run form costs more for one row.
-            mixed = attend_single(q[0], keys, vals, config)[None]
-        else:
-            mixed = attend_run(q, keys, vals, start, config)
+        cache.write_rows(li, qk[:, d:], qkv[:, 2 * d:], run)
+        mixed = attend_run(qk[:, :d], cache.k_matrix(li, end),
+                           cache.v_matrix(li, end), start, config)
         x = x + _row_matmul(mixed, layer.w_o)
         n2, _ = rms_norm_row(x, layer.norm_mlp)
         up, _ = gelu(_row_matmul(n2, layer.mlp_up))
         x = x + _row_matmul(up, layer.mlp_down)
-    _count_run(ledger, config, start, t, want_logits)
-    if not want_logits:
-        return None
-    nf, _ = rms_norm_row(x[-1], weights.norm_final)
-    return nf @ weights.unembedding
+    return x
 
 
 def _count_run(ledger: CostLedger, config: ModelConfig, start: int, t: int,
                want_logits: bool) -> None:
-    """Add a run's costs in closed form. Each row and layer does q, k, v, W_O
-    and the MLP; a row at position p attends over c = p + 1 keys: 4 c d
-    attention flops and n_heads * c softmax ops."""
+    """Add a run's costs in closed form, in one ledger update. Each row and
+    layer does q, k, v, W_O and the MLP (24 d^2 flops); a row at position p
+    attends over c = p + 1 keys: 4 c d attention flops and n_heads * c
+    softmax ops."""
     d = config.d_model
-    rows = config.n_layers * t
     covered = config.n_layers * (t * start + t * (t + 1) // 2)
-    ledger.rows_projected_fresh += t
-    ledger.add_matmul(4 * rows, d, d)
-    ledger.add_matmul(rows, d, 4 * d)
-    ledger.add_matmul(rows, 4 * d, d)
-    ledger.add_attention(4 * d * covered)
-    ledger.add_softmax(config.n_heads * covered)
+    matmul = 24 * config.n_layers * t * d * d
     if want_logits:
-        ledger.add_matmul(1, d, config.vocab_size)
+        matmul += 2 * d * config.vocab_size
+    ledger.add_run(matmul, 4 * d * covered, config.n_heads * covered, t)
 
 
 def forward_position(token: int, position: int, weights: ModelWeights,
                      config: ModelConfig, policy, cache, ledger: CostLedger,
                      want_logits: bool) -> Optional[np.ndarray]:
-    """Run one token through all layers as a one-row run (decode),
-    appending its K/V rows to the cache, which must hold [0, position)."""
+    """Run one token through all layers as a one-row run (decode, on the
+    row path), appending its K/V rows to the cache, which must hold
+    [0, position)."""
     return _forward_run([token], position, weights, config, policy, cache,
                         ledger, want_logits)
 
@@ -513,9 +561,10 @@ def row_invariance_probe(weights: ModelWeights, config: ModelConfig,
     """Check, rather than assume, the property of numpy and the BLAS that
     bitwise reuse rests on: ``_forward_run`` gives a row the same bits in a
     run as alone. A root cache of PROBE_PREFIX seeded random base rows is
-    sealed and forked; 3 tokens run as one run on the root and one at a
-    time on the fork, under ``policy``, and their K/V rows at every layer
-    and the last logits must be equal. Returns the first difference or None.
+    sealed and forked; 3 tokens run as one run on the root (the block
+    path) and one at a time on the fork (the row path), under ``policy``,
+    and their K/V rows at every layer and the last logits must be equal.
+    Returns the first difference or None.
     """
     end = PROBE_PREFIX + 3
     config = replace(config, max_positions=end)

@@ -63,6 +63,52 @@ class TestAppend:
         with pytest.raises(ContractViolationError, match="layer 1"):
             cache.integrity_check()
 
+    def test_run_written_layer_by_layer_equals_append_rows(self, config, rng):
+        # 21 rows from position 3 cross two block boundaries; the one-row
+        # run after them is written as 1-D rows.
+        d, layers = config.d_model, config.n_layers
+        rows = rng.standard_normal((25, layers, 2, d)).astype(np.float32)
+        checked, placed = CacheStore(config), CacheStore(config)
+        for cache in (checked, placed):
+            cache.append_token_ids([1, 2, 3])
+            for layer in range(layers):
+                cache.append_rows(layer, rows[:3, layer, 0], rows[:3, layer, 1],
+                                  [None] * 3)
+        for lo, hi in ((3, 24), (24, 25)):
+            checked.append_token_ids([5] * (hi - lo))
+            for layer in range(layers):
+                checked.append_rows(layer, rows[lo:hi, layer, 0],
+                                    rows[lo:hi, layer, 1], [None] * (hi - lo))
+            run = placed.begin_run([5] * (hi - lo), [None] * (hi - lo))
+            for layer in range(layers):
+                k, v = rows[lo:hi, layer, 0], rows[lo:hi, layer, 1]
+                placed.write_rows(layer, *((k[0], v[0]) if hi - lo == 1 else (k, v)),
+                                  run)
+        placed.integrity_check()
+        assert placed.token_ids == checked.token_ids
+        assert placed.provenance == checked.provenance
+        for layer in range(layers):
+            assert np.array_equal(placed.k_matrix(layer, 25), rows[:, layer, 0])
+            assert np.array_equal(placed.v_matrix(layer, 25), rows[:, layer, 1])
+
+    def test_run_refused_before_anything_is_written(self, config):
+        # A run past max_positions, and a cache whose layers disagree:
+        # begin_run raises and leaves every list and layer as is.
+        d = config.d_model
+        row = np.ones((1, d), dtype=np.float32)
+        full, torn = CacheStore(config), CacheStore(config)
+        fill(full, 60)
+        fill(torn, 2)
+        torn.append_token_ids([1])
+        torn.append_rows(0, row, row, [None])
+        for cache, n, match in ((full, 5, "overflow"), (torn, 1, "not one length")):
+            before = (list(cache.token_ids), list(cache.provenance),
+                      list(cache._layer_len), cache.stats().blocks)
+            with pytest.raises(ContractViolationError, match=match):
+                cache.begin_run([4] * n, [None] * n)
+            assert (cache.token_ids, cache.provenance, cache._layer_len,
+                    cache.stats().blocks) == before
+
 
 class TestRead:
     def test_negative_count_rejected(self, config):

@@ -1,10 +1,14 @@
 """Cost ledger counters, closed-form predictions, and the classic over
 activated first-token speedup."""
 
-from alora import (CostLedger, CostQuery, GenerationRequest, predict_first_token,
-                   random_adapter, row_bytes)
+import pytest
+
+from alora import (BASE_POLICY, CacheStore, CostLedger, CostQuery, GenerationRequest,
+                   forward_segment, predict_first_token, random_adapter, row_bytes)
 from alora.adapters import MODE_ALORA, MODE_LORA
 from alora.costs import U64_MAX
+from alora.errors import ContractViolationError
+from alora.model import forward_position
 
 
 def measure(engine, rng, t_cache, t_new, mode, rank=8):
@@ -50,6 +54,34 @@ class TestRecord:
         ledger.add_matmul(10, 10, 10)
         assert ledger.matmul_flops == U64_MAX
         assert ledger.saturated
+
+    def test_add_run_refuses_negative_amounts_and_saturates(self):
+        ledger = CostLedger()
+        ledger.add_run(6, 5, 4, 3)
+        with pytest.raises(ContractViolationError, match="negative"):
+            ledger.add_run(1, 1, -1, 1)
+        assert (ledger.matmul_flops, ledger.attention_score_flops,
+                ledger.softmax_ops, ledger.rows_projected_fresh) == (6, 5, 4, 3)
+        assert not ledger.saturated
+        ledger.add_run(U64_MAX, 1, 0, 0)
+        assert ledger.matmul_flops == U64_MAX and ledger.attention_score_flops == 6
+        assert ledger.saturated
+
+    def test_a_run_is_one_ledger_update(self, toy_config, toy_weights,
+                                        monkeypatch):
+        calls = []
+        add_run = CostLedger.add_run
+        monkeypatch.setattr(CostLedger, "add_run",
+                            lambda self, *a: calls.append(a) or add_run(self, *a))
+        for name in ("_add", "add_matmul", "add_attention", "add_softmax"):
+            monkeypatch.setattr(CostLedger, name, None)
+        ledger = CostLedger()
+        cache = CacheStore(toy_config)
+        forward_segment(list(range(8, 78)), 0, toy_weights, toy_config,
+                        BASE_POLICY, cache, ledger)
+        forward_position(9, 70, toy_weights, toy_config, BASE_POLICY, cache,
+                         ledger, want_logits=True)
+        assert [a[3] for a in calls] == [64, 6, 1]
 
     def test_prefill_matches_symbolic_layer_graph_count(self, toy_engine, rng):
         # oracle: closed-form count over the layer graph, written independently

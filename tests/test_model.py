@@ -1,6 +1,7 @@
 """Model-core: projections, rotary rotation, attention, forward equivalences."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from alora import (AdapterPolicy, AdapterSpec, BASE_POLICY, CostLedger,
                    LowRankDelta, ModelConfig, ModelWeights, build_policy, delta_apply,
-                   forward_segment, greedy_pick, random_adapter)
+                   forward_segment, greedy_pick, random_adapter, random_weights)
 from alora.adapters import ActivationPoint, MODE_ALORA, MODE_LORA, zero_adapter
-from alora.cache import CacheStore
+from alora.cache import CacheStore, first_row_difference
 from alora.errors import ConfigurationError, ContractViolationError
 from alora.model import (ATTEND_BLOCK, LAYER_ARRAYS, RUN_ROWS, LayerWeights,
                          _forward_run, attend_run, attend_single,
@@ -538,6 +539,106 @@ class TestRunBoundaries:
                 for p in range(start, start + n)]
         assert len(cache.provenance) == start + n
         assert all(got is w for got, w in zip(cache.provenance[start:], want))
+
+
+# The default width and conftest's tiny_config, built here rather than taken
+# from fixtures so that hypothesis examples can share them.
+SPLIT_MODELS = {
+    "default": ModelConfig(n_layers=4, n_heads=4, d_model=64, d_head=16,
+                           vocab_size=256, max_positions=512),
+    "tiny": ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8,
+                        vocab_size=32, max_positions=128),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _split_model(name, dtype):
+    config = SPLIT_MODELS[name]
+    spec = random_adapter(config.d_model, config.n_layers, rank=4, alpha=8.0,
+                          mode=MODE_ALORA, adapter_id=f"split-{name}", seed=5,
+                          invocation_sequence=(2, 3))
+    return config, random_weights(config, seed=1).astype(dtype), spec
+
+
+@st.composite
+def _splits(draw):
+    """(prefix, segment length, cut points inside the segment, t_invoke)."""
+    prefix = draw(st.integers(0, 20))
+    n = draw(st.integers(1, 24))
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    return prefix, n, sorted(cuts), draw(st.integers(0, prefix + n))
+
+
+class TestSegmentSplits:
+    """Any split of a segment into runs, one-row runs (the row path)
+    included, gives the unsplit segment's bits: logits, every layer's K/V
+    rows, provenance and ledger."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("model", sorted(SPLIT_MODELS))
+    @settings(max_examples=30, deadline=None)
+    @given(split=_splits())
+    def test_any_split_gives_the_segment_bits(self, model, dtype, split):
+        config, weights, spec = _split_model(model, dtype)
+        prefix, n, cuts, t_invoke = split
+        policy = AdapterPolicy(spec, t_invoke)
+        tokens = np.random.default_rng(prefix * 31 + n).integers(
+            4, config.vocab_size, size=prefix + n).tolist()
+        caches, ledgers = [], []
+        for _ in range(2):
+            cache, ledger = CacheStore(config, dtype), CostLedger()
+            if prefix:
+                forward_segment(tokens[:prefix], 0, weights, config, policy,
+                                cache, ledger)
+            caches.append(cache)
+            ledgers.append(ledger)
+        whole = forward_segment(tokens[prefix:], prefix, weights, config,
+                                policy, caches[0], ledgers[0])
+        bounds = [prefix] + [prefix + c for c in cuts] + [prefix + n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            parts = _forward_run(tokens[lo:hi], lo, weights, config, policy,
+                                 caches[1], ledgers[1],
+                                 want_logits=hi == prefix + n)
+        assert parts.tobytes() == whole.tobytes()
+        assert first_row_difference(caches[0], caches[1], prefix + n) is None
+        assert all(a is b for a, b in zip(caches[0].provenance,
+                                          caches[1].provenance))
+        assert len(caches[1].provenance) == prefix + n
+        assert ledgers[0] == ledgers[1]
+
+
+class TestRowRunRefusals:
+    """A one-row run refuses bad input before it writes anything."""
+
+    @staticmethod
+    def _refused(cache, run):
+        before = (cache.length, list(cache.token_ids), list(cache.provenance),
+                  cache.stats().blocks)
+        with pytest.raises(ContractViolationError):
+            run()
+        assert (cache.length, cache.token_ids, cache.provenance,
+                cache.stats().blocks) == before
+        cache.integrity_check()  # every layer still holds ``length`` rows
+
+    def test_bad_token_position_or_cache_length(self, tiny_config, tiny_weights):
+        config, weights = tiny_config, tiny_weights
+
+        def step(cache, token, position):
+            return lambda: forward_position(token, position, weights, config,
+                                            BASE_POLICY, cache, CostLedger(),
+                                            want_logits=True)
+
+        cache = CacheStore(config)
+        forward_segment([4, 5, 6], 0, weights, config, BASE_POLICY, cache)
+        self._refused(cache, step(cache, config.vocab_size, 3))
+        self._refused(cache, step(cache, -1, 3))
+        self._refused(cache, step(cache, 7, 2))
+        self._refused(cache, step(cache, 7, 4))
+        top = config.max_positions
+        full = CacheStore(config)
+        forward_segment([4 + i % 28 for i in range(top)], 0, weights, config,
+                        BASE_POLICY, full)
+        self._refused(full, step(full, 5, top))
 
 
 class TestFusedQKV:
