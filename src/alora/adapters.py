@@ -7,8 +7,9 @@ base weights, which is what makes the base model's cache rows reusable.
 So a request's adapted positions are always one suffix, and one
 ``AdapterPolicy`` records it: the first adapted position, 0 or t_invoke, or
 none for the base model. ``AdapterPolicy.cut`` splits a run of positions at
-that point, for the forward and for the engine's reuse rule alike. A cached
-row's producer is None for the base model or the ``AdapterSpec`` itself.
+that point, and ``AdapterPolicy.producers`` lists each position's producer,
+None for the base model or the ``AdapterSpec`` itself, for the forward and
+for the engine's reuse rule alike.
 
 The activation point is one token after the START of the invocation
 sequence, so the first invocation token itself is still base-projected.
@@ -271,6 +272,12 @@ class AdapterPolicy:
         if self.first_adapted is None:
             return n
         return min(max(self.first_adapted - start, 0), n)
+
+    def producers(self, start: int, n: int) -> list:
+        """The producer of each position of [start, start + n): None for
+        the base rows before the cut, the spec from it on."""
+        cut = self.cut(start, n)
+        return [None] * cut + [self.spec] * (n - cut)
 
     def delta_groups(self, layer: int) -> tuple:
         """The spec's ``DeltaGroup`` list for ``layer``."""

@@ -141,12 +141,14 @@ class CacheStats:
 
 
 class BlockPool:
-    """Refcounted K/V blocks shared by a root cache and its forks, and the
+    """Refcounted K/V blocks shared by a root cache and its forks, the
+    weights their rows are made under (None when not recorded), and the
     read buffers last handed on by ``seal()``."""
 
-    def __init__(self, config: "ModelConfig", dtype):
+    def __init__(self, config: "ModelConfig", dtype, weights=None):
         n = -(-config.max_positions // BLOCK_ROWS)
         self._layers, self._width, self.dtype = config.n_layers, config.d_model, dtype
+        self.weights = weights
         self.lock = threading.RLock()
         self.refs = np.zeros(n, dtype=np.intp)
         # The number of the allocation that last handed out each block.
@@ -272,8 +274,8 @@ class CacheStore:
     """Per-layer K/V store over a block table; a fork shares its parent's
     full blocks instead of keeping the parent."""
 
-    def __init__(self, config: "ModelConfig", dtype=np.float32):
-        self._attach(config, BlockPool(config, np.dtype(dtype)), 0, None)
+    def __init__(self, config: "ModelConfig", dtype=np.float32, weights=None):
+        self._attach(config, BlockPool(config, np.dtype(dtype), weights), 0, None)
         self.token_ids = []
         self.provenance = []
 

@@ -16,23 +16,22 @@ is, base rows (None) before the policy's cut and rows of the adapter's own
 spec object from there on.
 
 Prefill goes through model.forward_segment in layer-major runs of up to
-model.RUN_ROWS rows, each a block of rows, and each decode step through
-model.forward_position as a one-row run, which goes through the layers as
-a 1-D row. Each run checks and places its cache rows once; each layer then
-only writes its K and V rows. A run does not split at t_invoke: an
-activated adapter's fresh prompt (its base-projected first invocation token
-and the adapted rows after it) takes one pass through the layers, the
-policy's cut marking where its adapted suffix begins. Every row takes its
-own projection gemvs, and its own attention products and softmax
-normaliser (the rest of a prefill run's softmax runs over a block of rows),
-so a row's bits do not depend on how the rows were grouped, and a
-cache-reusing run and a from-scratch run over the same tokens produce
-bitwise-identical logits. ``Engine`` probes that property of numpy and the
-BLAS, the block and row paths against each other
-(model.row_invariance_probe, about 2 ms on the default model), at the
-first request for the base model and at the first request naming each set
-of delta kinds, and keeps each result. The engine is reentrant: requests
-may share sealed caches read-only; each
+model.RUN_ROWS rows, and each decode step through model.forward_position
+as a one-row run; one layer loop serves both, a run's length picking only
+its leaf ops' form (a (T, d) block or a 1-D row). A run does not split at
+t_invoke: an activated adapter's fresh prompt (its base-projected first
+invocation token and the adapted rows after it) takes one pass through the
+layers, the policy's cut marking where its adapted suffix begins. Every
+row takes its own projection gemvs, and its own attention products and
+softmax normaliser, so a row's bits do not depend on how the rows were
+grouped, and a cache-reusing run and a from-scratch run over the same
+tokens produce bitwise-identical logits. ``Engine`` probes that property of
+numpy and the BLAS, the block and 1-D row forms of each leaf op against
+each other (model.row_invariance_probe, about 2 ms on the default model),
+at the first request for the base model and at the first request naming
+each set of delta kinds, and keeps each result. A cache is reused only
+under the weights, config and dtype it was made with (``_check_reuse``).
+The engine is reentrant: requests may share sealed caches read-only; each
 request owns its fork and its cost ledger.
 """
 
@@ -158,6 +157,14 @@ class Engine:
     # prefill
 
     def _check_reuse(self, reuse: CacheStore, prompt: List[int]) -> None:
+        """Refuse a cache made under another config, dtype or weights (by
+        identity), not sealed, or not a prefix of the prompt."""
+        for what, same in (("config", reuse.config == self.config),
+                           ("dtype", reuse.dtype == self.weights.dtype),
+                           ("weights", reuse.pool.weights is self.weights)):
+            if not same:
+                raise ContractViolationError(
+                    f"reuse_cache was made under another {what} than the engine's")
         if reuse.sealed_length != reuse.length:
             raise ContractViolationError("reuse_cache must be sealed")
         if reuse.length > len(prompt):
@@ -175,9 +182,7 @@ class Engine:
         """Longest cached prefix whose producer matches the policy per
         position: the engine's one reuse rule."""
         n = min(reuse.length, prompt_len)
-        cut = policy.cut(0, n)
-        expected = [None] * cut + [policy.spec] * (n - cut)
-        usable = _common_prefix(reuse.provenance[:n], expected)
+        usable = _common_prefix(reuse.provenance[:n], policy.producers(0, n))
         # Keep at least one fresh row so the last prompt position's logits
         # exist; recomputing it reproduces the cached row bitwise.
         return min(usable, prompt_len - 1)
@@ -192,7 +197,7 @@ class Engine:
             cache = reuse.fork_shared(usable)
         else:
             usable = 0
-            cache = CacheStore(self.config, dtype=self.weights.dtype)
+            cache = CacheStore(self.config, self.weights.dtype, self.weights)
         ledger._add("rows_reused", usable)
         logits = forward_segment(prompt[usable:], usable, self.weights,
                                  self.config, policy, cache, ledger)

@@ -1,24 +1,23 @@
 """Toy decoder-only transformer: config, weights, and the pure forward math.
 
 The forward is layer-major: a run of up to RUN_ROWS consecutive rows goes
-through each layer together, base and adapted rows alike. The run's length
-alone picks one of two paths. Two or more rows go as a (T, d) block
-(``_block_layers``); one row, each decode step among them, goes as a 1-D
-vector (``_row_layers``), with scalar RMS roots and no (1, d) blocks, since
-at that size each numpy call's fixed cost is the step's cost. Every row
-takes its own projections either way: in a block each is a (T, 1, d) @ W
-batched matmul, which numpy sends row by row to one gemv each (never one
-gemm, whose rows differ from gemv's at these widths), and a lone row's
-``x @ W`` is that same gemv. q, k and v come from one such product against
-[W_Q | W_K | W_V], and the run's adapted rows, a suffix of it, then add
-their low-rank deltas, again row by row: one stacked product pair per group
-of the layer's projections (``DeltaGroup``), which numpy runs as one gemv
-per row and projection (a lone row through (1, 1, d) views). A block
-attends in ``attend_run``: each row's QK product, softmax normaliser and
-P·V product stay its own calls over its exact prefix, all heads in one
-call, while the rest of the softmax runs once over a block of rows; a lone
-row calls ``attend_single``. So a row's result does not depend on how many
-rows come with it, nor on where the run is cut, and cached-vs-uncached and
+through each layer together, base and adapted rows alike, in one layer loop
+for every run length (``_forward_run``). The run's length picks only the
+form of the leaf ops, once per run. Two or more rows go as a (T, d) block;
+one row, each decode step among them, as a 1-D vector, with scalar RMS
+roots and no (1, d) blocks, since at that size each numpy call's fixed
+cost is the step's cost. Every row takes its own projections in either
+form: a block's are (T, 1, d) @ W batched matmuls (``_row_matmul``), which
+numpy sends row by row to one gemv each (never one gemm, whose rows differ
+from gemv's at these widths), and a 1-D row's ``x @ W`` is that same gemv.
+``project_row`` projects q, k and v in one such product against
+[W_Q | W_K | W_V] and adds the run's adapted suffix its low-rank deltas,
+for both forms. A block attends in ``attend_run``: each row's QK product,
+softmax normaliser and P·V product stay its own calls over its exact
+prefix, all heads in one call, while the rest of the softmax runs once over
+a block of rows; a 1-D row takes ``attend_single``, the same calls without
+a block's padding. So a row's result does not depend on how many rows come
+with it, nor on where the run is cut, and cached-vs-uncached and
 batch-vs-incremental comparisons need no tolerances.
 ``row_invariance_probe`` checks it through ``_forward_run`` itself, a
 3-row block against its rows run alone (1 to 2.5 ms, once per engine and
@@ -37,9 +36,10 @@ values, frozen and checked once, with their derived constants (``ModelWeights``)
 
 Adapters plug in through the projection policy (``AdapterPolicy`` in
 adapters.py): the model never inspects adapter state, it only asks the
-policy once per run where the run's adapted suffix begins (``cut``) and for
-the delta factors to apply. Base rows carry the producer None and adapted
-rows the policy's spec. Which cached rows may be reused is the engine's
+policy once per run for each row's producer (``AdapterPolicy.producers``:
+None for a base row, the spec for an adapted one; the base rows lead, and
+their count is where the run's adapted suffix begins) and for the delta
+factors to apply. Which cached rows may be reused is the engine's
 decision, not the model's.
 """
 
@@ -304,24 +304,27 @@ def rope_rotate_heads(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nda
 
 def project_row(x: np.ndarray, layer_index: int, layer: LayerWeights,
                 policy, adapted):
-    """Project residual rows ``x`` (T, d) to their q|k|v block (T, 3 d).
+    """Project residual rows ``x``, a (T, d) block or one (d,) row, to
+    their q|k|v block (T, 3 d) or row (3 d,).
 
-    Every row gets one gemv against [W_Q | W_K | W_V] (``_row_matmul``).
-    ``adapted`` is None when no row is adapted, else the slice ``cut:`` of
-    the adapted rows. Those rows then get the policy's deltas for this
-    layer added in place, one ``delta_apply`` per ``DeltaGroup``: the
-    block is viewed as (T, 3, 1, d), one (1, d) row per projection, and a
-    group's stacked factors reach its projections' rows in one product
-    pair that numpy runs as one gemv per row and projection, each the
-    gemv it would get alone.
+    Every row gets one gemv against [W_Q | W_K | W_V]: a row's ``x @ W``,
+    a block's ``_row_matmul``. ``adapted`` is None when no row is adapted,
+    else the slice ``cut:`` of the adapted rows. Those rows then get the
+    policy's deltas for this layer added in place, one ``delta_apply`` per
+    ``DeltaGroup``: the product is viewed as (T, 3, 1, d), one (1, d) row
+    per projection, a lone row as T = 1, and a group's stacked factors
+    reach its projections' rows in one product pair that numpy runs as one
+    gemv per row and projection, each the gemv it would get alone.
     """
-    qkv = _row_matmul(x, layer.w_qkv)
+    w = layer.w_qkv
+    qkv = x @ w if x.ndim == 1 else _row_matmul(x, w)
     if adapted is None:
         return qkv
-    blocks = qkv.reshape(len(qkv), 3, 1, -1)[adapted]
-    rows = x[adapted, None, None, :]
+    d = len(w)
+    blocks = qkv.reshape(-1, 3, 1, d)
+    rows = x.reshape(-1, 1, 1, d)[adapted]
     for group in policy.delta_groups(layer_index):
-        delta_apply(rows, blocks[:, group.projections], group)
+        delta_apply(rows, blocks[adapted, group.projections], group)
     return qkv
 
 
@@ -417,14 +420,13 @@ RUN_ROWS = 64
 def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
                  policy, cache, ledger: CostLedger, want_logits: bool):
     """Run ``tokens`` through all layers, layer by layer, appending their
-    K/V rows; returns the last row's logits if wanted. The policy's cut
-    splits the run once: base rows before it, adapted rows from it on.
-
-    The cache must already hold exactly positions [0, start). The run is
-    checked, and its cache rows placed, once; then one row goes through
-    the layers as a 1-D row (``_row_layers``), two or more as a block
-    (``_block_layers``), each row with the bits it gets in the other.
-    """
+    K/V rows to the cache, which must hold exactly positions [0, start);
+    returns the last row's logits if wanted. The run is checked, and its
+    cache rows placed, once. The policy's cut splits it once: base rows
+    before it, adapted rows from it on. Its length picks the leaf ops' form
+    once: one row goes through the layer loop as a 1-D vector, with
+    ``x @ W`` gemvs and ``attend_single``, two or more as a (T, d) block,
+    with ``_row_matmul`` and ``attend_run``."""
     if cache.length != start:
         raise ContractViolationError(
             f"cache holds {cache.length} positions, expected {start}")
@@ -435,73 +437,42 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
     end = start + t
     if end > config.max_positions:
         raise ContractViolationError(f"position {end} > max_positions {config.max_positions}")
-    cut = policy.cut(start, t)
-    run = cache.begin_run(tokens, [None] * cut + [policy.spec] * (t - cut))
+    producers = policy.producers(start, t)
+    cut = producers.count(None)  # the base rows, which lead
+    adapted = None if cut == t else slice(cut, None)
+    run = cache.begin_run(tokens, producers)
+    d = config.d_model
     tables = rope_table(config, weights.dtype)
+    # Every row's columns: q|k and v of q|k|v, then q and k of q|k.
+    cols = slice(2 * d), slice(2 * d, None), slice(d), slice(d, None)
     if t == 1:
-        x = _row_layers(tokens[0], start, weights, config, tables[:, start],
-                        policy if cut == 0 else None, cache, run)
+        x = weights.token_embedding[tokens[0]]
+        tables = tables[:, start]
+        gemv = np.matmul
+        attend = lambda q, keys, values: attend_single(q, keys, values, config)
     else:
-        x = _block_layers(tokens, start, weights, config, tables[:, start:end],
-                          policy, None if cut == t else slice(cut, None),
-                          cache, run)[-1]
-    _count_run(ledger, config, start, t, want_logits)
-    if not want_logits:
-        return None
-    nf, _ = rms_norm_row(x, weights.norm_final)
-    return nf @ weights.unembedding
-
-
-def _row_layers(token, position, weights: ModelWeights, config: ModelConfig,
-                tables, policy, cache, run) -> np.ndarray:
-    """One row through all layers as a 1-D vector; returns its residual.
-    ``policy`` is None for a base row. Each step has the bits the block
-    path gives the row: ``x @ W`` is the gemv ``_row_matmul`` runs per
-    row, the deltas go through (1, 1, d) views of the q|k|v row, and the
-    norms, rotation, attention and GELU act on the one row."""
-    d = config.d_model
-    end = position + 1
-    x = weights.token_embedding[token]
-    cos, sin = rope_wide(tables, 2 * d)
-    for li, layer in enumerate(weights.layers):
-        n1, _ = rms_norm_row(x, layer.norm_attn)
-        qkv = n1 @ layer.w_qkv
-        if policy is not None:
-            blocks, rows = qkv.reshape(3, 1, d), n1.reshape(1, 1, d)
-            for group in policy.delta_groups(li):
-                delta_apply(rows, blocks[group.projections], group)
-        qk = rope_rotate_heads(qkv[:2 * d], cos, sin)
-        cache.write_rows(li, qk[d:], qkv[2 * d:], run)
-        mixed = attend_single(qk[:d], cache.k_matrix(li, end),
-                              cache.v_matrix(li, end), config)
-        x = x + mixed @ layer.w_o
-        n2, _ = rms_norm_row(x, layer.norm_mlp)
-        up, _ = gelu(n2 @ layer.mlp_up)
-        x = x + up @ layer.mlp_down
-    return x
-
-
-def _block_layers(tokens, start, weights: ModelWeights, config: ModelConfig,
-                  tables, policy, adapted, cache, run) -> np.ndarray:
-    """Two or more rows through all layers as a (T, d) block, each row's
-    products its own gemvs; returns the residual block. ``adapted`` is
-    None or the slice of the adapted suffix."""
-    d = config.d_model
-    end = start + len(tokens)
-    x = weights.token_embedding.take(tokens, axis=0)
+        x = weights.token_embedding.take(tokens, axis=0)
+        tables = tables[:, start:end]
+        gemv = _row_matmul
+        attend = lambda q, keys, values: attend_run(q, keys, values, start, config)
+        cols = [(slice(None), c) for c in cols]
+    qk_cols, v_cols, q_cols, k_cols = cols
     cos, sin = rope_wide(tables, 2 * d)
     for li, layer in enumerate(weights.layers):
         n1, _ = rms_norm_row(x, layer.norm_attn)
         qkv = project_row(n1, li, layer, policy, adapted)
-        qk = rope_rotate_heads(qkv[:, :2 * d], cos, sin)
-        cache.write_rows(li, qk[:, d:], qkv[:, 2 * d:], run)
-        mixed = attend_run(qk[:, :d], cache.k_matrix(li, end),
-                           cache.v_matrix(li, end), start, config)
-        x = x + _row_matmul(mixed, layer.w_o)
+        qk = rope_rotate_heads(qkv[qk_cols], cos, sin)
+        cache.write_rows(li, qk[k_cols], qkv[v_cols], run)
+        mixed = attend(qk[q_cols], cache.k_matrix(li, end), cache.v_matrix(li, end))
+        x = x + gemv(mixed, layer.w_o)
         n2, _ = rms_norm_row(x, layer.norm_mlp)
-        up, _ = gelu(_row_matmul(n2, layer.mlp_up))
-        x = x + _row_matmul(up, layer.mlp_down)
-    return x
+        up, _ = gelu(gemv(n2, layer.mlp_up))
+        x = x + gemv(up, layer.mlp_down)
+    _count_run(ledger, config, start, t, want_logits)
+    if not want_logits:
+        return None
+    nf, _ = rms_norm_row(x if t == 1 else x[-1], weights.norm_final)
+    return nf @ weights.unembedding
 
 
 def _count_run(ledger: CostLedger, config: ModelConfig, start: int, t: int,
@@ -521,8 +492,8 @@ def _count_run(ledger: CostLedger, config: ModelConfig, start: int, t: int,
 def forward_position(token: int, position: int, weights: ModelWeights,
                      config: ModelConfig, policy, cache, ledger: CostLedger,
                      want_logits: bool) -> Optional[np.ndarray]:
-    """Run one token through all layers as a one-row run (decode, on the
-    row path), appending its K/V rows to the cache, which must hold
+    """Run one token through all layers as a one-row run (decode, as a 1-D
+    row), appending its K/V rows to the cache, which must hold
     [0, position)."""
     return _forward_run([token], position, weights, config, policy, cache,
                         ledger, want_logits)
@@ -562,8 +533,9 @@ def row_invariance_probe(weights: ModelWeights, config: ModelConfig,
     bitwise reuse rests on: ``_forward_run`` gives a row the same bits in a
     run as alone. A root cache of PROBE_PREFIX seeded random base rows is
     sealed and forked; 3 tokens run as one run on the root (the block
-    path) and one at a time on the fork (the row path), under ``policy``,
-    and their K/V rows at every layer and the last logits must be equal.
+    form of each leaf op) and one at a time on the fork (the 1-D row
+    form), under ``policy``, and their K/V rows at every layer and the
+    last logits must be equal.
     Returns the first difference or None.
     """
     end = PROBE_PREFIX + 3

@@ -2,15 +2,16 @@
 
 Each check builds random prompts and random adapters, runs paired passes,
 and demands BITWISE equality. That is attainable because every row takes
-its own gemv call and its own attention call, so its result does not depend
-on how many rows are computed with it. ``Engine`` probes this property of
-numpy and the BLAS at its first request (here the first oracle trial) and
-raises ConfigurationError if it fails. The mutation check adapts one
-position before t_invoke, running the prompt as three segments into one
-cache (base rows, that one position under the adapter, the rest under the
-real policy), which by row invariance gives the rows one run would, and
-requires the equivalence check to fail, proving the suite can actually
-detect violations. The provenance check reads the engine's own reuse rule
+its own gemv calls and its own attention products, whether its run goes
+through the layer loop as a block or as a 1-D row, so its result does not
+depend on how many rows are computed with it. ``Engine`` probes this
+property of numpy and the BLAS at its first request (here the first oracle
+trial) and raises ConfigurationError if it fails. The mutation check
+adapts one position before t_invoke, running the prompt as three segments
+into one cache (base rows, that one position under the adapter, the rest
+under the real policy), which by row invariance gives the rows one run
+would, and requires the equivalence check to fail, proving the suite can
+actually detect violations. The provenance check reads the engine's own reuse rule
 through requests that reuse a cache, so it tests the rule that serves.
 Every trial adapter's rank is capped at d_model (``_trial_adapter``).
 """

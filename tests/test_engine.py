@@ -184,6 +184,69 @@ class TestReuseChecks:
             tiny_engine._check_reuse(cache, altered + [9])
 
 
+def _cache_state(cache):
+    return (cache.length, cache.sealed_length, list(cache.token_ids),
+            list(cache.provenance), cache.stats())
+
+
+class TestReuseOtherModel:
+    """A cache is reused only by engines over its weights, config and dtype."""
+
+    @staticmethod
+    def refused(engine, cache, match):
+        before = _cache_state(cache)
+        prompt = cache.token_ids + [9]
+        with pytest.raises(ContractViolationError, match=match):
+            engine.generate(GenerationRequest(prompt_tokens=prompt,
+                                              reuse_cache=cache, max_new_tokens=2))
+        assert _cache_state(cache) == before
+        # the refusing engine still serves the request from scratch
+        engine.generate(GenerationRequest(prompt_tokens=prompt, max_new_tokens=2))
+        assert _cache_state(cache) == before
+
+    def test_other_dtype_refused(self, toy_engine, toy_config, toy_weights, rng):
+        f64 = Engine(toy_weights.astype(np.float64), toy_config)
+        cache = f64.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=32).tolist()))
+        self.refused(toy_engine, cache, "another dtype")
+
+    def test_other_weights_refused(self, toy_engine, toy_config, rng):
+        other = Engine(random_weights(toy_config, seed=0), toy_config)
+        cache = other.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=32).tolist()))
+        self.refused(toy_engine, cache, "another weights")
+
+    @pytest.mark.parametrize("change", [{"max_positions": 256}, {"rope_theta": 500.0}],
+                             ids=["max_positions", "rope_theta"])
+    def test_other_config_refused(self, toy_engine, toy_config, toy_weights, rng,
+                                  change):
+        other = Engine(toy_weights, replace(toy_config, **change))
+        cache = other.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=32).tolist()))
+        self.refused(toy_engine, cache, "another config")
+
+    def test_cache_made_outside_an_engine_refused(self, toy_engine, toy_config,
+                                                  toy_weights, rng):
+        from alora import BASE_POLICY, forward_segment
+        from alora.cache import CacheStore
+        cache = CacheStore(toy_config)
+        forward_segment(rng.integers(8, 256, size=32).tolist(), 0, toy_weights,
+                        toy_config, BASE_POLICY, cache)
+        cache.seal()
+        self.refused(toy_engine, cache, "another weights")
+
+    def test_engines_over_one_weights_value_share_caches(self, toy_engine,
+                                                         toy_config, toy_weights,
+                                                         rng):
+        cache = toy_engine.prefill(GenerationRequest(
+            prompt_tokens=rng.integers(8, 256, size=32).tolist()))
+        res = Engine(toy_weights, toy_config).generate(GenerationRequest(
+            prompt_tokens=cache.token_ids + [9], reuse_cache=cache,
+            max_new_tokens=2))
+        assert res.cost.rows_reused == 32
+        assert res.cache.pool.weights is toy_weights
+
+
 class TestGenerate:
     def test_max_zero_counts_prefill_only(self, toy_engine, rng):
         prompt = rng.integers(8, 256, size=5).tolist()

@@ -170,13 +170,20 @@ class TestDeltaGroups:
             (0, proj): _delta(gen, 16, *kind) for proj, kind in deltas.items()})
         assert [g.projections for g in spec.delta_groups[0]] == groups
         policy = AdapterPolicy(spec, 0)
+        layer = weights.layers[0]
         for t in range(1, RUN_ROWS + 1):
             x = gen.standard_normal((t, 16)).astype(np.float32)
             for cut in sorted({0, t // 2, t - 1}):
-                got = project_row(x, 0, weights.layers[0], policy, slice(cut, None))
+                got = project_row(x, 0, layer, policy, slice(cut, None))
                 want = _one_delta_at_a_time(x, weights, spec, cut)
                 assert got.dtype == np.float32
                 assert got.tobytes() == want.tobytes(), (t, cut)
+            # the 1-D row x[0], adapted and not, has row 0's bits
+            for adapted, cut in ((slice(0, None), 0), (None, t)):
+                row = project_row(x[0], 0, layer, policy, adapted)
+                want = _one_delta_at_a_time(x, weights, spec, cut)[0]
+                assert row.shape == (48,) and row.dtype == np.float32
+                assert row.tobytes() == want.tobytes(), (t, cut)
 
     def test_delta_apply_called_once_per_group(self, monkeypatch):
         from alora import model
@@ -188,10 +195,13 @@ class TestDeltaGroups:
         calls = []
         monkeypatch.setattr(model, "delta_apply",
                             lambda *args: calls.append(args[2]) or delta_apply(*args))
-        project_row(gen.standard_normal((5, 16)).astype(np.float32), 0,
-                    weights.layers[0], AdapterPolicy(spec, 0), slice(2, None))
-        assert len(calls) == 2
-        assert all(c is g for c, g in zip(calls, spec.delta_groups[0]))
+        # a block with an adapted suffix, then a one-row run's 1-D row
+        for shape, adapted in (((5, 16), slice(2, None)), ((16,), slice(0, None))):
+            calls.clear()
+            project_row(gen.standard_normal(shape).astype(np.float32), 0,
+                        weights.layers[0], AdapterPolicy(spec, 0), adapted)
+            assert len(calls) == 2, shape
+            assert all(c is g for c, g in zip(calls, spec.delta_groups[0]))
 
 
 def _rotate_per_head(x, cos, sin):
