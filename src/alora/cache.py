@@ -25,24 +25,24 @@ three forms:
 - rows in the table's leading run of consecutive blocks, all of a root
   cache's, are read as a view of the pool;
 - a cache being extended keeps one contiguous K and one contiguous V read
-  buffer per layer, and a count of the leading rows they hold. The first
-  read that reaches past the sealed length and the leading run copies the
-  rows past that count from the pool (``_fill``); each append whose rows
-  follow the count writes them into the pool and into the buffers, and
-  later reads are views of the buffers. A buffer is sized to the rows plus
-  a few blocks and doubles when outgrown;
-- any other read past the leading run is a one-off copy: two slices joined
-  when the blocks past the run are consecutive too, as a fork's own blocks
-  usually are, otherwise one gather of the blocks. A fill is this same copy
-  of the rows past the count.
+  buffer per layer, and a count of the leading rows they hold. A read that
+  reaches past the sealed length, the leading run and the count copies the
+  rows past the count from the pool (``_fill``), making the buffer, with a
+  few spare blocks, where there is none and doubling it when outgrown; an
+  append whose rows follow the count and fit writes them into the buffer as
+  well as the pool, and any other leaves the buffer behind for the next
+  read. Later reads are views of the buffers;
+- any other read past the leading run is a one-off copy into a new array:
+  two slices joined when the blocks past the run are consecutive too, as a
+  fork's own blocks usually are, otherwise one gather of the blocks. A fill
+  is this same copy of the rows past the count, into the buffer.
 
 ``seal()`` hands the buffers to the pool with the ids of the full blocks
-whose rows they hold, and the next cache of the pool to need buffers takes
-them: the rows of the blocks its table starts with in common are already
-there, so a fork of the same base copies only its partial block and its own
-rows. A fresh buffer is the same fill from row 0. Each block carries the
-number of the allocation that handed it out, so a freed and reallocated
-block never counts as common.
+whose rows they hold, and the next fork of the pool takes them when it is
+made: the rows of the blocks its table starts with in common count as held,
+so a fork of the same base copies only its partial block and its own rows.
+Each block carries the number of the allocation that handed it out, so a
+freed and reallocated block never counts as common.
 
 When the last table holding a block is collected, the block returns to the
 pool's free list; the pool grows only when its live blocks run out. A fork
@@ -58,15 +58,15 @@ aliased prefix, copied rows included, is counted once, in the cache that
 appended it. Read buffers are reported as allocated bytes, never as owned.
 
 Concurrency contract: sealed prefixes are immutable and may be read from any
-number of threads; extending a fork is single-writer. Only a read past the
-sealed length, which is the writer's, writes a read buffer; other reads view
-a buffer's counted rows, which never change, or copy. ``seal()`` detaches
-the buffers, so a sealed cache reads as before, and hands on only a buffer
-that nothing else refers to: a view of it held across ``seal()``, by the
-caller or by another thread reading the sealed prefix, keeps its rows, and
-that buffer is dropped instead. Allocation, freeing, growth, block writes
-and the handoff hold the pool's lock, so forks of one pool may be extended
-in different threads.
+number of threads; extending a fork is single-writer. Only the writer's
+appends and its reads past the sealed length write a read buffer; other
+reads view a buffer's counted rows, which never change, or copy. ``seal()``
+detaches the buffers, so a sealed cache reads as before, and hands on only a
+buffer that nothing else refers to: a view of it held across ``seal()``, by
+the caller or by another thread reading the sealed prefix, keeps its rows,
+and that buffer is dropped instead. Allocation, freeing, growth, block
+writes and the handoff hold the pool's lock, so forks of one pool may be
+extended in different threads.
 """
 
 from __future__ import annotations
@@ -221,16 +221,16 @@ class BlockPool:
 
     def take(self, table: "_Table"):
         """The kept buffers and how many of their leading rows lie in the
-        blocks ``table`` starts with, or None; nothing is kept after."""
-        with self.lock:
-            kept, self.kept = self.kept, None
-            if kept is None:
-                return None
-            ids, born, buffers = kept
-            n = min(len(ids), table.n)
-            mine = table.ids[:n]
-            same = (mine == ids[:n]) & (self.born[mine] == born[:n])
-            return buffers, (n if same.all() else int(same.argmin())) * BLOCK_ROWS
+        blocks ``table`` starts with, or None; nothing is kept after. Call
+        under the lock."""
+        kept, self.kept = self.kept, None
+        if kept is None:
+            return None
+        ids, born, buffers = kept
+        n = min(len(ids), table.n)
+        mine = table.ids[:n]
+        same = (mine == ids[:n]) & (self.born[mine] == born[:n])
+        return buffers, (n if same.all() else int(same.argmin())) * BLOCK_ROWS
 
     @property
     def kept_bytes(self) -> int:
@@ -300,14 +300,12 @@ class CacheStore:
         self._drop_buffers()
 
     def _drop_buffers(self) -> None:
-        """Per-layer K and V read buffers (side 0 and 1), ``None`` until the
-        first fill, and how many of each buffer's leading rows equal this
-        cache's."""
+        """Per-layer K and V read buffers (side 0 and 1), ``None`` where
+        there is none, and how many of each buffer's leading rows equal
+        this cache's (0 where there is none)."""
         n = self.config.n_layers
         self._buf = ([None] * n, [None] * n)
         self._filled = ([0] * n, [0] * n)
-        # Whether a fill has asked the pool for kept buffers yet.
-        self._took = False
 
     # ------------------------------------------------------------------ #
     # growth
@@ -399,8 +397,10 @@ class CacheStore:
     def write_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray,
                    run: tuple) -> None:
         """Write one layer's K/V rows, placed by ``begin_run``, into the
-        pool and into the layer's read buffers when they follow their
-        count. The rows are (n, d_model), or one row as (d_model,)."""
+        pool, and into each of the layer's read buffers that they follow
+        the count of and fit; a buffer they do not is left behind for the
+        next read to fill. The rows are (n, d_model), or one row as
+        (d_model,)."""
         pos, end, pieces = run
         pool = self._pool
         with pool.lock:
@@ -409,9 +409,9 @@ class CacheStore:
                 k[target] = k_rows[source]
                 v[target] = v_rows[source]
         for buffers, filled, new in zip(self._buf, self._filled, (k_rows, v_rows)):
-            if buffers[layer] is not None and filled[layer] == pos:
-                buffers[layer] = self._room(buffers[layer], pos, end)
-                buffers[layer][pos:end] = new
+            buf = buffers[layer]
+            if buf is not None and filled[layer] == pos and end <= len(buf):
+                buf[pos:end] = new
                 filled[layer] = end
         self._layer_len[layer] = end
 
@@ -446,68 +446,52 @@ class CacheStore:
         if buf is not None and upto <= filled:
             return buf[:upto]
         if upto <= self.sealed_length:
-            return self._copy(side, layer, 0, upto)
+            return self._copy(side, layer, 0, upto, self._new_buffer(upto))[:upto]
         return self._fill(side, layer)[:upto]
 
     def _fill(self, side: int, layer: int) -> np.ndarray:
         """The layer's buffer on ``side`` once the rows past its count are
-        copied in: the pool's kept buffers are taken at this cache's first
-        fill; a buffer is made fresh where there is none, and grown when
-        outgrown."""
-        if not self._took:
-            self._took = True
-            kept = self._pool.take(self._table)
-            if kept is not None:
-                for buffers, filled, handed in zip(self._buf, self._filled, kept[0]):
-                    buffers[:] = handed
-                    filled[:] = [0 if b is None else kept[1] for b in handed]
+        copied in; the one place a read buffer is made or grown. A new one
+        holds the rows and a few blocks more; an outgrown one is replaced
+        by one twice as large, or as large as the rows, its counted rows
+        copied."""
         buffers, filled = self._buf[side], self._filled[side]
-        lo, hi = filled[layer], self._layer_len[layer]
-        buf = self._room(buffers[layer], lo, hi)
+        buf, lo, hi = buffers[layer], filled[layer], self._layer_len[layer]
+        if buf is None:
+            buf = self._new_buffer(hi + SPARE_BLOCKS * BLOCK_ROWS)
+        elif hi > len(buf):
+            buf, old = self._new_buffer(max(2 * len(buf), hi)), buf
+            buf[:lo] = old[:lo]
+            self.read_buffer_rows_copied += lo
         self._copy(side, layer, lo, hi, buf)
         buffers[layer] = buf
         filled[layer] = hi
         self.read_buffer_rows_copied += hi - lo
         return buf
 
-    def _room(self, buf: Optional[np.ndarray], rows: int, end: int) -> np.ndarray:
-        """``buf`` when it holds ``end`` rows; else a new buffer, a few
-        blocks past ``end`` when there was none, twice as large and at
-        least ``end`` when ``buf`` is outgrown, its first ``rows`` rows
-        copied."""
-        if buf is not None and end <= len(buf):
-            return buf
-        if buf is None:
-            return self._new_buffer(end + SPARE_BLOCKS * BLOCK_ROWS)
-        grown = self._new_buffer(max(2 * len(buf), end))
-        grown[:rows] = buf[:rows]
-        self.read_buffer_rows_copied += rows
-        return grown
-
-    def _copy(self, side, layer, lo, hi, out=None):
-        """Rows [lo, hi), which reach past the leading run, copied once into
-        ``out`` at the same rows, or rows [0, hi) into a new array when
-        ``out`` is None: the part in the run and the part past it joined
-        when the blocks past the run are consecutive too, otherwise one
-        gather of the blocks."""
+    def _copy(self, side, layer, lo, hi, out):
+        """``out`` once rows [lo, hi), which reach past the leading run, are
+        copied into the same rows of it: the part in the run and the part
+        past it joined when the blocks past the run are consecutive too,
+        otherwise one gather of the blocks, whole blocks of ``out``
+        written."""
         pool, table = self._pool, self._table
         if table.last == table.run:
             rows = (pool.k_rows, pool.v_rows)[side][layer]
             start, run = table.start, table.run * BLOCK_ROWS
             # The row of position p >= run.
             at = table.ids[table.run] * BLOCK_ROWS - run
-            return np.concatenate(
+            np.concatenate(
                 (rows[start + min(lo, run):start + run], rows[at + max(lo, run):at + hi]),
-                out=None if out is None else out[lo:hi])
+                out=out[lo:hi])
+            return out
         blocks = (pool.k, pool.v)[side][layer]
         first, n = lo // BLOCK_ROWS, -(-hi // BLOCK_ROWS)
-        if out is not None:
-            out = out[first * BLOCK_ROWS:n * BLOCK_ROWS].reshape(
-                n - first, BLOCK_ROWS, -1)
         # The ids are in range; mode "raise" would fill ``out`` through a
         # temporary.
-        gathered = blocks.take(table.ids[first:n], axis=0, out=out, mode="clip")
-        return gathered.reshape(-1, self.config.d_model)[:hi - first * BLOCK_ROWS]
+        blocks.take(table.ids[first:n], axis=0, mode="clip", out=out[
+            first * BLOCK_ROWS:n * BLOCK_ROWS].reshape(n - first, BLOCK_ROWS, -1))
+        return out
 
     def _new_buffer(self, rows: int) -> np.ndarray:
         """An uninitialised read buffer of at least ``rows`` rows, in whole
@@ -543,7 +527,8 @@ class CacheStore:
 
     def fork_shared(self, length: int) -> "CacheStore":
         """New cache aliasing the first ``length`` sealed positions: it shares
-        their full blocks and copies the rows of a partial last block."""
+        their full blocks, copies the rows of a partial last block and takes
+        the read buffers the pool keeps."""
         if not 0 <= length <= self.sealed_length:
             raise ContractViolationError(
                 f"fork at {length} outside sealed_length {self.sealed_length}")
@@ -564,6 +549,11 @@ class CacheStore:
                 for arrays in (pool.k, pool.v):
                     for a in arrays:
                         a[fresh, :partial] = a[source, :partial]
+            kept = pool.take(child._table)
+        if kept is not None:
+            for buffers, filled, handed in zip(child._buf, child._filled, kept[0]):
+                buffers[:] = handed
+                filled[:] = [0 if b is None else kept[1] for b in handed]
         child.rows_copied_at_fork = partial
         return child
 

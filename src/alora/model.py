@@ -435,8 +435,6 @@ def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
         raise ContractViolationError(f"token id {bad} outside vocabulary")
     t = len(tokens)
     end = start + t
-    if end > config.max_positions:
-        raise ContractViolationError(f"position {end} > max_positions {config.max_positions}")
     producers = policy.producers(start, t)
     cut = producers.count(None)  # the base rows, which lead
     adapted = None if cut == t else slice(cut, None)

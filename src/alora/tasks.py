@@ -27,13 +27,15 @@ YES_ID = 6
 NO_ID = 7
 VALUE_BASE = 8
 
+# Context tokens of a classify-marker example.
+CONTEXT_LEN = 12
+
 TASK_COPY_KEY = "copy_key"
 TASK_CLASSIFY_MARKER = "classify_marker"
 
 
 def make_synthetic_task(kind: str, n_examples: int, seed: int, *,
                         n_distractors: int = 1, n_values: int = 4,
-                        context_len: int = 12,
                         vocab_size: int = 256) -> List[SftExample]:
     """Reproducible dataset for one task kind under one seed."""
     rng = np.random.default_rng(seed)
@@ -41,7 +43,7 @@ def make_synthetic_task(kind: str, n_examples: int, seed: int, *,
         return [_copy_key_example(rng, n_distractors, n_values, vocab_size)
                 for _ in range(n_examples)]
     if kind == TASK_CLASSIFY_MARKER:
-        return [_classify_marker_example(rng, context_len, vocab_size)
+        return [_classify_marker_example(rng, vocab_size)
                 for _ in range(n_examples)]
     raise ConfigurationError(f"unknown task kind {kind!r}")
 
@@ -69,14 +71,12 @@ def _copy_key_example(rng, n_distractors: int, n_values: int,
                       target_tokens=(int(values[query]), EOS_ID))
 
 
-def _classify_marker_example(rng, context_len: int, vocab_size: int) -> SftExample:
+def _classify_marker_example(rng, vocab_size: int) -> SftExample:
     """Target is yes/no depending on whether the marker appears in context."""
-    if context_len < 1:
-        raise ConfigurationError("context_len must be positive")
-    context = rng.integers(8, vocab_size, size=context_len).tolist()
+    context = rng.integers(8, vocab_size, size=CONTEXT_LEN).tolist()
     present = bool(rng.random() < 0.5)
     if present:
-        context[int(rng.integers(0, context_len))] = MARKER_ID
+        context[int(rng.integers(0, CONTEXT_LEN))] = MARKER_ID
     return SftExample(context_tokens=tuple(int(t) for t in context),
                       invocation_tokens=INVOCATION_SEQUENCE,
                       target_tokens=(YES_ID if present else NO_ID, EOS_ID))

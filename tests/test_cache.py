@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from alora import AdapterSpec, CacheStore, ModelConfig, row_bytes
 from alora.cache import BLOCK_ROWS, ForkParent
@@ -340,7 +342,9 @@ class TestBlockTable:
                 stats = cache.stats()
                 assert stats.owned_positions + stats.aliased_positions == cache.length
                 assert stats.blocks == -(-cache.length // BLOCK_ROWS)
-                if cache.length == cache.sealed_length:
+                # a cache sealed past its fork point holds no read buffer;
+                # one not yet extended may hold those it took when forked
+                if cache.length == cache.sealed_length > cache.aliased_positions:
                     assert stats.read_buffer_bytes == 0
             # sealed forks hand read buffers on, and no kept buffer holds a
             # block: a pool's live blocks are those its live tables hold
@@ -613,6 +617,34 @@ class TestReadBuffer:
         assert_reads(fork, np.concatenate([rows, own]))
         assert_reads(other, np.concatenate([rows, others]))
 
+    def test_a_write_past_the_buffers_room_waits_for_the_next_read(self, rng):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
+                             vocab_size=16, max_positions=256)
+        root = CacheStore(config)
+        rows = random_rows(rng, 20, config)
+        put(root, rows)
+        root.seal()
+        fork = root.fork_shared(20)
+        own = random_rows(rng, 100, config)
+        put(fork, own[:1])
+        room = len(fork.k_matrix(0, 21).base)
+        put(fork, own[1:room - 20])
+        want = np.concatenate([rows, own])
+        # rows that follow the count and fit are written into the buffer
+        assert np.array_equal(fork.k_matrix(0, room), want[:room, 0, 0])
+        before = fork.stats()
+        # one row past the room: the pool takes it, the buffer stays as is
+        put(fork, own[room - 20:room - 19])
+        after = fork.stats()
+        assert after.read_buffer_bytes == before.read_buffer_bytes
+        assert after.read_buffer_rows_copied == before.read_buffer_rows_copied
+        # the next read grows the buffer and copies the row in
+        assert np.array_equal(fork.k_matrix(0, room + 1), want[:room + 1, 0, 0])
+        grown = fork.stats()
+        assert grown.read_buffer_bytes > after.read_buffer_bytes
+        assert grown.read_buffer_rows_copied == after.read_buffer_rows_copied + room + 1
+        assert_reads(fork, want[:room + 1])
+
 
 class TestReadBufferHandoff:
     def extend_and_read(self, cache, rows):
@@ -651,6 +683,25 @@ class TestReadBufferHandoff:
         assert second.stats().pool_kept_buffer_bytes == 0
         assert_reads(second, np.concatenate([rows, theirs]))
         assert_reads(first, np.concatenate([rows, mine]))
+
+    def test_a_fork_holds_the_kept_buffers_before_its_first_read(self, config, rng):
+        root = CacheStore(config)
+        rows = random_rows(rng, 37, config)
+        put(root, rows)
+        root.seal()
+        first = root.fork_shared(37)
+        self.extend_and_read(first, random_rows(rng, 6, config))
+        size = first.stats().read_buffer_bytes
+        first.seal()
+        second = root.fork_shared(37)
+        assert second.stats().read_buffer_bytes == size
+        assert second.stats().pool_kept_buffer_bytes == 0
+        # nothing is left for a fork made after it
+        assert root.fork_shared(37).stats().read_buffer_bytes == 0
+        own = random_rows(rng, 4, config)
+        self.extend_and_read(second, own)
+        assert second.stats().read_buffer_bytes == size
+        assert_reads(second, np.concatenate([rows, own]))
 
     def test_a_fork_at_another_cut_copies_past_the_common_blocks(self, config, rng):
         root = CacheStore(config)
@@ -724,6 +775,36 @@ class TestReadBufferHandoff:
         assert child.stats().read_buffer_rows_copied >= 2 * config.n_layers * 41
         assert_reads(child, np.concatenate([rows, own]))
 
+    def test_a_fork_over_reallocated_blocks_takes_buffers_holding_none(
+            self, config, rng):
+        root = CacheStore(config)
+        pool = root.pool
+        put(root, random_rows(rng, 40, config))
+        root.seal()
+        # hold the pool, and no block; ``spacer`` later takes a block so
+        # that the child's partial block does not follow its shared ones
+        keeper, spacer = root.fork_shared(0), root.fork_shared(0)
+        fork = root.fork_shared(40)
+        self.extend_and_read(fork, random_rows(rng, 8, config))
+        fork.seal()
+        recorded = fork._table.ids[:2].tolist()
+        del root, fork
+        gc.collect()
+        assert pool.live_blocks == 0
+        # the same block ids again, with other rows
+        rows = random_rows(rng, 40, config)
+        put(keeper, rows)
+        keeper.seal()
+        put(spacer, random_rows(rng, 1, config))
+        child = keeper.fork_shared(40)
+        assert child._table.ids[:2].tolist() == recorded
+        assert child._table.run == 2
+        assert child.stats().read_buffer_bytes > 0
+        own = random_rows(rng, 8, config)
+        self.extend_and_read(child, own)
+        assert child.stats().read_buffer_rows_copied == 2 * config.n_layers * 41
+        assert_reads(child, np.concatenate([rows, own]))
+
     def test_forks_handing_buffers_on_in_two_threads_read_their_rows(self, rng):
         config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
                              vocab_size=16, max_positions=256)
@@ -763,3 +844,150 @@ class TestReadBufferHandoff:
             sys.setswitchinterval(switch)
         assert wrong == []
         assert root.stats().pool_kept_buffer_bytes > 0
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Roots, appends, runs written layer by layer, reads, held views, seals,
+    forks and drops in any order over the cache's public API, and requests
+    as the engine makes them: fork, a run, one-row decode runs, seal. Each
+    live cache is paired with the rows it should hold and the views held of
+    it. One root, and so one pool, is live at a time; at 64 positions, its
+    forks outgrow it."""
+
+    config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
+                         vocab_size=16, max_positions=64)
+    MAX_CACHES = 5
+
+    def __init__(self):
+        super().__init__()
+        self.rng = np.random.default_rng(0)
+        # [cache, its rows (positions, layer, K or V, d_model),
+        #  {(layer, K or V): (the last view held, a copy)}]
+        self.live = []
+        self.pools = []
+
+    def pick(self, i):
+        return self.live[i % len(self.live)]
+
+    def read(self, entry, layer, side, upto, hold=False):
+        cache, rows, views = entry
+        got = (cache.k_matrix, cache.v_matrix)[side](layer, upto)
+        assert np.array_equal(got, rows[:upto, layer, side])
+        if hold:
+            views[layer, side] = got, got.copy()
+
+    def extend(self, entry, n, by_run, hold=False):
+        cache, rows, _ = entry
+        n = min(n, self.config.max_positions - cache.length)
+        if n == 0:
+            return
+        new = random_rows(self.rng, n, self.config)
+        entry[1] = np.concatenate([rows, new])
+        if not by_run:
+            put(cache, new)
+            return
+        # as the forward does: place once, then write and read each layer
+        run = cache.begin_run([3] * n, [None] * n)
+        for layer in range(self.config.n_layers):
+            k, v = new[:, layer, 0], new[:, layer, 1]
+            cache.write_rows(layer, *((k[0], v[0]) if n == 1 else (k, v)), run)
+            for side in (0, 1):
+                self.read(entry, layer, side, len(entry[1]), hold and side)
+
+    def fork_of(self, i, at):
+        cache, rows, _ = self.pick(i)
+        cut = min(at, cache.sealed_length)
+        kept = cache.stats().pool_kept_buffer_bytes
+        entry = [cache.fork_shared(cut), rows[:cut], {}]
+        # the fork takes what the pool kept
+        assert entry[0].stats().read_buffer_bytes == kept
+        assert entry[0].stats().pool_kept_buffer_bytes == 0
+        self.live.append(entry)
+        return entry
+
+    @precondition(lambda self: not self.live)
+    @rule(n=st.integers(1, 40), seal=st.booleans())
+    def root(self, n, seal):
+        cache = CacheStore(self.config)
+        self.pools.append(cache.pool)
+        self.live.append([cache, random_rows(self.rng, 0, self.config), {}])
+        self.extend(self.live[-1], n, by_run=False)
+        if seal:
+            cache.seal()
+
+    @precondition(lambda self: self.live)
+    @rule(i=st.integers(0, 63), n=st.one_of(st.just(1), st.integers(1, 20)),
+          by_run=st.booleans(), hold=st.booleans())
+    def append(self, i, n, by_run, hold):
+        self.extend(self.pick(i), n, by_run, hold)
+
+    @precondition(lambda self: self.live)
+    @rule(i=st.integers(0, 63), layer=st.integers(0, 1), side=st.integers(0, 1),
+          at=st.integers(0, 64), hold=st.booleans())
+    def read_rows(self, i, layer, side, at, hold):
+        entry = self.pick(i)
+        self.read(entry, layer, side, min(at, entry[0].length), hold)
+
+    @precondition(lambda self: self.live)
+    @rule(i=st.integers(0, 63))
+    def seal(self, i):
+        self.pick(i)[0].seal()
+
+    @precondition(lambda self: 0 < len(self.live) < self.MAX_CACHES)
+    @rule(i=st.integers(0, 63), at=st.just(0) | st.integers(0, 64))
+    def fork(self, i, at):
+        self.fork_of(i, at)
+
+    @precondition(lambda self: 0 < len(self.live) < self.MAX_CACHES)
+    @rule(i=st.integers(0, 63), at=st.integers(0, 64), prompt=st.integers(1, 8),
+          decode=st.integers(0, 6), hold=st.booleans())
+    def request(self, i, at, prompt, decode, hold):
+        entry = self.fork_of(i, at)
+        self.extend(entry, prompt, by_run=True)
+        for _ in range(decode):
+            self.extend(entry, 1, by_run=True)
+        if hold:
+            cache = entry[0]
+            self.read(entry, cache.config.n_layers - 1, 1, cache.length, hold)
+        entry[0].seal()
+
+    @precondition(lambda self: self.live)
+    @rule(i=st.integers(0, 63))
+    def drop(self, i):
+        # a view is valid while its cache lives, so the views go with it
+        del self.live[i % len(self.live)]
+
+    @invariant()
+    def sealed_rows_and_held_views_read_their_rows(self):
+        for entry in self.live:
+            cache, _, views = entry
+            # reads within the sealed length change no state
+            for layer in range(self.config.n_layers):
+                for side in (0, 1):
+                    self.read(entry, layer, side, cache.sealed_length)
+            for view, copy in views.values():
+                assert np.array_equal(view, copy)
+            stats = cache.stats()
+            assert stats.owned_positions + stats.aliased_positions == cache.length
+            assert stats.blocks == -(-cache.length // BLOCK_ROWS)
+            # a cache sealed past its fork point holds no read buffer; one
+            # not yet extended may hold those it took when forked
+            if cache.length == cache.sealed_length > cache.aliased_positions:
+                assert stats.read_buffer_bytes == 0
+
+    @invariant()
+    def live_blocks_are_those_of_the_live_tables(self):
+        # released as soon as the last cache holding them is dropped
+        for pool in self.pools:
+            assert pool.live_blocks == len(live_table_blocks(
+                c for c, _, _ in self.live if c.pool is pool))
+
+    def teardown(self):
+        self.live.clear()
+        gc.collect()
+        assert all(pool.live_blocks == 0 for pool in self.pools)
+
+
+TestCacheMachine = CacheMachine.TestCase
+TestCacheMachine.settings = settings(max_examples=50, stateful_step_count=40,
+                                     deadline=None)
