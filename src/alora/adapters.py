@@ -299,30 +299,19 @@ def build_policy(spec: AdapterSpec, activation: Optional[ActivationPoint]) -> Ad
     return AdapterPolicy(spec, 0)
 
 
-def _drawn_adapter(d_model: int, n_layers: int, rank: int, alpha: float, *,
-                   seed: int, std: float, dtype, draw_b: bool,
-                   **spec) -> AdapterSpec:
-    """Adapter whose factors are drawn per (layer, projection) from one
-    stream: A as ``std`` * N(0, 1), then B the same way when ``draw_b``,
-    else zero, both cast to ``dtype``."""
-    rng = np.random.default_rng(seed)
-    deltas = {}
-    for layer in range(n_layers):
-        for proj in PROJECTIONS:
-            a = (std * rng.standard_normal((d_model, rank))).astype(dtype)
-            b = ((std * rng.standard_normal((rank, d_model))).astype(dtype)
-                 if draw_b else np.zeros((rank, d_model), dtype=dtype))
-            deltas[(layer, proj)] = LowRankDelta(a=a, b=b, rank=rank, alpha=alpha)
-    return AdapterSpec(deltas=deltas, **spec)
-
-
 def random_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
                    mode: str, adapter_id: str, seed: int,
                    invocation_sequence=None, std: float = 0.02) -> AdapterSpec:
     """Adapter with Gaussian A and B factors (both non-zero), for benchmarks."""
-    return _drawn_adapter(d_model, n_layers, rank, alpha, seed=seed, std=std,
-                          dtype=np.float32, draw_b=True, adapter_id=adapter_id,
-                          mode=mode, invocation_sequence=invocation_sequence)
+    rng = np.random.default_rng(seed)
+    deltas = {}
+    for layer in range(n_layers):
+        for proj in PROJECTIONS:
+            a = (std * rng.standard_normal((d_model, rank))).astype(np.float32)
+            b = (std * rng.standard_normal((rank, d_model))).astype(np.float32)
+            deltas[(layer, proj)] = LowRankDelta(a=a, b=b, rank=rank, alpha=alpha)
+    return AdapterSpec(adapter_id=adapter_id, mode=mode, deltas=deltas,
+                       invocation_sequence=invocation_sequence)
 
 
 def zero_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
@@ -331,9 +320,15 @@ def zero_adapter(d_model: int, n_layers: int, *, rank: int, alpha: float,
     """Adapter whose B factors are zero: behaves exactly like the base model.
     A is 0.02 * N(0, 1) per (layer, projection), in ``dtype``; the trainer
     starts a fresh adapter from it."""
-    return _drawn_adapter(d_model, n_layers, rank, alpha, seed=seed, std=0.02,
-                          dtype=dtype, draw_b=False, adapter_id=adapter_id,
-                          mode=mode, invocation_sequence=invocation_sequence)
+    rng = np.random.default_rng(seed)
+    deltas = {}
+    for layer in range(n_layers):
+        for proj in PROJECTIONS:
+            a = (0.02 * rng.standard_normal((d_model, rank))).astype(dtype)
+            b = np.zeros((rank, d_model), dtype=dtype)
+            deltas[(layer, proj)] = LowRankDelta(a=a, b=b, rank=rank, alpha=alpha)
+    return AdapterSpec(adapter_id=adapter_id, mode=mode, deltas=deltas,
+                       invocation_sequence=invocation_sequence)
 
 
 # ---------------------------------------------------------------------- #

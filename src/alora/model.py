@@ -420,16 +420,19 @@ RUN_ROWS = 64
 def _forward_run(tokens, start, weights: ModelWeights, config: ModelConfig,
                  policy, cache, ledger: CostLedger, want_logits: bool):
     """Run ``tokens`` through all layers, layer by layer, appending their
-    K/V rows to the cache, which must hold exactly positions [0, start);
-    returns the last row's logits if wanted. The run is checked, and its
-    cache rows placed, once. The policy's cut splits it once: base rows
-    before it, adapted rows from it on. Its length picks the leaf ops' form
-    once: one row goes through the layer loop as a 1-D vector, with
-    ``x @ W`` gemvs and ``attend_single``, two or more as a (T, d) block,
-    with ``_row_matmul`` and ``attend_run``."""
+    K/V rows to the cache, which must be made under ``config`` and hold
+    exactly positions [0, start); returns the last row's logits if wanted.
+    The run is checked, and its cache rows placed, once. The policy's cut
+    splits it once: base rows before it, adapted rows from it on. Its
+    length picks the leaf ops' form once: one row goes through the layer
+    loop as a 1-D vector, with ``x @ W`` gemvs and ``attend_single``, two
+    or more as a (T, d) block, with ``_row_matmul`` and ``attend_run``."""
     if cache.length != start:
         raise ContractViolationError(
             f"cache holds {cache.length} positions, expected {start}")
+    # The cache's bounds, which ``begin_run`` applies, must be the model's.
+    if cache.config is not config and cache.config != config:
+        raise ContractViolationError("cache was made under another config than the model's")
     if min(tokens) < 0 or max(tokens) >= config.vocab_size:
         bad = next(t for t in tokens if not 0 <= t < config.vocab_size)
         raise ContractViolationError(f"token id {bad} outside vocabulary")

@@ -298,6 +298,9 @@ class TestBlockTable:
         # path from the root, cut back at every fork
         rng = np.random.default_rng(seed)
         live, pools = [], []
+        # id of a fork not extended or sealed since it was made: the bytes
+        # of the buffers the pool kept just before
+        taken = {}
         for kind, which, amount in ops:
             if not live:
                 live.append((CacheStore(config), random_rows(rng, 0, config)))
@@ -308,6 +311,8 @@ class TestBlockTable:
                 new = random_rows(rng, min(amount, config.max_positions - cache.length),
                                   config)
                 rows = np.concatenate([rows, new])
+                if len(new):
+                    taken.pop(id(cache), None)
                 cache.append_token_ids([3] * len(new))
                 for layer in range(config.n_layers):
                     cache.append_rows(layer, new[:, layer, 0], new[:, layer, 1],
@@ -321,6 +326,7 @@ class TestBlockTable:
                 # one row at a time, each followed by a whole read of every
                 # layer, as a decoding fork reads
                 for _ in range(min(amount % 8, config.max_positions - cache.length)):
+                    taken.pop(id(cache), None)
                     rows = np.concatenate([rows, random_rows(rng, 1, config)])
                     put(cache, rows[-1:])
                     for layer in range(config.n_layers):
@@ -330,11 +336,15 @@ class TestBlockTable:
                                               rows[:, layer, 1])
                 live[i] = (cache, rows)
             elif kind == "seal":
+                taken.pop(id(cache), None)
                 cache.seal()
             elif kind == "fork":
                 cut = amount % (cache.sealed_length + 1)
+                kept = cache.stats().pool_kept_buffer_bytes
                 live.append((cache.fork_shared(cut), rows[:cut]))
+                taken[id(live[-1][0])] = kept
             else:
+                taken.pop(id(cache), None)
                 del live[i], cache
                 gc.collect()
             for cache, rows in live:
@@ -342,10 +352,8 @@ class TestBlockTable:
                 stats = cache.stats()
                 assert stats.owned_positions + stats.aliased_positions == cache.length
                 assert stats.blocks == -(-cache.length // BLOCK_ROWS)
-                # a cache sealed past its fork point holds no read buffer;
-                # one not yet extended may hold those it took when forked
-                if cache.length == cache.sealed_length > cache.aliased_positions:
-                    assert stats.read_buffer_bytes == 0
+                if cache.length == cache.sealed_length:
+                    assert stats.read_buffer_bytes == taken.get(id(cache), 0)
             # sealed forks hand read buffers on, and no kept buffer holds a
             # block: a pool's live blocks are those its live tables hold
             for pool in pools:
@@ -598,12 +606,25 @@ class TestReadBuffer:
         other = root.fork_shared(20)
         own, others = random_rows(rng, 200, config), random_rows(rng, 236, config)
         sizes = set()
+        room = 0
         for i in range(200):
+            before = fork.stats()
             put(fork, own[i:i + 1])
             n = fork.length
+            if n > room:
+                # a row past the buffers' room is written to the pool only
+                after = fork.stats()
+                assert after.read_buffer_bytes == before.read_buffer_bytes
+                assert after.read_buffer_rows_copied == before.read_buffer_rows_copied
             for layer in range(config.n_layers):
                 assert np.array_equal(fork.k_matrix(layer, n),
                                       np.concatenate([rows, own[:i + 1]])[:, layer, 0])
+            if n > room:
+                # the next read makes or grows each K buffer and copies all
+                # its rows in
+                assert (fork.stats().read_buffer_rows_copied
+                        == before.read_buffer_rows_copied + config.n_layers * n)
+            room = len(fork.k_matrix(0, n).base)
             sizes.add(fork.stats().read_buffer_bytes)
             if i == 100:
                 # the other fork outgrows the pool while the buffers are live
@@ -616,34 +637,6 @@ class TestReadBuffer:
         assert max(sizes) <= 2 * 2 * 256 * config.d_model * 4
         assert_reads(fork, np.concatenate([rows, own]))
         assert_reads(other, np.concatenate([rows, others]))
-
-    def test_a_write_past_the_buffers_room_waits_for_the_next_read(self, rng):
-        config = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_head=4,
-                             vocab_size=16, max_positions=256)
-        root = CacheStore(config)
-        rows = random_rows(rng, 20, config)
-        put(root, rows)
-        root.seal()
-        fork = root.fork_shared(20)
-        own = random_rows(rng, 100, config)
-        put(fork, own[:1])
-        room = len(fork.k_matrix(0, 21).base)
-        put(fork, own[1:room - 20])
-        want = np.concatenate([rows, own])
-        # rows that follow the count and fit are written into the buffer
-        assert np.array_equal(fork.k_matrix(0, room), want[:room, 0, 0])
-        before = fork.stats()
-        # one row past the room: the pool takes it, the buffer stays as is
-        put(fork, own[room - 20:room - 19])
-        after = fork.stats()
-        assert after.read_buffer_bytes == before.read_buffer_bytes
-        assert after.read_buffer_rows_copied == before.read_buffer_rows_copied
-        # the next read grows the buffer and copies the row in
-        assert np.array_equal(fork.k_matrix(0, room + 1), want[:room + 1, 0, 0])
-        grown = fork.stats()
-        assert grown.read_buffer_bytes > after.read_buffer_bytes
-        assert grown.read_buffer_rows_copied == after.read_buffer_rows_copied + room + 1
-        assert_reads(fork, want[:room + 1])
 
 
 class TestReadBufferHandoff:
@@ -673,6 +666,9 @@ class TestReadBufferHandoff:
         first.seal()
         assert first.stats().pool_kept_buffer_bytes == size
         second = root.fork_shared(37)
+        # taken when the fork is made, before its first read
+        assert second.stats().read_buffer_bytes == size
+        assert second.stats().pool_kept_buffer_bytes == 0
         theirs = random_rows(rng, 6, config)
         self.extend_and_read(second, theirs)
         # the same buffers; past the 2 shared blocks, only the 5 copied rows
@@ -683,25 +679,6 @@ class TestReadBufferHandoff:
         assert second.stats().pool_kept_buffer_bytes == 0
         assert_reads(second, np.concatenate([rows, theirs]))
         assert_reads(first, np.concatenate([rows, mine]))
-
-    def test_a_fork_holds_the_kept_buffers_before_its_first_read(self, config, rng):
-        root = CacheStore(config)
-        rows = random_rows(rng, 37, config)
-        put(root, rows)
-        root.seal()
-        first = root.fork_shared(37)
-        self.extend_and_read(first, random_rows(rng, 6, config))
-        size = first.stats().read_buffer_bytes
-        first.seal()
-        second = root.fork_shared(37)
-        assert second.stats().read_buffer_bytes == size
-        assert second.stats().pool_kept_buffer_bytes == 0
-        # nothing is left for a fork made after it
-        assert root.fork_shared(37).stats().read_buffer_bytes == 0
-        own = random_rows(rng, 4, config)
-        self.extend_and_read(second, own)
-        assert second.stats().read_buffer_bytes == size
-        assert_reads(second, np.concatenate([rows, own]))
 
     def test_a_fork_at_another_cut_copies_past_the_common_blocks(self, config, rng):
         root = CacheStore(config)
@@ -862,7 +839,9 @@ class CacheMachine(RuleBasedStateMachine):
         super().__init__()
         self.rng = np.random.default_rng(0)
         # [cache, its rows (positions, layer, K or V, d_model),
-        #  {(layer, K or V): (the last view held, a copy)}]
+        #  {(layer, K or V): (the last view held, a copy)},
+        #  the bytes of the buffers it took when forked, 0 once extended
+        #  or sealed]
         self.live = []
         self.pools = []
 
@@ -870,19 +849,20 @@ class CacheMachine(RuleBasedStateMachine):
         return self.live[i % len(self.live)]
 
     def read(self, entry, layer, side, upto, hold=False):
-        cache, rows, views = entry
+        cache, rows, views, _ = entry
         got = (cache.k_matrix, cache.v_matrix)[side](layer, upto)
         assert np.array_equal(got, rows[:upto, layer, side])
         if hold:
             views[layer, side] = got, got.copy()
 
     def extend(self, entry, n, by_run, hold=False):
-        cache, rows, _ = entry
+        cache, rows, _, _ = entry
         n = min(n, self.config.max_positions - cache.length)
         if n == 0:
             return
         new = random_rows(self.rng, n, self.config)
         entry[1] = np.concatenate([rows, new])
+        entry[3] = 0
         if not by_run:
             put(cache, new)
             return
@@ -895,10 +875,10 @@ class CacheMachine(RuleBasedStateMachine):
                 self.read(entry, layer, side, len(entry[1]), hold and side)
 
     def fork_of(self, i, at):
-        cache, rows, _ = self.pick(i)
+        cache, rows, _, _ = self.pick(i)
         cut = min(at, cache.sealed_length)
         kept = cache.stats().pool_kept_buffer_bytes
-        entry = [cache.fork_shared(cut), rows[:cut], {}]
+        entry = [cache.fork_shared(cut), rows[:cut], {}, kept]
         # the fork takes what the pool kept
         assert entry[0].stats().read_buffer_bytes == kept
         assert entry[0].stats().pool_kept_buffer_bytes == 0
@@ -910,7 +890,7 @@ class CacheMachine(RuleBasedStateMachine):
     def root(self, n, seal):
         cache = CacheStore(self.config)
         self.pools.append(cache.pool)
-        self.live.append([cache, random_rows(self.rng, 0, self.config), {}])
+        self.live.append([cache, random_rows(self.rng, 0, self.config), {}, 0])
         self.extend(self.live[-1], n, by_run=False)
         if seal:
             cache.seal()
@@ -931,7 +911,9 @@ class CacheMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.live)
     @rule(i=st.integers(0, 63))
     def seal(self, i):
-        self.pick(i)[0].seal()
+        entry = self.pick(i)
+        entry[0].seal()
+        entry[3] = 0
 
     @precondition(lambda self: 0 < len(self.live) < self.MAX_CACHES)
     @rule(i=st.integers(0, 63), at=st.just(0) | st.integers(0, 64))
@@ -950,6 +932,7 @@ class CacheMachine(RuleBasedStateMachine):
             cache = entry[0]
             self.read(entry, cache.config.n_layers - 1, 1, cache.length, hold)
         entry[0].seal()
+        entry[3] = 0
 
     @precondition(lambda self: self.live)
     @rule(i=st.integers(0, 63))
@@ -960,7 +943,7 @@ class CacheMachine(RuleBasedStateMachine):
     @invariant()
     def sealed_rows_and_held_views_read_their_rows(self):
         for entry in self.live:
-            cache, _, views = entry
+            cache, _, views, taken = entry
             # reads within the sealed length change no state
             for layer in range(self.config.n_layers):
                 for side in (0, 1):
@@ -970,17 +953,17 @@ class CacheMachine(RuleBasedStateMachine):
             stats = cache.stats()
             assert stats.owned_positions + stats.aliased_positions == cache.length
             assert stats.blocks == -(-cache.length // BLOCK_ROWS)
-            # a cache sealed past its fork point holds no read buffer; one
-            # not yet extended may hold those it took when forked
-            if cache.length == cache.sealed_length > cache.aliased_positions:
-                assert stats.read_buffer_bytes == 0
+            # a sealed cache holds no read buffer, unless it is a fork
+            # holding those it took when it was made
+            if cache.length == cache.sealed_length:
+                assert stats.read_buffer_bytes == taken
 
     @invariant()
     def live_blocks_are_those_of_the_live_tables(self):
         # released as soon as the last cache holding them is dropped
         for pool in self.pools:
             assert pool.live_blocks == len(live_table_blocks(
-                c for c, _, _ in self.live if c.pool is pool))
+                c for c, _, _, _ in self.live if c.pool is pool))
 
     def teardown(self):
         self.live.clear()

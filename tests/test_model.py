@@ -650,6 +650,21 @@ class TestRowRunRefusals:
                         BASE_POLICY, full)
         self._refused(full, step(full, 5, top))
 
+    def test_cache_of_another_config(self, tiny_config, tiny_weights):
+        # a cache with room past the model's max_positions: its own bound
+        # would let the runs below through, past the model's rotary tables
+        config, weights = tiny_config, tiny_weights
+        top = config.max_positions
+        wide = dataclasses.replace(config, max_positions=2 * top)
+        cache = CacheStore(wide)
+        forward_segment([4 + i % 28 for i in range(top - 1)], 0, weights, wide,
+                        BASE_POLICY, cache)
+        self._refused(cache, lambda: forward_segment(
+            [5, 6], top - 1, weights, config, BASE_POLICY, cache))
+        self._refused(cache, lambda: forward_position(
+            5, top - 1, weights, config, BASE_POLICY, cache, CostLedger(),
+            want_logits=True))
+
 
 class TestFusedQKV:
     """The engine projects q, k and v in one product per row against
